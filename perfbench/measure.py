@@ -17,7 +17,6 @@ from statistics import median, quantiles
 from time import perf_counter_ns
 
 from metrics import CALLS, PER_LAYER, SELF_MS
-from probe import probe_ms
 from tracing import ATTRS, END, ID, NAME, START, THREAD, layer_totals, self_times
 from workloads import OpWorkload, cache_misses, window_metrics
 
@@ -32,13 +31,11 @@ def run(workload, seconds: float, checks, tracer, misses_before: int) -> dict:
         layers["core.setup_staging_ms"] = totals.get("core.staging", {}).get("self_ns", 0) / 1e6
         layers["core.setup_cache_misses"] = cache_misses() - misses_before
         tracer.clear()
-    probes = [probe_ms()]
     if isinstance(workload, OpWorkload):
         summary = _run_ops(workload, seconds, checks, tracer, layers)
     else:
         summary = _run_service(workload, seconds, tracer, layers)
-    probes.append(probe_ms())
-    result = {"probes_ms": probes, "summary": summary}
+    result = {"summary": summary}
     if tracer is None:
         result["metrics"] = {
             "latency_ms": summary["latency_ms"],

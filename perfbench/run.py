@@ -10,17 +10,22 @@ process of a run is pinned to one CPU: with the service's event loop and
 solver thread on different CPUs, each interpreter-lock handoff crossed CPUs,
 and throughput came out lower and several times more variable.  A run is:
 
-* untraced (``--trace 0``): two set-up-only processes, one process that
-  sets up and measures for ``--seconds``, then two more set-up-only
-  processes.  ``setup_s`` is the median of the five set-up times, which span
-  the run; ``latency_ms``, ``throughput_per_s`` and ``peak_rss_mb`` come
-  from the measuring process;
+* untraced (``--trace 0``): a set-up-only process, one process that sets
+  up and measures for ``--seconds``, then another set-up-only process.
+  ``setup_s`` is the median of the three set-up times, which span the run;
+  ``latency_ms``, ``throughput_per_s`` and ``peak_rss_mb`` come from the
+  measuring process;
 * traced (``--trace 1``): one process that wraps every layer entry point
   (see ``workloads.install_hooks``) and reports the per-layer metrics.
 
+Times are speed-adjusted by the median probe of the run, taken by a probe
+sidecar that runs on the same CPU from before the first set-up until the
+last process has ended (see ``probe.py``).
+
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  A line before it
-records the seed, the operation count and the host speed probe.
+records the seed, the speed factor and, in wall time, every operation
+and set-up, with every probe.
 """
 
 from __future__ import annotations
@@ -38,8 +43,18 @@ from metrics import END_TO_END, PER_LAYER
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("paper_eval", "newton", "fleet", "service")
+#: the probe parts each workload's times are adjusted by (see probe.py):
+#: paper_eval is large-array sweeps, which slow down less than call overhead
+PROBE_PARTS = {
+    "paper_eval": ("sweeps",),
+    "newton": ("sweeps", "calls"),
+    "fleet": ("sweeps", "calls"),
+    "service": ("sweeps", "calls"),
+}
 #: set-up-only processes before and after the measuring one
-SETUP_ONLY_EACH_SIDE = 2
+SETUP_ONLY_EACH_SIDE = 1
+#: how long the probe sidecar may take to stop
+SIDECAR_STOP_S = 10.0
 #: the whole run, set-ups included, must end well inside 180 s
 DEADLINE_S = 170.0
 PINNED = {
@@ -91,6 +106,30 @@ def _spawn(arguments: list[str], env: dict, deadline: float) -> dict:
     return json.loads(lines[-1])
 
 
+def _start_sidecar(parts: tuple[str, ...], env: dict) -> subprocess.Popen:
+    """Start the probe sidecar on this process's CPU (see ``probe.py``)."""
+    return subprocess.Popen(
+        [sys.executable, os.path.join(HERE, "probe.py"), *parts],
+        env=env,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _stop_sidecar(sidecar: subprocess.Popen) -> list[float]:
+    """Close the sidecar's input and wait for it; returns its probe times."""
+    try:
+        out, _ = sidecar.communicate(input="", timeout=SIDECAR_STOP_S)
+    except subprocess.TimeoutExpired:
+        sidecar.kill()
+        sidecar.wait()
+        raise
+    if sidecar.returncode != 0:
+        raise RuntimeError(f"probe sidecar exited with code {sidecar.returncode}")
+    return json.loads(out)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description="Run one benchmark workload.")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
@@ -113,34 +152,40 @@ def main() -> int:
     cpu = _pin_to_one_cpu()
     # the probe imports NumPy, which reads its thread settings at import
     os.environ.update(PINNED)
-    from probe import probe_ms
+    from probe import speed
 
-    probes = [probe_ms()]
     common = [
         "--workload", args.workload,
         "--seed", str(args.seed),
         "--seconds", repr(args.seconds),
         "--trace", str(args.trace),
     ]
+    parts = PROBE_PARTS[args.workload]
     setups = []
     setup_only = 0 if args.trace else SETUP_ONLY_EACH_SIDE
+    sidecar = _start_sidecar(parts, env)
     try:
-        for _ in range(setup_only):
-            setups.append(_spawn([*common, "--setup-only"], env, deadline)["setup_s"])
-        result = _spawn(common, env, deadline)
-        setups.append(result["setup_s"])
-        for _ in range(setup_only):
-            setups.append(_spawn([*common, "--setup-only"], env, deadline)["setup_s"])
+        try:
+            for _ in range(setup_only):
+                setups.append(_spawn([*common, "--setup-only"], env, deadline)["setup_s"])
+            result = _spawn(common, env, deadline)
+            setups.append(result["setup_s"])
+            for _ in range(setup_only):
+                setups.append(_spawn([*common, "--setup-only"], env, deadline)["setup_s"])
+        finally:
+            probes = _stop_sidecar(sidecar)
     except (RuntimeError, TimeoutError, subprocess.TimeoutExpired, ValueError) as error:
         print(f"perfbench: {args.workload} seed {args.seed}: {error}", file=sys.stderr)
         return 1
-    probes += result["probes_ms"]
 
     metrics = result["metrics"]
+    factor = speed(probes, parts)
     if args.trace:
         metrics["host.probe_ms"] = median(probes)
     else:
-        metrics["setup_s"] = median(setups)
+        metrics["latency_ms"] *= factor
+        metrics["throughput_per_s"] /= factor
+        metrics["setup_s"] = median(setups) * factor
         metrics["peak_rss_mb"] = result["peak_rss_mb"]
     units = PER_LAYER if args.trace else END_TO_END
     print(
@@ -152,8 +197,9 @@ def main() -> int:
                 "seconds": args.seconds,
                 "trace": args.trace,
                 "cpu": cpu,
-                "setup_samples_s": setups,
-                "probes_ms": probes,
+                "speed_factor": factor,
+                "wall_setup_samples_s": setups,
+                "probes_ms": [round(p, 3) for p in probes],
                 "summary": result["summary"],
                 "first_failure": result["first_failure"],
             }
