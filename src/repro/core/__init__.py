@@ -15,6 +15,7 @@ from .system import (
     system_structure_key,
 )
 from .tensor import (
+    CommonFactorPlan,
     ComplexSlotTensor,
     SlotTensor,
     TensorLayer,
@@ -52,6 +53,7 @@ __all__ = [
     "system_structure_key",
     "SlotTensor",
     "ComplexSlotTensor",
+    "CommonFactorPlan",
     "TensorLayer",
     "TensorProgram",
     "compile_tensor_program",

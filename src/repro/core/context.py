@@ -12,7 +12,8 @@ device it would be a full host-to-device transfer per step.
 * :meth:`EvalContext.update_inputs` packs the slot tensor **once** (on the
   first call) and afterwards updates, in place, only the rows that can
   change between sweeps — the variable slots, plus the adjusted-coefficient
-  slots of non-multilinear monomials;
+  slots of non-multilinear monomials, whose common-factor powers run as
+  whole-batch convolutions (:class:`repro.core.tensor.CommonFactorPlan`);
 * :meth:`EvalContext.run` re-zeroes the product region (one whole-array
   store), executes the compiled :class:`repro.core.tensor.TensorProgram` on
   the resident tensor, and unpacks only the requested outputs (full
@@ -53,9 +54,13 @@ from .tensor import (
     ComplexSlotTensor,
     SlotTensor,
     collapse_limbs,
+    compile_tensor_program,
     infer_ring,
     join_rings,
-    make_tensor,
+    pack_exact,
+    promote_planes,
+    scalar_ring,
+    zero_tensor,
 )
 
 __all__ = ["EvalContext"]
@@ -63,6 +68,15 @@ __all__ = ["EvalContext"]
 #: Process-wide telemetry registry; ``enabled`` is a plain attribute so the
 #: disabled hot path costs exactly one attribute check per call site.
 _TELEMETRY = get_telemetry()
+
+#: Rows (lanes x non-multilinear monomials) from which an input update
+#: computes the common factors as whole-batch convolutions instead of one
+#: ``split_common_factor`` per lane.  A batched update costs about the same
+#: at any width (2-3 ms at double doubles, 7-12 ms at quad doubles, degree 4
+#: to 8); on a 2-vCPU x86-64 host the per-lane loop broke even at 4-7 rows
+#: at double doubles and 7-10 at quad doubles.  32 keeps a margin, and keeps
+#: a one-request service flush (a few rows) on the loop.
+_BATCHED_COMMON_FACTOR_ROWS = 32
 
 
 class EvalContext:
@@ -102,11 +116,18 @@ class EvalContext:
         self._active: np.ndarray | None = None
         self._instance_evaluators: list | None = None
         # Row indices of the resident tensor, filled at pack time.
-        self._var_rows: list[np.ndarray] | None = None
+        self._var_slots: np.ndarray | None = None
+        self._work_slots: list[np.ndarray] = []
         self._work_rows: np.ndarray | None = None
         self._work_per_instance: np.ndarray | None = None
-        self._adjusted: list[tuple[int, int, int]] = []
         self._value_rows: np.ndarray | None = None
+        # The unadjusted coefficients of the non-multilinear monomials, one
+        # row per (instance, monomial), resident beside the tensor: the
+        # operands of the batched common factor.  ``_raw_exact[b]`` is True
+        # when instance b's raw coefficients all are scalars of the tensor
+        # ring, so products with narrower inputs promote into it.
+        self._raw = None
+        self._raw_exact: np.ndarray | None = None
         self._grad_rows: np.ndarray | None = None
         # Telemetry-only memo caches: TimingModel predictions per active
         # count / series count, built lazily and only while telemetry is on.
@@ -214,11 +235,22 @@ class EvalContext:
     def update_inputs(self, zs: Sequence[Sequence[PowerSeries]]) -> None:
         """Load a batch of input vectors, packing at most once.
 
-        The first call packs the full fused slot array (and decides the
-        tensor ring from the system and input coefficients); every later
-        call writes only the input rows that can change — variable slots,
-        non-multilinear adjusted coefficients, and (after a
-        :meth:`rebind`) the system's constant/coefficient rows.
+        The first call packs: it decides the tensor ring from the system and
+        input coefficients and fills every lane, masked or not.  Every later
+        call writes only the rows that can change, for the active lanes
+        only — variable slots, non-multilinear adjusted coefficients, and
+        (after a :meth:`rebind`) the system's constant/coefficient rows.
+
+        Lanes whose input coefficients all are scalars of one ring
+        (:func:`repro.core.tensor.scalar_ring`) form a group: its input
+        series are packed into one limb block and written with one row
+        assignment.  A group of at least ``_BATCHED_COMMON_FACTOR_ROWS`` rows
+        (lanes x non-multilinear monomials) computes its adjusted
+        coefficients with the program's
+        :class:`repro.core.tensor.CommonFactorPlan`, as whole-batch
+        convolutions; other lanes run
+        :meth:`repro.circuits.Monomial.split_common_factor` one by one.  The
+        two are bit-identical.
         """
         zs = [list(z) for z in zs]
         if len(zs) != self._batch:
@@ -230,57 +262,161 @@ class EvalContext:
         self._zs = zs
         if self._delegate_to is not None:
             return
+        tel = _TELEMETRY
+        t0 = tel.enabled and _perf_counter_ns()
         if self._tensor is not None:
+            lanes = self._active_instances()
+            groups, rest = self._input_groups(zs, lanes)
             # The resident tensor can only carry rings it was packed for; a
             # wider input ring (more limbs, or complex data into a real
             # tensor) forces a repack so the results stay bit-identical to
             # the per-call evaluate_batch.  Newton and path tracking keep
-            # one ring throughout, so this never triggers on the hot path.
-            input_ring = infer_ring(series for z in zs for series in z)
-            if input_ring is None or join_rings(input_ring, self._ring) != self._ring:
+            # one ring throughout, so the check runs only on lanes outside
+            # every group, and never triggers on the hot path.
+            if rest.size and not self._ring_carries(zs, rest):
                 self._tensor = None
         if self._tensor is None:
             self._pack(zs)
-            if self._instance_evaluators is None or self._tensor is None:
+            if self._tensor is None:
                 return
-            # A fleet pack stamped instance 0's system into every instance
-            # (the batch packer knows only one evaluator); rewrite each
-            # instance's own system rows and fall through so the adjusted
-            # coefficients below come from each instance's system too.
-            self._system_dirty = True
-        if self._system_dirty:
+            t0 = tel.enabled and _perf_counter_ns()
+            lanes = np.arange(self._batch, dtype=np.int64)
+            groups, rest = self._input_groups(zs, lanes)
+        elif self._system_dirty:
             self._rewrite_system_rows()
             self._system_dirty = False
-        tel = _TELEMETRY
-        t0 = tel.enabled and _perf_counter_ns()
-        tensor = self._tensor
-        stride = self._evaluator.fused.total_slots
-        dimension = self._evaluator.dimension
-        for b in self._active_instances():
-            z = zs[b]
-            base = int(b) * stride
-            for variable in range(dimension):
-                tensor.write_series(self._var_rows[variable] + base, z[variable])
-            if self._adjusted:
-                polynomials = self._polynomials_of(int(b))
-                table = PowerTable(z)
-                for equation, monomial_index, row in self._adjusted:
-                    monomial = polynomials[equation].monomials[monomial_index]
-                    adjusted, _, _ = monomial.split_common_factor(z, table)
-                    tensor.write_series((base + row,), adjusted)
+        w0 = t0 and _perf_counter_ns()
+        self._write_variables(zs, groups, rest)
+        w1 = t0 and _perf_counter_ns()
+        self._write_common_factors(zs, groups, rest)
         if t0:
-            end = _perf_counter_ns()
-            instances = self._active_instances().size
             tel.record_span(
-                "context.update_inputs", t0, end, instances=int(instances)
+                "context.update_inputs", t0, _perf_counter_ns(), instances=int(lanes.size)
             )
             tel.count("context.input_updates")
             fused = self._evaluator.fused
             predicted = self._predicted_transfer_ms(
-                fused.variable_slot_count * int(instances)
+                fused.variable_slot_count * int(lanes.size)
             )
             if predicted is not None:
-                tel.ledger("transfer", (end - t0) / 1e6, predicted)
+                tel.ledger("transfer", (w1 - w0) / 1e6, predicted)
+
+    def _input_groups(self, zs, lanes: np.ndarray):
+        """Split ``lanes`` by the ring their input coefficients are scalars of.
+
+        Returns ``(groups, rest)``: each group is ``(lanes, ring, planes)``,
+        lanes whose every input coefficient is a scalar of one ring the
+        tensor carries, packed in that ring by
+        :func:`repro.core.tensor.pack_exact`; ``rest`` holds the other lanes.
+        """
+        by_ring: dict = {}
+        for b in lanes.tolist():
+            by_ring.setdefault(scalar_ring(zs[b][0].coefficients[0]), []).append(b)
+        groups = []
+        rest: list[int] = []
+        for ring, members in by_ring.items():
+            planes = None
+            if ring is not None and join_rings(ring, self._ring) == self._ring:
+                planes = pack_exact([s for b in members for s in zs[b]], *ring)
+            if planes is None:
+                rest.extend(members)
+            else:
+                groups.append((np.asarray(members, dtype=np.int64), ring, planes))
+        return groups, np.asarray(rest, dtype=np.int64)
+
+    def _ring_carries(self, zs, lanes: np.ndarray) -> bool:
+        """True when the tensor ring holds the lanes' inputs without rounding."""
+        ring = infer_ring(series for b in lanes.tolist() for series in zs[b])
+        return ring is not None and join_rings(ring, self._ring) == self._ring
+
+    def _write_variables(self, zs, groups, rest: np.ndarray) -> None:
+        """Write the lanes' input series into every equation's variable slots.
+
+        A group's block goes in with one row assignment per plane, widened
+        into the tensor ring; the other lanes write series by series.
+        """
+        tensor = self._tensor
+        stride = self._evaluator.fused.total_slots
+        limbs, width = tensor.limbs, tensor.width
+        equations, dimension = self._var_slots.shape
+        for lanes, ring, planes in groups:
+            rows = (lanes * stride)[:, None, None] + self._var_slots[None, :, :]
+            shape = (limbs, lanes.size, equations, dimension, width)
+            for plane, block in zip(
+                tensor.planes, promote_planes(planes, ring[1], self._ring)
+            ):
+                values = block.reshape(limbs, lanes.size, 1, dimension, width)
+                plane[:, rows.reshape(-1), :] = np.broadcast_to(values, shape).reshape(
+                    limbs, -1, width
+                )
+        for b in rest.tolist():
+            base = b * stride
+            for variable, series in enumerate(zs[b]):
+                tensor.write_series(self._var_slots[:, variable] + base, series)
+
+    def _write_common_factors(self, zs, groups, rest: np.ndarray) -> None:
+        """Write the lanes' adjusted coefficients of non-multilinear monomials.
+
+        A group is batched through the program's :class:`CommonFactorPlan`
+        when it has enough rows and every product lands in the ring the
+        scalar code promotes it to: the powers run in the group's ring, and
+        the factor steps in the tensor ring, which is that of the
+        coefficient times the power when the inputs are the tensor ring or
+        the lanes' raw coefficients are (``_raw_exact``).  Every other lane
+        runs ``split_common_factor`` on its own :class:`PowerTable` — the
+        scalar oracle, kept for narrow updates, where the fixed cost of a
+        batched convolution does not pay off.
+        """
+        plan = self._program.common_factor
+        if plan is None:
+            return
+        tel = _TELEMETRY
+        t0 = tel.enabled and _perf_counter_ns()
+        monomials = len(plan.monomials)
+        tensor = self._tensor
+        limbs, width = tensor.limbs, tensor.width
+        stride = self._evaluator.fused.total_slots
+        per_lane = [rest]
+        batched_rows = 0
+        for lanes, ring, planes in groups:
+            if lanes.size * monomials < _BATCHED_COMMON_FACTOR_ROWS or not (
+                ring == self._ring or self._raw_exact[lanes].all()
+            ):
+                per_lane.append(lanes)
+                continue
+            batched_rows += lanes.size * monomials
+            powers = plan.powers(
+                [block.reshape(ring[1], lanes.size, plan.dimension, width) for block in planes],
+                ring[1],
+            )
+            adjusted = plan.factors(
+                promote_planes(powers, ring[1], self._ring),
+                [
+                    plane.reshape(limbs, self._batch, monomials, width)[:, lanes]
+                    for plane in self._raw.planes
+                ],
+                limbs,
+            )
+            targets = ((lanes * stride)[:, None] + plan.coefficient_rows[None, :]).reshape(-1)
+            for plane, block in zip(tensor.planes, adjusted):
+                plane[:, targets, :] = block.reshape(limbs, -1, width)
+        slots = plan.coefficient_rows.tolist()
+        lanes_left = np.concatenate(per_lane).tolist()
+        for b in lanes_left:
+            z = zs[b]
+            base = b * stride
+            polynomials = self._polynomials_of(b)
+            table = PowerTable(z)
+            for (equation, k), slot in zip(plan.monomials, slots):
+                monomial = polynomials[equation].monomials[k]
+                adjusted, _, _ = monomial.split_common_factor(z, table)
+                tensor.write_series((base + slot,), adjusted)
+        if t0:
+            rows = batched_rows + len(lanes_left) * monomials
+            path = "per-lane" if not batched_rows else "batched" if not lanes_left else "mixed"
+            tel.record_span(
+                "context.common_factor", t0, _perf_counter_ns(), rows=rows, path=path
+            )
 
     def _polynomials_of(self, instance: int):
         """The polynomial list evaluated at ``instance`` (fleet-aware)."""
@@ -289,7 +425,15 @@ class EvalContext:
         return self._evaluator.polynomials
 
     def _pack(self, zs: list[list[PowerSeries]]) -> None:
-        """First-time packing: choose the ring, pack, compile, index rows."""
+        """First-time packing: choose the ring, allocate, compile, index rows.
+
+        The tensor starts as zeros and gets every lane's system rows here;
+        :meth:`update_inputs` then writes every lane's inputs and adjusted
+        coefficients through the same row writes as any later update.  The
+        result equals the per-call pack of
+        :meth:`repro.core.SystemEvaluator._prepare_batch_slots` byte for
+        byte, without a scalar common factor per lane.
+        """
         tel = _TELEMETRY
         t0 = tel.enabled and _perf_counter_ns()
         evaluator = self._evaluator
@@ -301,8 +445,9 @@ class EvalContext:
             self._delegate_to = "staged"
             return
         kind, limbs = join_rings(system_ring, input_ring)
-        all_slots = evaluator._prepare_batch_slots(zs)
-        tensor = make_tensor(all_slots, kind=kind, limbs=limbs)
+        fused = evaluator.fused
+        width = fused.degree + 1
+        tensor = zero_tensor(kind, limbs, self._batch * fused.total_slots, width)
         if self._buffer is not None:
             tensor = self._relocate(tensor)
         self._tensor = tensor
@@ -310,13 +455,23 @@ class EvalContext:
         self._predicted_sweeps = {}
         self._timing_model = None
         self._packs += 1
-        from .tensor import compile_tensor_program
-
         self._program = evaluator.cache.get(
             (evaluator._structure_key, "tensor-program"),
             lambda: compile_tensor_program(evaluator.fused),
         )
+        plan = self._program.common_factor
+        if plan is not None:
+            self._raw = zero_tensor(kind, limbs, self._batch * len(plan.monomials), width)
+            self._raw_exact = np.zeros(self._batch, dtype=bool)
         self._index_rows()
+        # The per-call pack fills the product region with each equation's
+        # ring zero, ``constant * 0`` (-0.0 for a negative float constant).
+        bases = np.arange(self._batch, dtype=np.int64) * fused.total_slots
+        for polynomial, work in zip(evaluator.polynomials, self._work_slots):
+            zero = PowerSeries.constant(polynomial.constant.coefficients[0] * 0, fused.degree)
+            tensor.write_series((bases[:, None] + work[None, :]).reshape(-1), zero)
+        self._rewrite_system_rows()
+        self._system_dirty = False
         if t0:
             end = _perf_counter_ns()
             tel.record_span(
@@ -336,7 +491,7 @@ class EvalContext:
                 tel.ledger("transfer", (end - t0) / 1e6, predicted)
 
     def _relocate(self, tensor):
-        """Move the just-packed tensor into the externally-owned buffer.
+        """Move the just-allocated tensor into the externally-owned buffer.
 
         One ``memcpy`` per limb-plane block, not a second pack: ``packs``
         stays at one per context, which the shard tests assert.  A buffer
@@ -365,24 +520,20 @@ class EvalContext:
     def _index_rows(self) -> None:
         """Precompute the per-instance row indices the updates touch."""
         fused = self._evaluator.fused
-        var_rows: list[list[int]] = [[] for _ in range(fused.dimension)]
+        var_slots = np.empty((fused.n_equations, fused.dimension), dtype=np.int64)
         work: list[np.ndarray] = []
-        adjusted: list[tuple[int, int, int]] = []
         for equation, (offset, schedule) in enumerate(zip(fused.offsets, fused.schedules)):
             layout = schedule.layout
-            for variable in range(fused.dimension):
-                var_rows[variable].append(offset + layout.variable_slot(variable))
+            var_slots[equation] = [
+                offset + layout.variable_slot(v) for v in range(fused.dimension)
+            ]
             work.append(offset + np.arange(layout.forward_base, layout.total_slots))
-            polynomial = self._evaluator.polynomials[equation]
-            for k, monomial in enumerate(polynomial.monomials):
-                if not monomial.is_multilinear:
-                    adjusted.append((equation, k, offset + layout.coefficient_slot(k)))
-        self._var_rows = [np.asarray(rows, dtype=np.int64) for rows in var_rows]
+        self._var_slots = var_slots
+        self._work_slots = work
         bases = (np.arange(self._batch, dtype=np.int64) * fused.total_slots)[:, None]
         per_instance = np.concatenate(work).astype(np.int64)
         self._work_per_instance = per_instance
         self._work_rows = (per_instance[None, :] + bases).reshape(-1)
-        self._adjusted = adjusted
         # Output rows for the batched Newton consumers: one value row per
         # equation, and per (equation, variable) the gradient row — or -1 for
         # variables the equation does not depend on (an exactly zero series).
@@ -398,16 +549,18 @@ class EvalContext:
 
         Constant and multilinear-coefficient slots are input-independent, so
         one :meth:`write_series` per series covers all batch instances at
-        once; non-multilinear adjusted coefficients are refreshed by
-        :meth:`update_inputs` anyway.  After a :meth:`rebind_fleet` each
-        instance carries its *own* structurally identical system; instances
-        sharing one evaluator object (the common case — a scheduler builds
-        one local system per distinct parameter value) still get one
+        once; the raw coefficients of non-multilinear monomials go to their
+        resident rows, from which :meth:`update_inputs` computes the
+        adjusted coefficients.  After a :meth:`rebind_fleet` each instance
+        carries its *own* structurally identical system; instances sharing
+        one evaluator object (the common case — a scheduler builds one local
+        system per distinct parameter value) still get one
         :meth:`write_series` per series for the whole group.
         """
-        all_bases = np.arange(self._batch, dtype=np.int64) * self._evaluator.fused.total_slots
         if self._instance_evaluators is None:
-            self._write_system_rows_for(self._evaluator, all_bases)
+            self._write_system_rows_for(
+                self._evaluator, np.arange(self._batch, dtype=np.int64)
+            )
             return
         groups: dict[int, list[int]] = {}
         evaluators: dict[int, object] = {}
@@ -415,11 +568,14 @@ class EvalContext:
             groups.setdefault(id(evaluator), []).append(b)
             evaluators[id(evaluator)] = evaluator
         for key, instances in groups.items():
-            self._write_system_rows_for(evaluators[key], all_bases[instances])
+            self._write_system_rows_for(
+                evaluators[key], np.asarray(instances, dtype=np.int64)
+            )
 
-    def _write_system_rows_for(self, evaluator, bases: np.ndarray) -> None:
-        """One evaluator's constant/coefficient rows, at the given bases."""
+    def _write_system_rows_for(self, evaluator, instances: np.ndarray) -> None:
+        """One evaluator's constant/coefficient rows, at the given instances."""
         fused = self._evaluator.fused
+        bases = instances * fused.total_slots
         for offset, schedule, polynomial in zip(
             fused.offsets, fused.schedules, evaluator.polynomials
         ):
@@ -433,6 +589,17 @@ class EvalContext:
                         bases + (offset + layout.coefficient_slot(k)),
                         monomial.coefficient,
                     )
+        plan = self._program.common_factor
+        if plan is None:
+            return
+        monomials = len(plan.monomials)
+        coefficients = [
+            evaluator.polynomials[equation].monomials[k].coefficient
+            for equation, k in plan.monomials
+        ]
+        for position, coefficient in enumerate(coefficients):
+            self._raw.write_series(instances * monomials + position, coefficient)
+        self._raw_exact[instances] = pack_exact(coefficients, *self._ring) is not None
 
     # ------------------------------------------------------------------ #
     # execution

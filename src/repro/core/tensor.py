@@ -43,6 +43,7 @@ their oracle role.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,17 +58,23 @@ from .system import FusedSystemSchedule
 __all__ = [
     "SlotTensor",
     "ComplexSlotTensor",
+    "CommonFactorPlan",
     "TensorLayer",
     "TensorProgram",
     "adopt_buffer",
     "collapse_limbs",
+    "compile_common_factor_plan",
     "compile_tensor_program",
     "convolve_rows",
     "convolve_rows_complex",
     "infer_ring",
     "join_rings",
     "make_tensor",
+    "pack_exact",
+    "promote_planes",
+    "scalar_ring",
     "tensor_nbytes",
+    "zero_tensor",
 ]
 
 #: Coefficient types the backend packs losslessly into limb planes.
@@ -281,6 +288,11 @@ class SlotTensor:
     @property
     def degree(self) -> int:
         return self.width - 1
+
+    @property
+    def planes(self) -> tuple[np.ndarray]:
+        """The limb-plane blocks, one per component (just ``data`` here)."""
+        return (self.data,)
 
     def copy(self) -> "SlotTensor":
         return SlotTensor(self.data.copy(), self.ring)
@@ -519,6 +531,11 @@ class ComplexSlotTensor:
     def degree(self) -> int:
         return self.width - 1
 
+    @property
+    def planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The limb-plane blocks, one per component: ``(real, imag)``."""
+        return (self.real, self.imag)
+
     def copy(self) -> "ComplexSlotTensor":
         return ComplexSlotTensor(self.real.copy(), self.imag.copy(), self.ring)
 
@@ -689,6 +706,99 @@ def make_tensor(
     return SlotTensor.pack(slots, limbs=limbs, ring=kind)
 
 
+def zero_tensor(
+    kind: str, limbs: int, rows: int, width: int
+) -> "SlotTensor | ComplexSlotTensor":
+    """An all-zero tensor of the class :func:`make_tensor` picks for ``kind``."""
+    shape = (limbs, rows, width)
+    if kind in ("complex", "cmd"):
+        return ComplexSlotTensor(np.zeros(shape), np.zeros(shape), kind)
+    return SlotTensor(np.zeros(shape), kind)
+
+
+def scalar_ring(value) -> tuple[str, int] | None:
+    """The ring of which ``value`` is a scalar as it is, without promotion.
+
+    ``("md", k)`` for a ``k``-limb :class:`MultiDouble`, ``("cmd", k)`` for a
+    :class:`ComplexMD`, ``("float", 1)`` and ``("complex", 1)`` for Python
+    floats and complexes, and ``None`` for anything else (ints, NumPy
+    scalars, fractions) — unlike :func:`infer_ring`, which reports the ring
+    a value promotes into.
+    """
+    kind = type(value)
+    if kind is MultiDouble:
+        return "md", value.precision.limbs
+    if kind is ComplexMD:
+        return "cmd", value.precision.limbs
+    if kind is float:
+        return "float", 1
+    if kind is complex:
+        return "complex", 1
+    return None
+
+
+def promote_planes(
+    planes: Sequence[np.ndarray], limbs: int, target: tuple[str, int]
+) -> tuple[np.ndarray, ...]:
+    """Limb planes of ``limbs`` limbs, widened exactly into the ``target`` ring.
+
+    Extra limbs are exact zeros and real planes gain an exact zero imaginary
+    plane: the promotion :func:`make_tensor` applies to every coefficient.
+    """
+    kind, target_limbs = target
+    planes = tuple(planes)
+    if target_limbs > limbs:
+        planes = tuple(
+            np.concatenate([p, np.zeros((target_limbs - limbs,) + p.shape[1:])])
+            for p in planes
+        )
+    if kind in ("complex", "cmd") and len(planes) == 1:
+        planes = (planes[0], np.zeros_like(planes[0]))
+    return planes
+
+
+def pack_exact(
+    series: Sequence[PowerSeries], kind: str, limbs: int
+) -> tuple[np.ndarray, ...] | None:
+    """Limb planes of series whose coefficients all *are* the ring's scalars.
+
+    Returns one ``(limbs, len(series), degree+1)`` block per component — a
+    1-tuple for real rings, ``(real, imag)`` for complex ones — when every
+    coefficient is exactly the scalar type of ``kind`` at ``limbs`` limbs: a
+    :class:`MultiDouble` of that precision (``"md"``), a :class:`ComplexMD`
+    with both parts at it (``"cmd"``), a Python ``float`` (``"float"``) or
+    ``complex`` (``"complex"``).  Anything else — promoted scalars, other
+    limb counts, fractions — returns ``None``, so the caller knows that
+    scalar arithmetic on these series would have run in a narrower ring
+    than the tensor's.  One nested comprehension packs the whole list.
+    """
+    rows = [s.coefficients for s in series]
+    try:
+        if kind == "md":
+            block = np.asarray([[c.limbs for c in row] for row in rows], dtype=np.float64)
+            if block.ndim != 3 or block.shape[2] != limbs:
+                return None
+            return (np.ascontiguousarray(block.transpose(2, 0, 1)),)
+        if kind == "cmd":
+            block = np.asarray(
+                [[(c.real.limbs, c.imag.limbs) for c in row] for row in rows],
+                dtype=np.float64,
+            )
+            if block.ndim != 4 or block.shape[2:] != (2, limbs):
+                return None
+            block = block.transpose(2, 3, 0, 1)  # (2, limbs, rows, width)
+            return np.ascontiguousarray(block[0]), np.ascontiguousarray(block[1])
+        scalar = float if kind == "float" else complex
+        if limbs != 1 or set(map(type, chain.from_iterable(rows))) != {scalar}:
+            return None
+        block = np.asarray(rows, dtype=scalar)[None]
+        if kind == "float":
+            return (block,)
+        return np.ascontiguousarray(block.real), np.ascontiguousarray(block.imag)
+    except (AttributeError, TypeError, ValueError):
+        return None
+
+
 # --------------------------------------------------------------------- #
 # the batched convolution kernel
 # --------------------------------------------------------------------- #
@@ -787,6 +897,163 @@ def convolve_rows_complex(
     return out_r, out_i
 
 
+def _convolve_planes(
+    x: Sequence[np.ndarray], y: Sequence[np.ndarray], limbs: int
+) -> list[np.ndarray]:
+    """:func:`convolve_rows` (one plane) or :func:`convolve_rows_complex`
+    (two) over operands of any leading shape ``(limbs, ..., degree+1)``."""
+    shape = x[0].shape
+    flat = [np.reshape(a, (limbs, -1, shape[-1])) for a in (*x, *y)]
+    if len(x) == 1:
+        products = (convolve_rows(flat[0], flat[1], limbs),)
+    else:
+        products = convolve_rows_complex(*flat, limbs)
+    return [product.reshape(shape) for product in products]
+
+
+# --------------------------------------------------------------------- #
+# the common-factor plan (Section 3 powers as whole-batch convolutions)
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class CommonFactorPlan:
+    """The adjusted coefficients of every non-multilinear monomial, as layers.
+
+    Section 3 folds the common factor ``prod z_i^(e_i - 1)`` of a monomial
+    into its coefficient.  The scalar oracle
+    (:meth:`repro.circuits.Monomial.split_common_factor` on a
+    :class:`repro.circuits.PowerTable`) computes it per input vector; this
+    plan computes it for a whole batch in two kinds of whole-batch
+    convolutions, built once per structure:
+
+    * power levels — level ``p`` forms ``z_v^p = z_v^(p-1) * z_v`` for every
+      variable ``v`` some monomial needs at power ``p`` or higher;
+    * factor steps — step ``t`` multiplies the running coefficient of every
+      monomial with more than ``t`` exponents above one by the power its
+      ``t``-th such exponent needs, in the monomial's variable order.
+
+    Power rows ``0 .. dimension-1`` hold ``z`` itself; each level appends
+    its outputs after them.  The operands and their order are exactly those
+    of the scalar oracle, and :func:`convolve_rows` (and the complex
+    variant) matches :meth:`repro.series.PowerSeries.convolve` limb for
+    limb.  So the adjusted coefficients are bit-identical to
+    ``split_common_factor`` when every product runs in the ring the scalar
+    code promotes it to: :meth:`powers` in the inputs' ring,
+    :meth:`factors` in the ring of the coefficient times the power.
+    :class:`repro.core.EvalContext` checks that before it batches.
+    """
+
+    dimension: int
+    #: ``(equation, monomial)`` of every non-multilinear monomial.
+    monomials: tuple[tuple[int, int], ...]
+    #: Per-instance slot of each of those monomials' coefficient.
+    coefficient_rows: np.ndarray
+    #: Power rows in all: ``dimension`` plus one per level output.
+    power_rows: int
+    #: Per level: (power rows of ``z_v^(p-1)``, variables ``v``, output rows).
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    #: Per step: (positions in ``monomials``, power rows to multiply by).
+    steps: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def launches(self) -> int:
+        """Whole-batch convolution calls per update."""
+        return len(self.levels) + len(self.steps)
+
+    def powers(self, inputs: Sequence[np.ndarray], limbs: int) -> list[np.ndarray]:
+        """Every power row of a batch of lanes, one block per plane.
+
+        ``inputs`` holds each plane's ``(limbs, lanes, dimension, degree+1)``
+        input series; the result is ``(limbs, lanes, power_rows, degree+1)``
+        per plane, row ``v`` being ``z_v`` itself.
+        """
+        lanes, width = inputs[0].shape[1], inputs[0].shape[3]
+        powers = []
+        for z in inputs:
+            block = np.empty((limbs, lanes, self.power_rows, width))
+            block[:, :, : self.dimension] = z
+            powers.append(block)
+        for source, variables, out in self.levels:
+            products = _convolve_planes(
+                [block[:, :, source] for block in powers],
+                [z[:, :, variables] for z in inputs],
+                limbs,
+            )
+            for block, product in zip(powers, products):
+                block[:, :, out] = product
+        return powers
+
+    def factors(
+        self, powers: Sequence[np.ndarray], raw: Sequence[np.ndarray], limbs: int
+    ) -> list[np.ndarray]:
+        """Adjusted coefficients from :meth:`powers` and the raw coefficients.
+
+        ``raw`` holds each plane's ``(limbs, lanes, monomials, degree+1)``
+        unadjusted coefficients; the result has its shape.
+        """
+        adjusted = [np.array(plane, dtype=np.float64) for plane in raw]
+        for members, power_rows in self.steps:
+            products = _convolve_planes(
+                [plane[:, :, members] for plane in adjusted],
+                [block[:, :, power_rows] for block in powers],
+                limbs,
+            )
+            for plane, product in zip(adjusted, products):
+                plane[:, :, members] = product
+        return adjusted
+
+
+def compile_common_factor_plan(fused: FusedSystemSchedule) -> CommonFactorPlan | None:
+    """The :class:`CommonFactorPlan` of a fused schedule (``None`` if multilinear).
+
+    The exponents come from the scale jobs: a schedule carries one per
+    exponent above one, monomial by monomial in variable order — the order
+    ``split_common_factor`` multiplies the powers in.
+    """
+    monomials: list[tuple[int, int]] = []
+    rows: list[int] = []
+    factors: list[list[tuple[int, int]]] = []
+    for equation, (offset, schedule) in enumerate(zip(fused.offsets, fused.schedules)):
+        by_monomial: dict[int, list[tuple[int, int]]] = {}
+        for job in schedule.scale_jobs:
+            by_monomial.setdefault(job.monomial, []).append(
+                (job.variable, int(job.factor) - 1)
+            )
+        for k, pairs in by_monomial.items():
+            monomials.append((equation, k))
+            rows.append(offset + schedule.layout.coefficient_slot(k))
+            factors.append(pairs)
+    if not monomials:
+        return None
+    top: dict[int, int] = {}
+    for pairs in factors:
+        for variable, power in pairs:
+            top[variable] = max(top.get(variable, 1), power)
+    row_of = {(v, 1): v for v in range(fused.dimension)}
+    levels = []
+    for power in range(2, max(top.values()) + 1):
+        variables = [v for v in sorted(top) if top[v] >= power]
+        source = [row_of[(v, power - 1)] for v in variables]
+        for v in variables:
+            row_of[(v, power)] = len(row_of)
+        out = [row_of[(v, power)] for v in variables]
+        levels.append(tuple(np.asarray(a, dtype=np.int64) for a in (source, variables, out)))
+    steps = []
+    for t in range(max(len(pairs) for pairs in factors)):
+        members = [i for i, pairs in enumerate(factors) if len(pairs) > t]
+        power_rows = [row_of[factors[i][t]] for i in members]
+        steps.append(
+            (np.asarray(members, dtype=np.int64), np.asarray(power_rows, dtype=np.int64))
+        )
+    return CommonFactorPlan(
+        dimension=fused.dimension,
+        monomials=tuple(monomials),
+        coefficient_rows=np.asarray(rows, dtype=np.int64),
+        power_rows=len(row_of),
+        levels=tuple(levels),
+        steps=tuple(steps),
+    )
+
+
 # --------------------------------------------------------------------- #
 # the layer compiler
 # --------------------------------------------------------------------- #
@@ -823,6 +1090,8 @@ class TensorProgram:
     total_slots: int
     degree: int
     layers: tuple[TensorLayer, ...]
+    #: The input update's common-factor plan (``None`` for multilinear systems).
+    common_factor: CommonFactorPlan | None = None
 
     @property
     def launches(self) -> int:
@@ -987,5 +1256,8 @@ def compile_tensor_program(fused: FusedSystemSchedule) -> TensorProgram:
             )
         )
     return TensorProgram(
-        total_slots=fused.total_slots, degree=fused.degree, layers=tuple(layers)
+        total_slots=fused.total_slots,
+        degree=fused.degree,
+        layers=tuple(layers),
+        common_factor=compile_common_factor_plan(fused),
     )

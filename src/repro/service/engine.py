@@ -316,8 +316,11 @@ class SolveEngine:
                     context, systems, [r.initial for r in requests], options
                 )
                 sweeps = context.runs - runs_before
-            finally:
-                self.pool.checkin(bucket.key, context)
+            except BaseException:
+                # A half-updated context must not serve the next flush.
+                self.pool.discard(bucket.key, context)
+                raise
+            self.pool.checkin(bucket.key, context)
             if results is not None and tel.enabled:
                 end = _perf_counter_ns()
                 measured_ms = (end - t0) / 1e6

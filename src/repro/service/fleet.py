@@ -81,8 +81,9 @@ def coalesced_newton(
         context.update_inputs(solutions + padding)
         if not context.resident:
             # The ring fell back (exact fractions, non-tensor mode): no
-            # packed batch to merge into.  Undo nothing — the caller solves
-            # each request through the per-call path instead.
+            # packed batch to merge into — the caller solves each request
+            # through the per-call path instead.
+            context.set_active(None)
             return None, None
         context.run_packed()
         norms = context.residual_norms()

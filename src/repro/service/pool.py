@@ -53,6 +53,7 @@ class ContextPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.discards = 0
         self._idle: OrderedDict[tuple, list] = OrderedDict()
         self._checked_out = 0
         self._lock = threading.Lock()
@@ -93,10 +94,21 @@ class ContextPool:
                 if _TELEMETRY.enabled:
                     _TELEMETRY.count("service.pool.evictions")
 
-    def discard(self, key: tuple) -> None:
-        """Drop the idle contexts of one key (a failed flush poisons none)."""
+    def discard(self, key: tuple, context) -> None:
+        """Release the checked-out ``context`` without returning it to the pool.
+
+        A flush that raised may leave its context half-updated — rebound
+        to some lanes' systems, or with inputs and resident coefficient rows
+        out of step — so it must not serve the next flush.  The pool holds
+        no reference to a checked-out context, so dropping it takes only
+        the release; the next checkout of ``key`` finds another warm
+        context or packs a fresh one.
+        """
         with self._lock:
             self._checked_out = max(0, self._checked_out - 1)
+            self.discards += 1
+        if _TELEMETRY.enabled:
+            _TELEMETRY.count("service.pool.discards")
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
@@ -114,6 +126,7 @@ class ContextPool:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
+                "discards": self.discards,
                 "structures": len(idle),
                 "idle_contexts": sum(idle.values()),
                 "checked_out": self._checked_out,
@@ -123,5 +136,5 @@ class ContextPool:
     def clear(self) -> None:
         with self._lock:
             self._idle.clear()
-            self.hits = self.misses = self.evictions = 0
+            self.hits = self.misses = self.evictions = self.discards = 0
             self._checked_out = 0

@@ -23,6 +23,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from repro.circuits import Polynomial
+from repro.circuits.monomial import Monomial
 from repro.circuits.testpolys import (
     make_polynomial_from_structure,
     p1_structure,
@@ -32,12 +34,14 @@ from repro.circuits.testpolys import (
 )
 from repro.core import (
     ComplexSlotTensor,
+    EvalContext,
     ScheduleCache,
     SlotTensor,
     SystemEvaluator,
     compile_tensor_program,
     convolve_rows_complex,
     join_rings,
+    make_tensor,
 )
 from repro.gpusim.timing import TimingModel
 from repro.homotopy import (
@@ -101,6 +105,37 @@ def _square_p1_system(degree: int, precision, rng, dimension: int = 6):
         for e in range(dimension)
     ]
     return polynomials
+
+
+#: Two equations in three variables: five non-multilinear monomials (one
+#: power level for the cubes, two factor steps) beside a multilinear one.
+_NON_MULTILINEAR_EXPONENTS = (
+    ({0: 2, 1: 1}, {1: 3, 2: 2}, {0: 1, 2: 1}),
+    ({0: 3}, {1: 2, 2: 3}, {0: 1, 1: 1, 2: 2}),
+)
+
+
+def _non_multilinear_system(kind, precision, degree, rng):
+    """The fixed-exponent system above with fresh random coefficient series."""
+    polynomials = []
+    for exponents in _NON_MULTILINEAR_EXPONENTS:
+        series = random_series_vector(len(exponents) + 1, degree, kind, precision, rng)
+        monomials = [Monomial.make(c, e) for c, e in zip(series[1:], exponents)]
+        polynomials.append(Polynomial(3, series[0], monomials))
+    return polynomials
+
+
+def _count_common_factor_calls(monkeypatch):
+    """Count scalar ``Monomial.split_common_factor`` calls."""
+    counts = {"calls": 0}
+    original = Monomial.split_common_factor
+
+    def counting(self, *args, **kwargs):
+        counts["calls"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Monomial, "split_common_factor", counting)
+    return counts
 
 
 def _max_difference(batch_a, batch_b) -> float:
@@ -375,10 +410,16 @@ class TestConvolveRowsComplex:
 # resident evaluation contexts
 # --------------------------------------------------------------------- #
 def _count_packs(monkeypatch):
-    """Instrument both tensor pack classmethods with a call counter."""
+    """Count every packed slot tensor with a call counter.
+
+    Slot arrays pack through the two tensor ``pack`` classmethods; a
+    resident context packs by filling a zero tensor with row writes
+    (``EvalContext._pack``), counted when it leaves a resident tensor.
+    """
     counts = {"packs": 0}
     real_pack = SlotTensor.pack.__func__
     complex_pack = ComplexSlotTensor.pack.__func__
+    context_pack = EvalContext._pack
 
     def counting_real(cls, *args, **kwargs):
         counts["packs"] += 1
@@ -388,8 +429,13 @@ def _count_packs(monkeypatch):
         counts["packs"] += 1
         return complex_pack(cls, *args, **kwargs)
 
+    def counting_context(self, *args, **kwargs):
+        context_pack(self, *args, **kwargs)
+        counts["packs"] += int(self.resident)
+
     monkeypatch.setattr(SlotTensor, "pack", classmethod(counting_real))
     monkeypatch.setattr(ComplexSlotTensor, "pack", classmethod(counting_complex))
+    monkeypatch.setattr(EvalContext, "_pack", counting_context)
     return counts
 
 
@@ -467,23 +513,130 @@ class TestEvalContext:
         assert context.packs == 0
         assert not context.resident
 
-    def test_non_multilinear_resident_updates(self, rng):
-        """Adjusted coefficients depend on z; the resident update path must
-        recompute them, matching a fresh evaluation bit for bit."""
-        polynomials = [
-            random_polynomial(
-                4, 3, 2, degree=3, kind="complex_md", precision=2, rng=rng, max_exponent=3
-            )
-            for _ in range(2)
-        ]
-        evaluator = SystemEvaluator(polynomials, mode="vectorized", cache=ScheduleCache())
-        context = evaluator.make_context(2)
-        for _ in range(3):
-            zs = [random_series_vector(4, 3, "complex_md", 2, rng) for _ in range(2)]
+    @pytest.mark.parametrize("batch", [4, 16], ids=["per-lane", "batched"])
+    @pytest.mark.parametrize(
+        "kind,precision",
+        [("float", 1), ("md", 2), ("md", 4), ("complex_md", 2)],
+        ids=["float", "dd", "qd", "complex-dd"],
+    )
+    def test_non_multilinear_resident_updates(
+        self, kind, precision, batch, rng, monkeypatch
+    ):
+        """Adjusted coefficients depend on z; every resident update must
+        recompute them — lane by lane for 4 lanes (20 rows), as whole-batch
+        convolutions for 16 (80 rows, 45 masked) — bit for bit like a
+        one-lane evaluate_batch, whose update runs split_common_factor."""
+        degree = 3
+        cache = ScheduleCache()
+        evaluator = SystemEvaluator(
+            _non_multilinear_system(kind, precision, degree, rng),
+            mode="vectorized",
+            cache=cache,
+        )
+        plan = compile_tensor_program(evaluator.fused).common_factor
+        assert len(plan.monomials) == 5 and len(plan.levels) == 1 and len(plan.steps) == 2
+        calls = _count_common_factor_calls(monkeypatch)
+        context = evaluator.make_context(batch)
+
+        def step(zs, evaluators, lanes):
+            before = calls["calls"]
             context.update_inputs(zs)
-            resident = context.run()
-            assert _max_difference(resident, evaluator.evaluate_batch(zs)) == 0.0
+            if batch == 16:
+                assert calls["calls"] == before  # no scalar common factor
+            else:
+                assert calls["calls"] == before + 5 * len(lanes)
+            results = context.run()
+            for b in lanes:
+                expected = evaluators[b].evaluate_batch([zs[b]])
+                assert _max_difference([results[b]], expected) == 0.0
+
+        def inputs(kinds=None):
+            kinds = kinds or [kind] * batch
+            return [random_series_vector(3, degree, k, precision, rng) for k in kinds]
+
+        everyone = list(range(batch))
+        same = [evaluator] * batch
+        for _ in range(2):  # the first update packs
+            step(inputs(), same, everyone)
+        # A masked step: the other lanes keep their rows untouched.
+        active = [0] + list(range(1, batch, 2))
+        context.set_active(active)
+        step(inputs(), same, active)
+        context.set_active(None)
+        # A fleet rebind: every lane gets its own coefficients.
+        systems = [
+            SystemEvaluator(
+                _non_multilinear_system(kind, precision, degree, rng),
+                mode="vectorized",
+                cache=cache,
+            )
+            for _ in range(batch)
+        ]
+        context.rebind_fleet(systems)
+        step(inputs(), systems, everyone)
+        # Every other lane in a narrower ring, like tracked paths that keep
+        # their float start values in a double-double fleet: powers run in
+        # that ring, factor steps in the tensor's.
+        narrower = {"md": "float", "complex_md": "md"}.get(kind)
+        if narrower is not None:
+            step(inputs([narrower, kind] * (batch // 2)), systems, everyone)
         assert context.packs == 1
+
+    def test_common_factor_path_selection(self, rng, monkeypatch):
+        """A wide update computes the common factors as whole-batch
+        convolutions, without one scalar call; a one-lane update calls
+        split_common_factor once per non-multilinear monomial."""
+        degree = 3
+        evaluator = SystemEvaluator(
+            _non_multilinear_system("md", 2, degree, rng),
+            mode="vectorized",
+            cache=ScheduleCache(),
+        )
+        calls = _count_common_factor_calls(monkeypatch)
+        wide = evaluator.make_context(32)
+        wide.update_inputs(
+            [random_series_vector(3, degree, "md", 2, rng) for _ in range(32)]
+        )
+        assert calls["calls"] == 0
+        narrow = evaluator.make_context(1)
+        narrow.update_inputs([random_series_vector(3, degree, "md", 2, rng)])
+        assert calls["calls"] == 5
+
+    def test_first_pack_equals_the_per_call_pack_bytewise(self, rng):
+        """The first update fills a zero tensor through the row writes; the
+        result equals packing the per-call slot array byte for byte, signed
+        zeros of negative float constants included.  Every other lane of a
+        mixed batch has inputs in the second ring: float lanes batch in the
+        float ring under double-double coefficients, but stay per lane
+        under float coefficients, whose scalar products round to doubles."""
+        for kind, precision, batch, other in (
+            ("float", 1, 2, None),
+            ("float", 1, 16, None),
+            ("float", 1, 16, ("md", 2)),
+            ("md", 2, 16, None),
+            ("md", 2, 16, ("float", 1)),
+            ("md", 4, 2, None),
+            ("complex", 1, 16, None),
+            ("complex_md", 2, 16, ("md", 2)),
+        ):
+            rings = [(kind, precision), other or (kind, precision)] * (batch // 2)
+            polynomials = _non_multilinear_system(kind, precision, 3, rng)
+            # constant * 0 fills the per-call product region: -0.0 here
+            if kind == "float":
+                polynomials[0].constant.coefficients[0] = -0.5
+            elif kind == "complex":
+                polynomials[0].constant.coefficients[0] = complex(-0.5, -0.25)
+            evaluator = SystemEvaluator(polynomials, mode="vectorized", cache=ScheduleCache())
+            zs = [random_series_vector(3, 3, k, p, rng) for k, p in rings]
+            context = evaluator.make_context(batch)
+            context.update_inputs(zs)
+            expected = make_tensor(evaluator._prepare_batch_slots(zs), *context.ring)
+            got = context._tensor
+            assert type(got) is type(expected)
+            if kind in ("float", "complex"):
+                assert any(np.signbit(p[p == 0.0]).any() for p in expected.planes)
+            for mine, theirs in zip(got.planes, expected.planes):
+                assert mine.tobytes() == theirs.tobytes()
 
     def test_resident_update_repacks_on_wider_ring(self, rng):
         """Later inputs in a wider ring (more limbs, or complex into a real

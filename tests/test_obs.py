@@ -21,9 +21,14 @@ The contracts under test:
 from __future__ import annotations
 
 import json
+import random
+import time
 
 import pytest
 
+from repro.circuits import parse_polynomial
+from repro.circuits.monomial import Monomial
+from repro.core import CommonFactorPlan, ScheduleCache, SystemEvaluator
 from repro.homotopy import PathScheduler, TrackOptions, track_paths
 from repro.obs import (
     DEFAULT_OBS_CONFIG,
@@ -40,6 +45,7 @@ from repro.obs import (
 from repro.obs.__main__ import main as obs_main
 from repro.obs.config import coerce_layer, layer_config
 from repro.obs.telemetry import _NULL_SPAN, Telemetry
+from repro.series import random_series_vector
 
 from test_scheduler import _RETRY_OPTIONS, retry_family, sqrt_family
 from test_shard import _CrashInChildFamily, _ShardRetryFamily
@@ -386,6 +392,52 @@ class TestInlineIntegration:
         # The cache stats ride on the report.
         assert report.cache["misses"] >= 1
         assert report.cache["entries"] >= 1
+
+    def test_common_factor_span_and_transfer_ledger(self, monkeypatch):
+        """The common-factor step is its own span, with its row count and
+        path, and the transfer ledger times the variable-row writes only:
+        slowing the common factor down leaves every transfer fast."""
+        delay = 0.05
+
+        def slowed(function):
+            def slow(*args, **kwargs):
+                time.sleep(delay)
+                return function(*args, **kwargs)
+
+            return slow
+
+        monkeypatch.setattr(CommonFactorPlan, "factors", slowed(CommonFactorPlan.factors))
+        monkeypatch.setattr(
+            Monomial, "split_common_factor", slowed(Monomial.split_common_factor)
+        )
+        polynomial = parse_polynomial(
+            "x1^3 + x1*x2^2 - 1", dimension=2, degree=4, kind="md", precision=2
+        )
+        evaluator = SystemEvaluator([polynomial], mode="vectorized", cache=ScheduleCache())
+        rng = random.Random(5)
+        tel = get_telemetry()
+        with tel.overridden(True):
+            for batch in (32, 1):
+                context = evaluator.make_context(batch)
+                for _ in range(2):  # the first update packs
+                    context.update_inputs(
+                        [random_series_vector(2, 4, "md", 2, rng) for _ in range(batch)]
+                    )
+        snap = tel.snapshot()
+        spans = [event for event in snap["events"] if event[0] == "context.common_factor"]
+        assert [(e[5]["rows"], e[5]["path"]) for e in spans] == [
+            (64, "batched"),
+            (64, "batched"),
+            (2, "per-lane"),
+            (2, "per-lane"),
+        ]
+        updates = [event for event in snap["events"] if event[0] == "context.update_inputs"]
+        assert len(updates) == 4
+        for event in spans + updates:
+            assert event[2] - event[1] >= delay * 1e9
+        transfers = [measured for kernel, measured, _ in snap["ledger"] if kernel == "transfer"]
+        assert len(transfers) == 6  # two packs and four updates
+        assert max(transfers) < delay * 1e3
 
     def test_telemetry_overhead_is_invisible_to_results(self):
         starts = [[1.0], [-1.0], [1.5]]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import urllib.error
 import urllib.request
@@ -20,6 +21,7 @@ from repro import (
     TrackRequest,
     parse_polynomial,
 )
+from repro.core import EvalContext
 from repro.errors import ServiceError, ServiceOverloadedError
 from repro.gpusim import TimingModel
 from repro.homotopy import TrackOptions
@@ -371,6 +373,47 @@ class TestEngine:
         assert not first.ok
         assert second.ok and second.converged
 
+    def test_failed_flush_discards_its_context(self, monkeypatch):
+        """A flush that raises mid-update answers every lane with the error
+        and drops its half-updated context: the next request of the key packs
+        a fresh one and converges to the closed-form root."""
+        original = EvalContext.update_inputs
+        failures = {"left": 1}
+
+        def failing_once(self, zs):
+            original(self, zs)
+            if failures["left"]:
+                failures["left"] -= 1
+                raise RuntimeError("update failed")
+
+        monkeypatch.setattr(EvalContext, "update_inputs", failing_once)
+
+        async def main():
+            engine = SolveEngine(window_ms=25.0, max_batch=4, workers=1)
+            async with engine:
+                failed = await asyncio.gather(
+                    *[engine.submit(make_request(i)) for i in range(3)]
+                )
+                misses = engine.pool.misses
+                after = await engine.submit(make_request(3))
+                return failed, misses, after, engine.stats()
+
+        failed, misses, after, stats = run(main())
+        assert [r.batch_fill for r in failed] == [3, 3, 3]
+        assert all(isinstance(r.error, RuntimeError) for r in failed)
+        pool = stats["pool"]
+        assert pool["misses"] == misses + 1  # a fresh context, not the poisoned one
+        assert pool["discards"] == 1
+        assert pool["checked_out"] == 0
+        assert after.ok and after.converged
+        a, b = 4.0 + 0.01 * 3, 1.0 + 0.005 * 3  # make_request(3)'s circle and hyperbola
+        root = (
+            (math.sqrt(a + 2 * b) + math.sqrt(a - 2 * b)) / 2,
+            (math.sqrt(a + 2 * b) - math.sqrt(a - 2 * b)) / 2,
+        )
+        for series, value in zip(after.solution, root):
+            assert abs(float(series.constant_term()) - value) < 1.0e-14
+
     def test_stats_shape(self):
         engine = SolveEngine(window_ms=0.0, max_batch=2, workers=1)
         engine.solve(make_request())
@@ -467,6 +510,17 @@ class TestContextPool:
         pool.checkin(("k",), first)
         pool.checkin(("k",), second)
         assert pool.stats()["idle_contexts"] == 2
+
+    def test_discard_drops_the_context_and_releases_it(self):
+        pool = ContextPool(slab=2, max_structures=2)
+        system = make_system()
+        context = pool.checkout(("k",), lambda slab: system.make_context(slab))
+        pool.discard(("k",), context)
+        stats = pool.stats()
+        assert (stats["checked_out"], stats["idle_contexts"], stats["discards"]) == (0, 0, 1)
+        fresh = pool.checkout(("k",), lambda slab: system.make_context(slab))
+        assert fresh is not context
+        assert pool.misses == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -343,9 +343,11 @@ class TestSlotTensorRoundTrip:
 # the batched convolution kernel
 # --------------------------------------------------------------------- #
 class TestConvolveRows:
-    @pytest.mark.parametrize("limbs", (1, 2, 4))
+    @pytest.mark.parametrize("limbs", (1, 2, 3, 4))
     def test_many_triples_match_convolve_vectorized(self, limbs, nprng):
-        """One whole-layer sweep equals per-pair convolve_vectorized calls."""
+        """One whole-layer sweep equals per-pair convolve_vectorized calls and
+        the scalar PowerSeries.convolve on MultiDouble coefficients, limb for
+        limb — the equality the batched common factor relies on."""
         m, n = 5, 7
         x = np.stack([MDArray.random(n, limbs, nprng).data for _ in range(m)], axis=1)
         y = np.stack([MDArray.random(n, limbs, nprng).data for _ in range(m)], axis=1)
@@ -353,6 +355,14 @@ class TestConvolveRows:
         for j in range(m):
             expected = convolve_vectorized(MDArray(x[:, j, :]), MDArray(y[:, j, :]))
             assert np.array_equal(out[:, j, :], expected.data)
+            xs, ys = (
+                PowerSeries([MultiDouble(tuple(a[:, j, k]), limbs) for k in range(n)])
+                for a in (x, y)
+            )
+            scalar = xs.convolve(ys)
+            assert [tuple(out[:, j, k]) for k in range(n)] == [
+                c.limbs for c in scalar.coefficients
+            ]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
