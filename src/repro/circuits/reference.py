@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..errors import StagingError
-from ..series.series import PowerSeries
+from ..series.series import PowerSeries, max_magnitude
 from .polynomial import Polynomial
 from .powers import PowerTable
 
@@ -47,11 +47,12 @@ class EvaluationResult:
         return len(self.gradient)
 
     def max_difference(self, other: "EvaluationResult") -> float:
-        """Largest coefficientwise deviation between two results (as a double)."""
-        worst = self.value.max_abs_error(other.value)
-        for mine, theirs in zip(self.gradient, other.gradient):
-            worst = max(worst, mine.max_abs_error(theirs))
-        return worst
+        """Largest coefficientwise deviation between two results (as a double,
+        NaN if any is)."""
+        return max_magnitude(
+            [self.value.max_abs_error(other.value)]
+            + [mine.max_abs_error(theirs) for mine, theirs in zip(self.gradient, other.gradient)]
+        )
 
     def to_float_value(self):
         """The value series with coefficients rounded to doubles/complexes."""

@@ -53,9 +53,9 @@ from ..series.series import PowerSeries
 from .tensor import (
     ComplexSlotTensor,
     SlotTensor,
-    collapse_limbs,
     compile_tensor_program,
     infer_ring,
+    instance_norms,
     join_rings,
     pack_exact,
     promote_planes,
@@ -756,15 +756,10 @@ class EvalContext:
         bases = np.arange(self._batch, dtype=np.int64) * stride
         rows = bases[:, None] + self._value_rows[None, :]
         if isinstance(self._tensor, ComplexSlotTensor):
-            # np.hypot matches Python's abs(complex) bit for bit; np.abs on
-            # complex128 can round one ulp differently.
-            magnitudes = np.hypot(
-                collapse_limbs(self._tensor.real[:, rows, :]),
-                collapse_limbs(self._tensor.imag[:, rows, :]),
+            return instance_norms(
+                (self._tensor.real[:, rows, :], self._tensor.imag[:, rows, :])
             )
-        else:
-            magnitudes = np.abs(collapse_limbs(self._tensor.data[:, rows, :]))
-        return magnitudes.max(axis=(1, 2))
+        return instance_norms(self._tensor.data[:, rows, :])
 
     def newton_system(self, instances: Sequence[int]):
         """Gather the packed Newton systems ``J(z) dz = -F(z)`` of ``instances``.

@@ -68,6 +68,7 @@ __all__ = [
     "convolve_rows",
     "convolve_rows_complex",
     "infer_ring",
+    "instance_norms",
     "join_rings",
     "make_tensor",
     "pack_exact",
@@ -815,6 +816,24 @@ def collapse_limbs(planes: np.ndarray) -> np.ndarray:
     for plane in planes[::-1]:
         total += plane
     return total
+
+
+def instance_norms(planes) -> np.ndarray:
+    """Largest coefficient magnitude per instance of packed series vectors.
+
+    ``planes`` is a ``(limbs, instances, n, degree+1)`` limb tensor, or a
+    ``(real, imag)`` pair of them.  Limbs collapse the scalar way
+    (:func:`collapse_limbs`), and complex moduli come from ``np.hypot``, which
+    matches Python's ``abs(complex)`` bit for bit where ``np.abs`` on
+    complex128 can round one ulp differently.  So each entry equals
+    :func:`repro.homotopy.residual_norm` of that instance's unpacked series:
+    NaN when any coefficient is NaN, and otherwise inf when one is infinite.
+    """
+    if isinstance(planes, tuple):
+        magnitudes = np.hypot(collapse_limbs(planes[0]), collapse_limbs(planes[1]))
+    else:
+        magnitudes = np.abs(collapse_limbs(planes))
+    return magnitudes.max(axis=(1, 2))
 
 
 def convolve_rows(x: np.ndarray, y: np.ndarray, limbs: int) -> np.ndarray:

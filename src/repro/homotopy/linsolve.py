@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import SingularSystemError
-from ..series.series import PowerSeries
+from ..series.series import PowerSeries, max_magnitude
 
 __all__ = ["lu_solve", "matrix_vector_product", "residual_norm"]
 
@@ -86,9 +86,10 @@ def matrix_vector_product(
 
 
 def residual_norm(series_vector: Sequence[PowerSeries]) -> float:
-    """Largest coefficient magnitude across a vector of series (as a double)."""
-    worst = 0.0
-    for series in series_vector:
-        zero = PowerSeries.zero(series.degree, like=series.coefficients[0])
-        worst = max(worst, series.max_abs_error(zero))
-    return worst
+    """Largest coefficient magnitude across a vector of series (as a double).
+
+    Any NaN coefficient gives NaN, and otherwise an infinite one gives inf —
+    the fold of :meth:`repro.core.EvalContext.residual_norms`, so a
+    diverged Newton iterate never reads as converged.
+    """
+    return max_magnitude(series.max_abs() for series in series_vector)

@@ -8,24 +8,28 @@ evaluator — and solves ``J(z) * dz = -F(z)`` over the series ring.
 
 Starting from the correct constant terms (the solution at ``t = 0``), every
 Newton step doubles the number of correct series coefficients, so
-``ceil(log2(d + 1))`` steps suffice for a series truncated at degree ``d`` —
-a property the test suite checks explicitly.
+``ceil(log2(d + 1))`` steps suffice for a series truncated at degree ``d``
+— a property the test suite checks explicitly.
 
-Both Newton drivers evaluate through one resident
+:func:`refine_lanes` is the one Newton iteration of the package:
+:func:`newton_power_series_batch`, :func:`newton_power_series` (a batch of
+one), the many-path scheduler and the solve service's coalesced flushes all
+refine through it.  It evaluates through one resident
 :class:`repro.core.EvalContext` held across *all* iterations: the fused slot
-tensor is packed exactly once per refinement, every subsequent iteration
-updates only the input slots in place, and the final residual check unpacks
-values only.  Callers that run many refinements against structurally
-identical systems (the path tracker) can pass their own ``context`` to keep
-even that single pack amortised across steps.
+tensor is packed at most once, every later iteration updates only the input
+slots of the lanes still refining, and the final residual check reads values
+only.  Callers that run many refinements against structurally identical
+systems (the path tracker) can pass their own ``context`` to keep even that
+single pack amortised across steps.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ..core.tensor import instance_norms
 from ..errors import ConvergenceError, SingularSystemError, StagingError
 from ..series.series import PowerSeries
 from .batch_linsolve import solve_packed
@@ -33,43 +37,23 @@ from .linsolve import lu_solve, residual_norm
 from .options import NewtonOptions
 from .systems import PolynomialSystem
 
-__all__ = ["NewtonStep", "NewtonResult", "newton_power_series", "newton_power_series_batch"]
-
-
-_LEGACY_NEWTON_MESSAGE = (
-    "the per-keyword Newton knobs (max_iterations, tolerance, "
-    "raise_on_failure, mode, solver) are deprecated; pass "
-    "options=NewtonOptions(...) instead"
-)
-
-
-def _resolve_newton_options(options: NewtonOptions | None, **legacy) -> tuple[NewtonOptions, bool]:
-    """Layer the deprecated per-keyword knobs into one :class:`NewtonOptions`.
-
-    ``options`` wins when given (mixing it with legacy keywords is an
-    error, since the two could silently disagree); legacy keywords build an
-    equivalent options object — bit-identical behaviour.  Returns the
-    resolved options and whether legacy keywords were used; the *public*
-    driver emits the :class:`DeprecationWarning` itself (with a literal
-    ``stacklevel=2``) so the warning location always names its caller
-    regardless of how many frames this helper sits below.
-    """
-    given = {key: value for key, value in legacy.items() if value is not None}
-    if options is not None:
-        if given:
-            raise ValueError(
-                "pass either options= or the legacy keywords "
-                f"({', '.join(sorted(given))}), not both"
-            )
-        return options, False
-    if given:
-        return NewtonOptions(**given), True
-    return NewtonOptions(), False
+__all__ = [
+    "NewtonStep",
+    "NewtonResult",
+    "newton_power_series",
+    "newton_power_series_batch",
+    "refine_lanes",
+]
 
 
 @dataclass(frozen=True)
 class NewtonStep:
-    """Diagnostics of one Newton iteration."""
+    """Diagnostics of one Newton iteration.
+
+    ``correction`` is the largest coefficient magnitude of the Newton
+    correction: 0.0 on the step that met the tolerance, and NaN on the step
+    whose linear system was singular.
+    """
 
     iteration: int
     residual: float
@@ -78,11 +62,17 @@ class NewtonStep:
 
 @dataclass
 class NewtonResult:
-    """Outcome of :func:`newton_power_series`."""
+    """Outcome of one Newton refinement.
+
+    ``singular`` is set when a Newton system of this refinement had a
+    vanishing pivot; the refinement stopped there, and its last step records
+    that iteration's residual.
+    """
 
     solution: list[PowerSeries]
     steps: list[NewtonStep] = field(default_factory=list)
     converged: bool = False
+    singular: bool = False
 
     @property
     def iterations(self) -> int:
@@ -113,150 +103,176 @@ def _ensure_context(system: PolynomialSystem, batch: int, context):
     return context.rebind(system.evaluator)
 
 
-def newton_power_series(
-    system: PolynomialSystem,
-    initial: Sequence[PowerSeries],
-    max_iterations: int | None = None,
-    tolerance: float | None = None,
-    raise_on_failure: bool | None = None,
-    context=None,
-    options: NewtonOptions | None = None,
-) -> NewtonResult:
-    """Refine a power-series solution of ``system`` by Newton iteration.
+def refine_lanes(
+    context,
+    solutions: list[list[PowerSeries]],
+    lanes: Sequence[int],
+    options: NewtonOptions,
+) -> list[NewtonResult]:
+    """Newton-refine the ``lanes`` of ``context`` in place: the one Newton loop.
 
-    Parameters
-    ----------
-    system:
-        A square system (as many equations as variables).
-    initial:
-        Starting series; the constant terms should solve the system at
-        ``t = 0`` for the textbook quadratic convergence, but the iteration
-        is run regardless.
-    options:
-        A :class:`repro.homotopy.options.NewtonOptions` carrying the
-        iteration bound, the residual tolerance (largest coefficient of
-        ``F(z)`` rounded to a double) and the failure policy
-        (:class:`repro.errors.ConvergenceError` on a missed tolerance when
-        ``raise_on_failure`` is set).  Defaults to ``NewtonOptions()``.
-    max_iterations, tolerance, raise_on_failure:
-        Deprecated per-keyword forms of the same knobs; they build an
-        equivalent options object (bit-identical results) and warn.
-    context:
-        An optional resident :class:`repro.core.EvalContext` (batch 1) to
-        evaluate through — the path tracker passes one so consecutive steps
-        share a single packed tensor.  Without one, a context is created
-        for this refinement, so the whole iteration still packs only once.
+    ``solutions`` holds one input vector per batch lane of ``context``; the
+    entries of ``lanes`` are replaced by their refined vectors, and the
+    other entries only fill the first pack.  Each iteration masks the
+    context to the lanes still refining (:meth:`EvalContext.set_active`),
+    updates their inputs and sweeps them once.  Then:
+
+    * a **resident** context reads the residual norms off the value rows
+      and solves every pending lane in one batched elimination
+      (:func:`repro.homotopy.batch_linsolve.solve_packed`) — unless
+      ``options.solver == "scalar"``;
+    * a **delegating** context (staged, fraction), or any context under
+      ``options.solver == "scalar"``, unpacks the sweep and calls
+      :func:`repro.homotopy.lu_solve` per lane; ``options.solver ==
+      "batched"`` raises :class:`repro.errors.StagingError` here instead.
+
+    A lane whose Newton system is singular drops out with
+    ``singular=True`` while the others keep solving.  Lanes still pending
+    after ``options.max_iterations`` get one values-only residual check.
+    ``options.mode`` and ``options.raise_on_failure`` are applied by the
+    callers, not here.  The active mask is cleared on every exit.
+
+    Returns one :class:`NewtonResult` per entry of ``lanes``, in order.
     """
-    options, deprecated = _resolve_newton_options(
-        options,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        raise_on_failure=raise_on_failure,
-    )
-    if deprecated:
-        warnings.warn(_LEGACY_NEWTON_MESSAGE, DeprecationWarning, stacklevel=2)
-    max_iterations = options.max_iterations
+    results = {lane: NewtonResult(solution=solutions[lane]) for lane in lanes}
     tolerance = options.tolerance
-    raise_on_failure = options.raise_on_failure
-    if not system.is_square:
-        raise ConvergenceError(
-            f"Newton needs a square system, got {system.n_equations} equations "
-            f"in {system.dimension} variables"
+    pending = list(results)
+    try:
+        for iteration in range(1, options.max_iterations + 1):
+            if not pending:
+                break
+            resident = _load(context, solutions, pending, options.solver)
+            residuals, evaluations = _sweep(context, pending, resident)
+            unsolved = []
+            for lane, residual in zip(pending, residuals):
+                if residual <= tolerance:
+                    results[lane].steps.append(NewtonStep(iteration, residual, 0.0))
+                    results[lane].converged = True
+                else:
+                    unsolved.append((lane, residual))
+            corrections = _solve(context, [lane for lane, _ in unsolved], evaluations)
+            pending = []
+            for (lane, residual), correction in zip(unsolved, corrections):
+                result = results[lane]
+                if correction is None:
+                    result.steps.append(NewtonStep(iteration, residual, math.nan))
+                    result.singular = True
+                    continue
+                delta, norm = correction
+                solutions[lane] = [z + dz for z, dz in zip(solutions[lane], delta)]
+                result.solution = solutions[lane]
+                result.steps.append(NewtonStep(iteration, residual, norm))
+                pending.append(lane)
+        if pending:
+            resident = _load(context, solutions, pending, options.solver)
+            residuals, _ = _sweep(context, pending, resident, values_only=True)
+            for lane, residual in zip(pending, residuals):
+                results[lane].converged = residual <= tolerance
+    finally:
+        context.set_active(None)
+    return list(results.values())
+
+
+def _load(context, solutions, lanes: list[int], solver: str) -> bool:
+    """Mask ``context`` to ``lanes`` and load their inputs; return whether
+    the sweep and solve run resident (known only once the first load packs)."""
+    context.set_active(None if len(lanes) == context.batch else lanes)
+    context.update_inputs(solutions)
+    if solver == "batched" and not context.resident:
+        raise StagingError(
+            "solver='batched' needs a tensor-resident context; this one "
+            "delegates (staged/fraction/non-vectorized mode) — use "
+            "solver='auto' or 'scalar'"
         )
-    context = _ensure_context(system, 1, context)
-    z = [series.copy() for series in initial]
-    result = NewtonResult(solution=z)
-    for iteration in range(1, max_iterations + 1):
-        context.update_inputs([z])
-        evaluations = context.run()[0]
-        residual_vector = [e.value for e in evaluations]
-        residual = residual_norm(residual_vector)
-        if residual <= tolerance:
-            result.steps.append(NewtonStep(iteration, residual, 0.0))
-            result.converged = True
-            return result
-        jacobian = system.jacobian(evaluations)
-        negated = [-value for value in residual_vector]
-        correction = lu_solve(jacobian, negated)
-        z = [current + delta for current, delta in zip(z, correction)]
-        result.solution = z
-        result.steps.append(NewtonStep(iteration, residual, residual_norm(correction)))
-    context.update_inputs([z])
-    final = residual_norm([e.value for e in context.run(values_only=True)[0]])
-    result.converged = final <= tolerance
-    if not result.converged and raise_on_failure:
-        raise ConvergenceError(
-            f"Newton did not reach tolerance {tolerance} in {max_iterations} iterations "
-            f"(residual {final})"
-        )
-    return result
+    return context.resident and solver != "scalar"
+
+
+def _sweep(context, lanes: list[int], resident: bool, values_only: bool = False):
+    """One sweep: the residual norms of ``lanes`` and, when delegating, the
+    evaluations their scalar solves need (``None`` when resident)."""
+    if resident:
+        context.run_packed()
+        norms = context.residual_norms()
+        return [float(norms[lane]) for lane in lanes], None
+    evaluations = context.run(values_only=values_only)
+    return [residual_norm([e.value for e in evaluations[lane]]) for lane in lanes], evaluations
+
+
+def _solve(context, lanes: list[int], evaluations) -> list:
+    """Solve ``J dz = -F`` for ``lanes``: one ``(dz, norm)`` pair per lane,
+    ``None`` for a lane whose system is singular."""
+    if not lanes:
+        return []
+    if evaluations is not None:
+        corrections = []
+        for lane in lanes:
+            rows = evaluations[lane]
+            try:
+                delta = lu_solve([list(e.gradient) for e in rows], [-e.value for e in rows])
+            except SingularSystemError:
+                corrections.append(None)
+                continue
+            corrections.append((delta, residual_norm(delta)))
+        return corrections
+    matrix, rhs = context.newton_system(lanes)
+    solving = list(range(len(lanes)))
+    while solving:
+        try:
+            mask = None if len(solving) == len(lanes) else solving
+            solution = solve_packed(matrix, rhs, context.ring[1], active=mask)
+            break
+        except SingularSystemError as error:
+            singular = set(getattr(error, "instances", []))
+            if not singular:
+                raise
+            solving = [k for k in solving if k not in singular]
+    else:
+        return [None] * len(lanes)
+    deltas = context.unpack_vectors(solution)
+    norms = instance_norms(solution)
+    solved = set(solving)
+    return [
+        (deltas[k], float(norms[k])) if k in solved else None for k in range(len(lanes))
+    ]
 
 
 def newton_power_series_batch(
     system: PolynomialSystem,
     initials: Sequence[Sequence[PowerSeries]],
-    max_iterations: int | None = None,
-    tolerance: float | None = None,
-    raise_on_failure: bool | None = None,
-    mode: str | None = None,
-    solver: str | None = None,
+    *,
     context=None,
     options: NewtonOptions | None = None,
 ) -> list[NewtonResult]:
     """Refine several power-series solutions of ``system`` in one batched sweep.
 
-    Per instance this performs exactly the iteration of
-    :func:`newton_power_series`, but every Newton step evaluates the system
-    at all instances through **one resident context sweep**
-    (:meth:`repro.core.EvalContext.run`): the fused slot tensor of the whole
-    batch is packed exactly once, each iteration scatters only the updated
-    solution series into the input slots, and the final residual check
-    unpacks values only.  This is the throughput shape of the paper's
-    motivating application: many independent solution paths, one wide launch
-    sequence, with the data resident across steps.
-
-    When the context is tensor-resident, the *linear solve* stays in the
-    tensor too: residual norms read the value rows directly, the Jacobians
-    and negated values gather into packed limb tensors
-    (:meth:`repro.core.EvalContext.newton_system`, no unpack-to-series round
-    trip), and all pending instances eliminate together through the batched
-    :func:`repro.homotopy.batch_linsolve.solve_packed` — bit-identical to
-    per-instance :func:`lu_solve` at double-double precision.
+    The throughput shape of the paper's motivating application: many
+    independent solution paths, one wide launch sequence, with the data
+    resident across steps.  The instances are the lanes of one context and
+    refine through :func:`refine_lanes`: the slot tensor packs once, and on
+    a resident context all pending instances solve in one batched
+    elimination — bit-identical to per-instance :func:`lu_solve` at
+    double-double precision.
 
     All knobs travel in one :class:`repro.homotopy.options.NewtonOptions`
-    (``options=``); the per-keyword forms below are deprecated shims that
-    build an equivalent object (bit-identical results) and warn.
-    ``options.mode`` re-targets the system's execution mode for this
-    refinement (e.g. ``"vectorized"`` runs every sweep through the
-    tensorized NumPy backend); ``None`` keeps the system's own mode.
-    ``options.solver`` picks the linear-solve path: ``"auto"`` (default)
-    uses the batched tensor solver whenever the context is resident and the
-    scalar oracle otherwise, ``"scalar"`` forces per-instance
-    :func:`lu_solve` (the oracle, and the only path for
-    staged/fraction/delegating contexts), and ``"batched"`` requires
-    residency, raising :class:`repro.errors.StagingError` when the context
-    delegates.  ``context`` optionally supplies a caller-held resident
-    context (the path tracker shares one across its steps); it must match
-    the batch size, otherwise a fresh context is created.
+    (``options=``, default ``NewtonOptions()``).  ``options.mode``
+    re-targets the system's execution mode for this refinement (``None``
+    keeps the system's own mode).  ``options.solver`` picks the linear-solve
+    path: ``"auto"`` (default) uses the batched tensor solver whenever the
+    context is resident and the scalar oracle otherwise, ``"scalar"`` forces
+    per-instance :func:`lu_solve`, and ``"batched"`` requires residency,
+    raising :class:`repro.errors.StagingError` when the context delegates.
+    ``context`` optionally supplies a caller-held context (the path tracker
+    shares one across its steps); it must match the batch size, otherwise a
+    fresh context is created.
 
-    Returns one :class:`NewtonResult` per initial vector, in order.  With
+    Returns one :class:`NewtonResult` per initial vector, in order.  A
+    singular Newton system stops only its own instance; once every instance
+    is done, :class:`repro.errors.SingularSystemError` is raised with
+    ``.instances`` naming each singular one.  With
     ``options.raise_on_failure`` a :class:`repro.errors.ConvergenceError` is
     raised when any instance misses the tolerance.
     """
-    options, deprecated = _resolve_newton_options(
-        options,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        raise_on_failure=raise_on_failure,
-        mode=mode,
-        solver=solver,
-    )
-    if deprecated:
-        warnings.warn(_LEGACY_NEWTON_MESSAGE, DeprecationWarning, stacklevel=2)
-    max_iterations = options.max_iterations
-    tolerance = options.tolerance
-    raise_on_failure = options.raise_on_failure
-    solver = options.solver
+    options = options or NewtonOptions()
     system = system.with_mode(options.mode)
     if not system.is_square:
         raise ConvergenceError(
@@ -266,134 +282,56 @@ def newton_power_series_batch(
     if not initials:
         return []
     solutions = [[series.copy() for series in initial] for initial in initials]
-    results = [NewtonResult(solution=z) for z in solutions]
     context = _ensure_context(system, len(solutions), context)
-    active = list(range(len(solutions)))
-    # Whether to sweep through the resident context is decided after the
-    # first sweep (packing reveals whether the ring is tensor-resident).  A
-    # resident tensor always carries the full batch — converged instances
-    # keep their last inputs, their outputs are ignored, and the elementwise
-    # tensor operations make the per-instance results identical to an
-    # active-only sweep.  Delegating contexts (staged/parallel/gpu/
-    # reference/fraction-fallback) pay per evaluated instance, so after the
-    # first iteration they evaluate only the still-active instances, as the
-    # pre-residency code did.
-    use_context = True
-    for iteration in range(1, max_iterations + 1):
-        if not active:
-            break
-        if use_context:
-            context.update_inputs(solutions)
-            if solver == "batched" and not context.resident:
-                raise StagingError(
-                    "solver='batched' needs a tensor-resident context; this one "
-                    "delegates (staged/fraction/non-vectorized mode) — use "
-                    "solver='auto' or 'scalar'"
-                )
-            if solver != "scalar" and context.resident:
-                active = _resident_newton_step(
-                    context, solutions, results, active, iteration, tolerance
-                )
-                continue
-            evaluations_batch = context.run()
-            if iteration == 1 and not context.resident:
-                use_context = False
-        else:
-            active_evaluations = system.evaluate_batch(
-                [solutions[i] for i in active]
-            )
-            evaluations_batch = dict(zip(active, active_evaluations))
-        survivors: list[int] = []
-        for index in active:
-            evaluations = evaluations_batch[index]
-            residual_vector = [e.value for e in evaluations]
-            residual = residual_norm(residual_vector)
-            result = results[index]
-            if residual <= tolerance:
-                result.steps.append(NewtonStep(iteration, residual, 0.0))
-                result.converged = True
-                continue
-            jacobian = system.jacobian(evaluations)
-            negated = [-value for value in residual_vector]
-            correction = lu_solve(jacobian, negated)
-            z = [current + delta for current, delta in zip(solutions[index], correction)]
-            solutions[index] = z
-            result.solution = z
-            result.steps.append(NewtonStep(iteration, residual, residual_norm(correction)))
-            survivors.append(index)
-        active = survivors
-    if active:
-        # Instances that ran out of iterations: check the final residual in
-        # one values-only sweep, exactly as the scalar path does.
-        if use_context and solver != "scalar" and context.resident:
-            context.update_inputs(solutions)
-            context.run_packed()
-            norms = context.residual_norms()
-            for index in active:
-                results[index].converged = float(norms[index]) <= tolerance
-        else:
-            if use_context:
-                context.update_inputs(solutions)
-                finals = context.run(values_only=True)
-            else:
-                finals = dict(
-                    zip(active, system.evaluate_batch([solutions[i] for i in active]))
-                )
-            for index in active:
-                final = residual_norm([e.value for e in finals[index]])
-                results[index].converged = final <= tolerance
-    if raise_on_failure:
+    results = refine_lanes(context, solutions, range(len(solutions)), options)
+    singular = [i for i, result in enumerate(results) if result.singular]
+    if singular:
+        error = SingularSystemError(
+            "singular Newton system for batch instance(s) " + ", ".join(map(str, singular))
+        )
+        error.instances = singular
+        raise error
+    if options.raise_on_failure:
         failed = [i for i, result in enumerate(results) if not result.converged]
         if failed:
             raise ConvergenceError(
-                f"Newton did not reach tolerance {tolerance} in {max_iterations} "
-                f"iterations for instances {failed}"
+                f"Newton did not reach tolerance {options.tolerance} in "
+                f"{options.max_iterations} iterations for instances {failed}"
             )
     return results
 
 
-def _resident_newton_step(
-    context, solutions, results, active: list[int], iteration: int, tolerance: float
-) -> list[int]:
-    """One fully tensor-resident Newton iteration over the active instances.
+def newton_power_series(
+    system: PolynomialSystem,
+    initial: Sequence[PowerSeries],
+    *,
+    context=None,
+    options: NewtonOptions | None = None,
+) -> NewtonResult:
+    """Refine a power-series solution of ``system`` by Newton iteration.
 
-    Sweeps once, reads the per-instance residual norms off the value rows,
-    and solves the Newton systems of every still-pending instance in one
-    batched elimination — evaluation and solve both NumPy end-to-end.
-    Returns the surviving (not yet converged) instance indices.
+    :func:`newton_power_series_batch` with one instance: the answer equals
+    its lane 0, and so do the errors it raises.
+
+    Parameters
+    ----------
+    system:
+        A square system (as many equations as variables).
+    initial:
+        Starting series; the constant terms should solve the system at
+        ``t = 0`` for the textbook quadratic convergence, but the iteration
+        is run regardless.
+    context:
+        An optional resident :class:`repro.core.EvalContext` (batch 1) to
+        evaluate through — the path tracker passes one so consecutive steps
+        share a single packed tensor.  Without one, a context is created
+        for this refinement, so the whole iteration still packs only once.
+    options:
+        A :class:`repro.homotopy.options.NewtonOptions` carrying the
+        iteration bound, the residual tolerance (largest coefficient of
+        ``F(z)`` rounded to a double), the failure policy
+        (:class:`repro.errors.ConvergenceError` on a missed tolerance when
+        ``raise_on_failure`` is set), the solver and the mode.  Defaults to
+        ``NewtonOptions()``.
     """
-    context.run_packed()
-    norms = context.residual_norms()
-    pending: list[tuple[int, float]] = []
-    for index in active:
-        residual = float(norms[index])
-        result = results[index]
-        if residual <= tolerance:
-            result.steps.append(NewtonStep(iteration, residual, 0.0))
-            result.converged = True
-            continue
-        pending.append((index, residual))
-    if not pending:
-        return []
-    indices = [index for index, _ in pending]
-    matrix, rhs = context.newton_system(indices)
-    try:
-        solution = solve_packed(matrix, rhs, context.ring[1])
-    except SingularSystemError as error:
-        positions = getattr(error, "instances", [])
-        labels = ", ".join(str(indices[p]) for p in positions)
-        remapped = SingularSystemError(
-            f"singular Newton system for batch instance(s) {labels}"
-        )
-        remapped.instances = [indices[p] for p in positions]
-        raise remapped from error
-    corrections = context.unpack_vectors(solution)
-    survivors: list[int] = []
-    for (index, residual), correction in zip(pending, corrections):
-        z = [current + delta for current, delta in zip(solutions[index], correction)]
-        solutions[index] = z
-        result = results[index]
-        result.solution = z
-        result.steps.append(NewtonStep(iteration, residual, residual_norm(correction)))
-        survivors.append(index)
-    return survivors
+    return newton_power_series_batch(system, [initial], context=context, options=options)[0]

@@ -21,10 +21,9 @@ frozen dataclasses plus one umbrella:
 The layering is *defaults → options object → per-call overrides*: every class
 is immutable, :meth:`TrackOptions.override` produces a derived copy from flat
 keyword overrides (nested fields are addressable either with an options
-sub-object, a dict merged into the current sub-object, or one of the legacy
-flat aliases like ``step=0.25`` / ``newton_iterations=6``), and the deprecated
-keyword signatures of :class:`repro.homotopy.TaylorPathTracker` and the Newton
-drivers are thin shims that build these objects.
+sub-object, a dict merged into the current sub-object, or one of the flat
+aliases like ``step=0.25`` / ``newton_iterations=6``).  The Newton functions
+and :class:`repro.homotopy.TaylorPathTracker` take these objects only.
 """
 
 from __future__ import annotations
@@ -54,10 +53,12 @@ _SCHEDULERS = ("adaptive", "lockstep")
 class NewtonOptions:
     """Configuration of one power-series Newton refinement.
 
-    Parameters mirror the historical keywords of
-    :func:`repro.homotopy.newton_power_series` /
-    :func:`repro.homotopy.newton_power_series_batch` exactly, so a shim can
-    translate old calls bit-for-bit.
+    :func:`repro.homotopy.newton_power_series` and
+    :func:`repro.homotopy.newton_power_series_batch` honour every field.
+    The many-path scheduler and the solve service honour the iteration
+    bound, the tolerance and the solver; the scheduler takes its mode from
+    :attr:`TrackOptions.mode` and records failures per path, and the
+    service takes its mode from its own configuration.
     """
 
     max_iterations: int = 8

@@ -15,7 +15,6 @@ with PHCpack.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -75,51 +74,16 @@ class TaylorPathTracker:
         A :class:`repro.homotopy.options.TrackOptions` carrying every knob
         (series degree, step size, Newton iteration bound and tolerance,
         execution mode).  Defaults to the tracker's historical settings.
-    degree, step, newton_iterations, tolerance, mode:
-        Deprecated per-keyword forms of the same knobs; they build an
-        equivalent options object (bit-identical results) and warn.
     """
 
     def __init__(
         self,
         system_builder: Callable[[float, int], PolynomialSystem],
-        degree: int | None = None,
-        step: float | None = None,
-        newton_iterations: int | None = None,
-        tolerance: float | None = None,
-        mode: str | None = None,
+        *,
         options: TrackOptions | None = None,
     ):
-        legacy = {
-            key: value
-            for key, value in {
-                "degree": degree,
-                "step": step,
-                "newton_iterations": newton_iterations,
-                "tolerance": tolerance,
-                "mode": mode,
-            }.items()
-            if value is not None
-        }
-        if options is not None:
-            if legacy:
-                raise ValueError(
-                    "pass either options= or the legacy keywords "
-                    f"({', '.join(sorted(legacy))}), not both"
-                )
-        else:
-            options = TrackOptions()
-            if legacy:
-                warnings.warn(
-                    "the per-keyword tracker knobs (degree, step, "
-                    "newton_iterations, tolerance, mode) are deprecated; pass "
-                    "options=TrackOptions(...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                options = options.override(**legacy)
         self.system_builder = system_builder
-        self.options = options
+        self.options = options if options is not None else TrackOptions()
 
     # Historical read-only attribute names, derived from the options object.
     @property
@@ -146,19 +110,6 @@ class TaylorPathTracker:
         """The local system at ``t``, re-targeted at the tracker's mode."""
         return self.system_builder(t, self.degree).with_mode(self.mode)
 
-    def _step_context(self, system: PolynomialSystem, context, batch: int):
-        """The resident context for this step, carried over when possible.
-
-        Consecutive local systems share their structure (only the parameter
-        value moves), so the previous step's context — and with it the
-        packed slot tensor — is rebound instead of rebuilt; the batch only
-        changes when paths drop out, which forces one repack.  The reuse
-        policy itself is the Newton drivers'
-        (:func:`repro.homotopy.newton._ensure_context`), shared so the two
-        layers cannot drift.
-        """
-        return _ensure_context(system, batch, context)
-
     # ------------------------------------------------------------------ #
     def track(self, start_values: Sequence, t_start: float = 0.0, t_end: float = 1.0) -> PathTrackResult:
         """Follow the path from ``t_start`` to ``t_end``.
@@ -179,7 +130,9 @@ class TaylorPathTracker:
             if guard > 10_000:
                 raise ConvergenceError("path tracking exceeded the iteration guard")
             system = self._build_system(t)
-            context = self._step_context(system, context, batch=1)
+            # Consecutive local systems share their structure, so the previous
+            # step's context (and its packed tensor) is rebound, not rebuilt.
+            context = _ensure_context(system, 1, context)
             initial = [PowerSeries.constant(v, self.degree) for v in values]
             newton = newton_power_series(
                 system,
@@ -237,7 +190,8 @@ class TaylorPathTracker:
             if guard > 10_000:
                 raise ConvergenceError("path tracking exceeded the iteration guard")
             system = self._build_system(t)
-            context = self._step_context(system, context, batch=len(active))
+            # The batch changes only when paths drop out: one repack each.
+            context = _ensure_context(system, len(active), context)
             initials = [
                 [PowerSeries.constant(v, self.degree) for v in values[index]]
                 for index in active

@@ -13,7 +13,9 @@ shape, and this module provides it:
   policy.  ``grow = 1.0`` disables growth and makes healthy paths reproduce
   the lockstep grid bit for bit;
 * **masked residency** — the whole fleet stays packed in one resident
-  :class:`repro.core.EvalContext` for the entire track.  Paths that converge,
+  :class:`repro.core.EvalContext` for the entire track, and every round
+  refines the running paths through the one Newton iteration,
+  :func:`repro.homotopy.newton.refine_lanes`.  Paths that converge,
   fail, or merely sit out a Newton iteration are masked out of the sweeps
   (:meth:`repro.core.EvalContext.set_active`) and of the batched linear solve
   (the ``active`` mask of :func:`repro.homotopy.batch_linsolve.solve_packed`)
@@ -54,13 +56,12 @@ from time import perf_counter_ns as _perf_counter_ns
 from typing import Callable, Sequence
 
 from ..core.tensor import infer_ring
-from ..errors import ConvergenceError, SingularSystemError, StagingError
+from ..errors import ConvergenceError
 from ..md.complexmd import ComplexMD
 from ..md.multidouble import MultiDouble
 from ..obs import get_telemetry
 from ..series.series import PowerSeries
-from .linsolve import lu_solve, residual_norm
-from .batch_linsolve import solve_packed
+from .newton import NewtonResult, refine_lanes
 from .options import TrackOptions
 from .pathtrack import PathPoint, PathTrackResult, _advance, _promote_step
 from .systems import PolynomialSystem, lift_value
@@ -443,22 +444,20 @@ class PathScheduler:
                 )
             context.rebind_fleet(list(evaluators))
 
-            outcome = self._refine(context, running, solutions)
-            for p in running:
+            results = refine_lanes(context, solutions, running, options.newton)
+            for p, result in zip(running, results):
                 state = states[p]
-                verdict = outcome[p]
-                if verdict["singular"]:
-                    state.residual = verdict["residual"]
+                state.residual = result.final_residual
+                if result.singular:
                     state.fail("singular")
                     continue
-                state.residual = verdict["residual"]
-                missed = not verdict["converged"] and (
-                    verdict["residual"] > options.newton.tolerance
+                missed = not result.converged and (
+                    result.final_residual > options.newton.tolerance
                 )
                 if missed:
-                    self._reject(state, solutions[p], t_end)
+                    self._reject(state, result.solution, t_end)
                 else:
-                    self._accept(state, solutions[p], verdict, t_end)
+                    self._accept(state, result, t_end)
             if r0:
                 tel.record_span(
                     "scheduler.round",
@@ -470,7 +469,6 @@ class PathScheduler:
                 )
         if options.retry.detect_crossings:
             self._flag_crossings(states)
-        context.set_active(None)
         report.cache = context.evaluator.cache.stats()
         report.fleets.append(
             {
@@ -494,151 +492,23 @@ class PathScheduler:
             )
 
     # ------------------------------------------------------------------ #
-    def _refine(self, context, running: list[int], solutions) -> dict[int, dict]:
-        """Newton-refine every running fleet position, masked and in place.
-
-        Mirrors :func:`repro.homotopy.newton_power_series_batch` instance for
-        instance — same sweeps, same batched solve, same convergence
-        predicate — except that (a) only the pending instances sweep (the
-        active mask), and (b) singular instances are *dropped* from the
-        batched elimination and reported in their verdicts instead of
-        raising, so one singular path cannot abort the fleet.
-        """
-        newton = self.options.newton
-        verdicts = {
-            p: {"converged": False, "residual": math.inf, "iterations": 0, "singular": False}
-            for p in running
-        }
-        pending = list(running)
-        for iteration in range(1, newton.max_iterations + 1):
-            if not pending:
-                break
-            context.set_active(pending)
-            context.update_inputs(solutions)
-            if newton.solver == "batched" and not context.resident:
-                raise StagingError(
-                    "solver='batched' needs a tensor-resident context; this one "
-                    "delegates (staged/fraction/non-vectorized mode) — use "
-                    "solver='auto' or 'scalar'"
-                )
-            if newton.solver != "scalar" and context.resident:
-                pending = self._resident_iteration(
-                    context, pending, solutions, verdicts, iteration
-                )
-            else:
-                pending = self._delegating_iteration(
-                    context, pending, solutions, verdicts, iteration
-                )
-        if pending:
-            # Out of iterations: one values-only sweep decides convergence,
-            # exactly like the Newton drivers' final residual check.
-            context.set_active(pending)
-            context.update_inputs(solutions)
-            if newton.solver != "scalar" and context.resident:
-                context.run_packed()
-                norms = context.residual_norms()
-                for p in pending:
-                    verdicts[p]["converged"] = float(norms[p]) <= newton.tolerance
-            else:
-                finals = context.run(values_only=True)
-                for p in pending:
-                    final = residual_norm([e.value for e in finals[p]])
-                    verdicts[p]["converged"] = final <= newton.tolerance
-        return verdicts
-
-    def _resident_iteration(
-        self, context, pending: list[int], solutions, verdicts, iteration: int
-    ) -> list[int]:
-        """One masked tensor-resident Newton iteration with singular-drop."""
-        tolerance = self.options.newton.tolerance
-        context.run_packed()
-        norms = context.residual_norms()
-        still: list[int] = []
-        for p in pending:
-            residual = float(norms[p])
-            verdicts[p]["residual"] = residual
-            verdicts[p]["iterations"] = iteration
-            if residual <= tolerance:
-                verdicts[p]["converged"] = True
-            else:
-                still.append(p)
-        if not still:
-            return []
-        matrix, rhs = context.newton_system(still)
-        limbs = context.ring[1]
-        solve = list(range(len(still)))
-        solution = None
-        while solve:
-            try:
-                mask = None if len(solve) == len(still) else solve
-                solution = solve_packed(matrix, rhs, limbs, active=mask)
-                break
-            except SingularSystemError as error:
-                bad = set(getattr(error, "instances", []))
-                if not bad:
-                    raise
-                for k in bad:
-                    verdicts[still[k]]["singular"] = True
-                solve = [k for k in solve if k not in bad]
-        survivors: list[int] = []
-        if solution is not None:
-            corrections = context.unpack_vectors(solution)
-            for k in solve:
-                p = still[k]
-                solutions[p] = [
-                    current + delta
-                    for current, delta in zip(solutions[p], corrections[k])
-                ]
-                survivors.append(p)
-        return survivors
-
-    def _delegating_iteration(
-        self, context, pending: list[int], solutions, verdicts, iteration: int
-    ) -> list[int]:
-        """One masked per-call-path Newton iteration (staged/fraction/scalar)."""
-        tolerance = self.options.newton.tolerance
-        results = context.run()
-        survivors: list[int] = []
-        for p in pending:
-            evaluations = results[p]
-            residual_vector = [e.value for e in evaluations]
-            residual = residual_norm(residual_vector)
-            verdicts[p]["residual"] = residual
-            verdicts[p]["iterations"] = iteration
-            if residual <= tolerance:
-                verdicts[p]["converged"] = True
-                continue
-            jacobian = [list(e.gradient) for e in evaluations]
-            negated = [-value for value in residual_vector]
-            try:
-                correction = lu_solve(jacobian, negated)
-            except SingularSystemError:
-                verdicts[p]["singular"] = True
-                continue
-            solutions[p] = [
-                current + delta for current, delta in zip(solutions[p], correction)
-            ]
-            survivors.append(p)
-        return survivors
-
-    # ------------------------------------------------------------------ #
-    def _accept(self, state: _PathState, solution, verdict, t_end: float) -> None:
+    def _accept(self, state: _PathState, result: NewtonResult, t_end: float) -> None:
         """Record the accepted trial point and predict the next one."""
         step = self.options.step
         state.points.append(
             PathPoint(
                 t=state.t_trial,
-                values=tuple(series.constant_term() for series in solution),
-                residual=verdict["residual"],
-                newton_iterations=verdict["iterations"],
+                values=tuple(series.constant_term() for series in result.solution),
+                residual=result.final_residual,
+                newton_iterations=result.iterations,
             )
         )
-        state.series = solution
+        state.series = result.solution
         state.t_accepted = state.t_trial
         if state.t_accepted >= t_end:
             state.status = "converged"
             return
-        if verdict["iterations"] <= step.fast_iterations:
+        if result.iterations <= step.fast_iterations:
             state.h = min(state.h * step.grow, step.max)
         self._predict(state, t_end)
 

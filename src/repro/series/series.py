@@ -20,7 +20,22 @@ from typing import Callable, Sequence
 
 from ..errors import TruncationError
 
-__all__ = ["PowerSeries"]
+__all__ = ["PowerSeries", "max_magnitude"]
+
+
+def max_magnitude(magnitudes) -> float:
+    """The largest of some non-negative doubles (0.0 if none), NaN if any is.
+
+    Folds the way ``np.max`` does: Python's ``max`` keeps its first argument
+    when a later one is NaN, which would read a diverged coefficient as small.
+    """
+    worst = 0.0
+    for magnitude in magnitudes:
+        if magnitude != magnitude:
+            return magnitude
+        if magnitude > worst:
+            worst = magnitude
+    return worst
 
 
 def _zero_like(coefficient):
@@ -252,14 +267,16 @@ class PowerSeries:
     def __hash__(self):
         return hash(tuple(map(str, self.coefficients)))
 
+    def max_abs(self) -> float:
+        """Largest coefficient magnitude, rounded to a double (NaN if any is)."""
+        return max_magnitude(abs(_to_float(c)) for c in self.coefficients)
+
     def max_abs_error(self, other: "PowerSeries") -> float:
-        """Largest coefficientwise difference, rounded to a double."""
+        """Largest coefficientwise difference, rounded to a double (NaN if any is)."""
         self._check_compatible(other)
-        worst = 0.0
-        for a, b in zip(self.coefficients, other.coefficients):
-            diff = a - b
-            worst = max(worst, abs(_to_float(diff)))
-        return worst
+        return max_magnitude(
+            abs(_to_float(a - b)) for a, b in zip(self.coefficients, other.coefficients)
+        )
 
     def __repr__(self):
         kind = type(self.coefficients[0]).__name__

@@ -63,8 +63,9 @@ class ServiceConfig:
         context pool keeps warm.
     mode:
         Execution mode requests are re-targeted to (``"vectorized"`` is the
-        resident fast path; other modes solve correctly but delegate
-        per-request).
+        resident fast path; other modes still coalesce, but every sweep
+        delegates to the per-call path and every lane solves with the
+        scalar :func:`repro.homotopy.lu_solve`).
     workers:
         Threads of the flush executor — how many structure buckets may
         solve concurrently.

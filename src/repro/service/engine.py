@@ -19,9 +19,11 @@ await their :class:`repro.service.SolveResponse`.  Internally the engine
    :class:`repro.service.ContextPool` and re-targets it with
    ``rebind_fleet`` — repeat traffic never repacks — masking unused lanes
    with ``set_active`` so short buckets waste no sweep work;
-4. **solves** the whole bucket as one packed tensor batch
+4. **solves** the whole bucket in one masked fleet
    (:func:`repro.service.fleet.coalesced_newton`, bit-identical per lane to
-   solving each request alone), or merges track requests into one
+   solving each request alone) — one packed tensor batch when the ring and
+   mode are resident, the delegating per-lane path (exact fractions,
+   non-vectorized modes) otherwise — or merges track requests into one
    :func:`repro.track_paths` fleet;
 5. **responds**, resolving every caller's future with its own lane's result.
 
@@ -43,8 +45,12 @@ from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter_ns as _perf_counter_ns
 from typing import Optional
 
-from ..errors import ConvergenceError, ServiceError, ServiceOverloadedError
-from ..homotopy.newton import newton_power_series_batch
+from ..errors import (
+    ConvergenceError,
+    ServiceError,
+    ServiceOverloadedError,
+    SingularSystemError,
+)
 from ..obs import get_telemetry
 from .api import SolveRequest, SolveResponse, TrackRequest
 from .config import ServiceConfig, coerce_service_layer, resolve_service_config
@@ -298,57 +304,42 @@ class SolveEngine:
         mode = bucket.config.mode
         systems = [request.system.with_mode(mode) for request in requests]
         ring = bucket.key[3]
-        results = errors = None
-        sweeps = 0
-        if ring is not None:
-            t0 = tel.enabled and _perf_counter_ns()
-            context = self.pool.checkout(
-                bucket.key, lambda slab: systems[0].make_context(slab)
-            )
-            runs_before = context.runs
-            try:
-                span = tel.enabled and _perf_counter_ns()
-                if span:
-                    tel.record_span(
-                        "service.rebind", t0, span, fill=k, warm=context.packs > 0
-                    )
-                results, errors = coalesced_newton(
-                    context, systems, [r.initial for r in requests], options
+        t0 = tel.enabled and _perf_counter_ns()
+        context = self.pool.checkout(
+            bucket.key, lambda slab: systems[0].make_context(slab)
+        )
+        runs_before = context.runs
+        try:
+            span = tel.enabled and _perf_counter_ns()
+            if span:
+                tel.record_span(
+                    "service.rebind", t0, span, fill=k, warm=context.packs > 0
                 )
-                sweeps = context.runs - runs_before
-            except BaseException:
-                # A half-updated context must not serve the next flush.
-                self.pool.discard(bucket.key, context)
-                raise
-            self.pool.checkin(bucket.key, context)
-            if results is not None and tel.enabled:
-                end = _perf_counter_ns()
-                measured_ms = (end - t0) / 1e6
+            results = coalesced_newton(
+                context, systems, [r.initial for r in requests], options
+            )
+            sweeps = context.runs - runs_before
+        except BaseException:
+            # A half-updated context must not serve the next flush.
+            self.pool.discard(bucket.key, context)
+            raise
+        self.pool.checkin(bucket.key, context)
+        if tel.enabled:
+            end = _perf_counter_ns()
+            tel.record_span("service.solve", t0, end, fill=k, sweeps=sweeps)
+            # The prediction prices a resident sweep-and-batched-solve flush;
+            # delegating and forced-scalar flushes are timed but not paired.
+            if context.resident and options.solver != "scalar":
                 predicted = self._predict_coalesce(systems[0], k, sweeps, ring)
-                tel.record_span("service.solve", t0, end, fill=k, sweeps=sweeps)
                 if predicted is not None:
-                    tel.ledger("coalesce", measured_ms, predicted)
-        if results is None:
-            # No resident path (exact rings, non-tensor modes): solve each
-            # request alone through the ordinary batched driver.
-            results, errors = [], {}
-            for index, request in enumerate(requests):
-                try:
-                    results.append(
-                        newton_power_series_batch(
-                            systems[index], [request.initial], options=options
-                        )[0]
-                    )
-                except Exception as error:
-                    results.append(None)
-                    errors[index] = error
+                    tel.ledger("coalesce", (end - t0) / 1e6, predicted)
         responses = []
         for index, result in enumerate(results):
-            if result is None:
+            if result.singular:
+                error = SingularSystemError(f"singular Newton system for request {index}")
+                error.instances = [index]
                 responses.append(
-                    SolveResponse(
-                        error=errors.get(index), batch_fill=k, coalesced=k > 1
-                    )
+                    SolveResponse(error=error, batch_fill=k, coalesced=k > 1)
                 )
                 continue
             error = None

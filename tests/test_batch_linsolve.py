@@ -25,6 +25,7 @@ from repro.core import ScheduleCache
 from repro.errors import SingularSystemError, StagingError
 from repro.gpusim.timing import TimingModel
 from repro.homotopy import (
+    NewtonOptions,
     PolynomialSystem,
     batch_lu_solve,
     batch_lu_solve_tensor,
@@ -284,11 +285,15 @@ class TestResidentNewton:
         starts = _unit_circle_starts(system, 3, self.PRECISION)
         calls = self._count_lu_calls(monkeypatch)
         newton_power_series_batch(
-            system, starts, max_iterations=2, mode="vectorized", solver="auto"
+            system,
+            starts,
+            options=NewtonOptions(max_iterations=2, mode="vectorized", solver="auto"),
         )
         assert calls["count"] == 0
         newton_power_series_batch(
-            system, starts, max_iterations=2, mode="staged", solver="auto"
+            system,
+            starts,
+            options=NewtonOptions(max_iterations=2, mode="staged", solver="auto"),
         )
         assert calls["count"] > 0
 
@@ -297,10 +302,12 @@ class TestResidentNewton:
         system = self._system()
         starts = _unit_circle_starts(system, 3, self.PRECISION)
         staged = newton_power_series_batch(
-            system, starts, max_iterations=3, mode="staged"
+            system, starts, options=NewtonOptions(max_iterations=3, mode="staged")
         )
         resident = newton_power_series_batch(
-            system, starts, max_iterations=3, mode="vectorized", solver="auto"
+            system,
+            starts,
+            options=NewtonOptions(max_iterations=3, mode="vectorized", solver="auto"),
         )
         for a, b in zip(staged, resident):
             assert a.converged == b.converged
@@ -314,10 +321,14 @@ class TestResidentNewton:
         system = self._system()
         starts = _unit_circle_starts(system, 2, self.PRECISION)
         scalar = newton_power_series_batch(
-            system, starts, max_iterations=3, mode="vectorized", solver="scalar"
+            system,
+            starts,
+            options=NewtonOptions(max_iterations=3, mode="vectorized", solver="scalar"),
         )
         batched = newton_power_series_batch(
-            system, starts, max_iterations=3, mode="vectorized", solver="batched"
+            system,
+            starts,
+            options=NewtonOptions(max_iterations=3, mode="vectorized", solver="batched"),
         )
         for a, b in zip(scalar, batched):
             for mine, theirs in zip(a.solution, b.solution):
@@ -328,14 +339,16 @@ class TestResidentNewton:
         starts = _unit_circle_starts(system, 2, self.PRECISION)
         with pytest.raises(StagingError):
             newton_power_series_batch(
-                system, starts, max_iterations=1, mode="staged", solver="batched"
+                system,
+                starts,
+                options=NewtonOptions(max_iterations=1, mode="staged", solver="batched"),
             )
 
     def test_unknown_solver_rejected(self):
         system = self._system()
         starts = _unit_circle_starts(system, 1, self.PRECISION)
         with pytest.raises(ValueError):
-            newton_power_series_batch(system, starts, solver="fused")
+            newton_power_series_batch(system, starts, options=NewtonOptions(solver="fused"))
 
 
 # --------------------------------------------------------------------- #

@@ -45,8 +45,10 @@ from repro.core import (
 )
 from repro.gpusim.timing import TimingModel
 from repro.homotopy import (
+    NewtonOptions,
     PolynomialSystem,
     TaylorPathTracker,
+    TrackOptions,
     newton_power_series,
     newton_power_series_batch,
 )
@@ -689,7 +691,9 @@ class TestResidentNewton:
             ]
             for _ in range(3)
         ]
-        results = newton_power_series_batch(system, initials, max_iterations=3)
+        results = newton_power_series_batch(
+            system, initials, options=NewtonOptions(max_iterations=3)
+        )
         assert counts["packs"] == 1
         assert len(results) == 3
         assert all(r.iterations >= 1 for r in results)
@@ -710,9 +714,10 @@ class TestResidentNewton:
             ]
             for _ in range(3)
         ]
-        staged = newton_power_series_batch(system, initials, max_iterations=3)
+        options = NewtonOptions(max_iterations=3)
+        staged = newton_power_series_batch(system, initials, options=options)
         vectorized = newton_power_series_batch(
-            system, initials, max_iterations=3, mode="vectorized"
+            system, initials, options=options.override(mode="vectorized")
         )
         for a, b in zip(staged, vectorized):
             assert a.iterations == b.iterations
@@ -732,10 +737,14 @@ class TestResidentNewton:
             )
             for _ in range(system.dimension)
         ]
-        first = newton_power_series(system, initial, max_iterations=2, context=context)
-        second = newton_power_series(system, initial, max_iterations=2, context=context)
+        options = NewtonOptions(max_iterations=2)
+        first = newton_power_series(system, initial, context=context, options=options)
+        second = newton_power_series(system, initial, context=context, options=options)
         assert context.packs == 1  # both refinements shared one packed tensor
         assert [s.residual for s in first.steps] == [s.residual for s in second.steps]
+
+
+_VECTORIZED_TRACK = TrackOptions().override(degree=4, step=0.25, mode="vectorized")
 
 
 class TestResidentTracking:
@@ -756,9 +765,7 @@ class TestResidentTracking:
         per-step systems differ only in coefficients and are rebound."""
         counts = _count_packs(monkeypatch)
         cache = ScheduleCache()
-        tracker = TaylorPathTracker(
-            self._builder(cache), degree=4, step=0.25, mode="vectorized"
-        )
+        tracker = TaylorPathTracker(self._builder(cache), options=_VECTORIZED_TRACK)
         results = tracker.track_many([[0.0], [0.0]])
         assert all(r.success for r in results)
         assert counts["packs"] == 1
@@ -767,9 +774,7 @@ class TestResidentTracking:
     def test_track_scalar_packs_once_across_steps(self, rng, monkeypatch):
         counts = _count_packs(monkeypatch)
         cache = ScheduleCache()
-        tracker = TaylorPathTracker(
-            self._builder(cache), degree=4, step=0.25, mode="vectorized"
-        )
+        tracker = TaylorPathTracker(self._builder(cache), options=_VECTORIZED_TRACK)
         result = tracker.track([0.0])
         assert result.success
         assert counts["packs"] == 1
@@ -802,7 +807,7 @@ class TestResidentTracking:
                 [Polynomial(1, constant, monomials)], mode="staged", cache=cache
             )
 
-        tracker = TaylorPathTracker(builder, degree=4, step=0.25, mode="vectorized")
+        tracker = TaylorPathTracker(builder, options=_VECTORIZED_TRACK)
         result = tracker.track([0.0])
         assert result.success
         assert abs(result.final_values[0] - 1.0) < 1e-10

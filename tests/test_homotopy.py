@@ -5,20 +5,30 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.circuits import parse_polynomial
-from repro.errors import ConvergenceError, SingularSystemError
+from repro.circuits.reference import EvaluationResult
+from repro.errors import ConvergenceError, SingularSystemError, StagingError
 from repro.homotopy import (
+    NewtonOptions,
     PolynomialSystem,
     TaylorPathTracker,
+    TrackOptions,
     lu_solve,
     matrix_vector_product,
     newton_power_series,
     newton_power_series_batch,
     residual_norm,
 )
+from repro.homotopy.newton import refine_lanes
 from repro.series import PowerSeries, random_fraction_series
+
+
+def _tracker(builder, **overrides) -> TaylorPathTracker:
+    """A tracker whose options layer ``overrides`` onto the defaults."""
+    return TaylorPathTracker(builder, options=TrackOptions().override(**overrides))
 
 
 def fseries(values):
@@ -137,7 +147,9 @@ class TestNewton:
         degree = 10
         system = self._sqrt_system(degree)
         result = newton_power_series(
-            system, [PowerSeries.constant(1.0, degree)], max_iterations=6, tolerance=1e-14
+            system,
+            [PowerSeries.constant(1.0, degree)],
+            options=NewtonOptions(max_iterations=6, tolerance=1e-14),
         )
         assert result.converged
         coefficients = result.solution[0].coefficients
@@ -151,12 +163,16 @@ class TestNewton:
         degree = 15
         system = self._sqrt_system(degree)
         exact = newton_power_series(
-            system, [PowerSeries.constant(1.0, degree)], max_iterations=8, tolerance=0.0
+            system,
+            [PowerSeries.constant(1.0, degree)],
+            options=NewtonOptions(max_iterations=8, tolerance=0.0),
         ).solution[0]
         correct_counts = []
         for iterations in (1, 2, 3, 4):
             approx = newton_power_series(
-                system, [PowerSeries.constant(1.0, degree)], max_iterations=iterations, tolerance=-1.0
+                system,
+                [PowerSeries.constant(1.0, degree)],
+                options=NewtonOptions(max_iterations=iterations, tolerance=-1.0),
             ).solution[0]
             correct = 0
             for a, b in zip(approx.coefficients, exact.coefficients):
@@ -182,7 +198,9 @@ class TestNewton:
         q.constant.coefficients[1] = -1.0
         system = PolynomialSystem([p, q])
         start = [PowerSeries.constant(2.1, degree), PowerSeries.constant(0.9, degree)]
-        result = newton_power_series(system, start, max_iterations=12, tolerance=1e-12)
+        result = newton_power_series(
+            system, start, options=NewtonOptions(max_iterations=12, tolerance=1e-12)
+        )
         assert result.converged
         total = result.solution[0] + result.solution[1]
         product = result.solution[0] * result.solution[1]
@@ -203,15 +221,32 @@ class TestNewton:
             newton_power_series(
                 system,
                 [PowerSeries.constant(1.0, degree)],
-                max_iterations=1,
-                tolerance=1e-30,
-                raise_on_failure=True,
+                options=NewtonOptions(
+                    max_iterations=1, tolerance=1e-30, raise_on_failure=True
+                ),
             )
+
+    def test_mode_and_solver_apply(self):
+        """``newton_power_series`` honours ``options.mode`` and
+        ``options.solver``: it is lane 0 of ``newton_power_series_batch``."""
+        degree = 6
+        system = self._sqrt_system(degree).with_mode("staged")
+        start = [PowerSeries.constant(1.2, degree)]
+        with pytest.raises(StagingError):
+            newton_power_series(system, start, options=NewtonOptions(solver="batched"))
+        options = NewtonOptions(mode="vectorized", solver="batched", tolerance=1e-14)
+        single = newton_power_series(system, start, options=options)
+        lane = newton_power_series_batch(system, [start], options=options)[0]
+        assert single.converged and lane.converged
+        assert single.steps == lane.steps
+        assert single.solution[0].coefficients == lane.solution[0].coefficients
 
     def test_step_diagnostics_recorded(self):
         degree = 6
         system = self._sqrt_system(degree)
-        result = newton_power_series(system, [PowerSeries.constant(1.0, degree)], max_iterations=4)
+        result = newton_power_series(
+            system, [PowerSeries.constant(1.0, degree)], options=NewtonOptions(max_iterations=4)
+        )
         assert result.iterations >= 1
         assert result.steps[0].residual >= result.final_residual
 
@@ -233,9 +268,10 @@ class TestBatchedNewton:
             [PowerSeries.constant(1.5, degree)],
             [PowerSeries.constant(0.7, degree)],
         ]
-        batch = newton_power_series_batch(system, starts, max_iterations=6, tolerance=1e-14)
+        options = NewtonOptions(max_iterations=6, tolerance=1e-14)
+        batch = newton_power_series_batch(system, starts, options=options)
         for start, batched in zip(starts, batch):
-            scalar = newton_power_series(system, start, max_iterations=6, tolerance=1e-14)
+            scalar = newton_power_series(system, start, options=options)
             assert batched.converged == scalar.converged
             assert batched.iterations == scalar.iterations
             for mine, theirs in zip(batched.solution, scalar.solution):
@@ -248,12 +284,24 @@ class TestBatchedNewton:
         degree = 6
         system = self._sqrt_system(degree)
         starts = [[PowerSeries.constant(1.0, degree)], [PowerSeries.constant(1.0, degree)]]
-        results = newton_power_series_batch(system, starts, max_iterations=1, tolerance=1e-30)
+        options = NewtonOptions(max_iterations=1, tolerance=1e-30)
+        results = newton_power_series_batch(system, starts, options=options)
         assert not any(result.converged for result in results)
         with pytest.raises(ConvergenceError):
             newton_power_series_batch(
-                system, starts, max_iterations=1, tolerance=1e-30, raise_on_failure=True
+                system, starts, options=options.override(raise_on_failure=True)
             )
+
+    @pytest.mark.parametrize("mode", ["vectorized", "staged"])
+    def test_every_singular_instance_is_named(self, mode):
+        """A singular instance stops only itself; once every instance is
+        done ``newton_power_series_batch`` raises, naming each singular one."""
+        degree = 4
+        system = self._sqrt_system(degree)
+        starts = [[PowerSeries.constant(x, degree)] for x in (0.0, 0.0, 1.0)]
+        with pytest.raises(SingularSystemError) as caught:
+            newton_power_series_batch(system, starts, options=NewtonOptions(mode=mode))
+        assert caught.value.instances == [0, 1]
 
     def test_non_square_rejected(self):
         p = parse_polynomial("x1*x2", degree=2, kind="float")
@@ -261,6 +309,93 @@ class TestBatchedNewton:
             newton_power_series_batch(
                 PolynomialSystem([p]), [[PowerSeries.constant(1.0, 2)] * 2]
             )
+
+
+class TestRefineLanes:
+    """The Newton kernel refines only the lanes it is given, in place, and
+    leaves the context unmasked on every exit."""
+
+    def test_refines_given_lanes_and_clears_the_mask(self, monkeypatch):
+        import repro.homotopy.newton as newton_module
+
+        degree = 6
+        system = TestBatchedNewton._sqrt_system(degree).with_mode("vectorized")
+        context = system.make_context(3)
+        options = NewtonOptions(tolerance=1e-14)
+        starts = (1.0, 1.5, 0.7)
+        solutions = [[PowerSeries.constant(x, degree)] for x in starts]
+        idle = solutions[1]
+        results = refine_lanes(context, solutions, [2, 0], options)
+        assert context.active is None
+        assert solutions[1] is idle
+        for lane, result in zip([2, 0], results):
+            alone = newton_power_series_batch(
+                system, [[PowerSeries.constant(starts[lane], degree)]], options=options
+            )[0]
+            assert result.solution is solutions[lane]
+            assert result.converged and result.steps == alone.steps
+            assert result.solution[0].coefficients == alone.solution[0].coefficients
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("injected solve failure")
+
+        monkeypatch.setattr(newton_module, "solve_packed", failing)
+        fresh = [[PowerSeries.constant(x, degree)] for x in starts]
+        with pytest.raises(RuntimeError, match="injected"):
+            refine_lanes(context, fresh, [0, 2], options)
+        assert context.active is None
+
+
+class TestNonFiniteNorms:
+    """Norms fold like ``np.max``: any NaN gives NaN, otherwise an infinity
+    gives inf — a diverged value never reads as small."""
+
+    def test_residual_norm(self):
+        inf, nan = math.inf, math.nan
+        assert residual_norm([PowerSeries([inf, 0.0])]) == inf
+        assert math.isnan(residual_norm([PowerSeries([nan, 0.0])]))
+        assert math.isnan(residual_norm([PowerSeries([1.0, 2.0]), PowerSeries([0.0, nan])]))
+        assert math.isnan(residual_norm([PowerSeries([inf, 0.0]), PowerSeries([nan, 0.0])]))
+        assert residual_norm([PowerSeries([1.0, -3.0]), PowerSeries([-inf, 0.0])]) == inf
+        assert residual_norm([PowerSeries([1.0, -3.0])]) == 3.0
+
+    def test_max_abs_error(self):
+        finite = PowerSeries([1.0, 2.0])
+        assert math.isnan(PowerSeries([1.0, math.nan]).max_abs_error(finite))
+        assert math.isnan(finite.max_abs_error(PowerSeries([math.nan, 2.0])))
+        assert PowerSeries([math.inf, 2.0]).max_abs_error(finite) == math.inf
+        assert PowerSeries([1.0, 2.5]).max_abs_error(finite) == 0.5
+
+    def test_max_difference(self):
+        def result(value, gradient):
+            return EvaluationResult(value=PowerSeries(value), gradient=[PowerSeries(gradient)])
+
+        finite = result([1.0, 2.0], [3.0, 4.0])
+        assert finite.max_difference(finite) == 0.0
+        assert math.isnan(finite.max_difference(result([1.0, 2.0], [3.0, math.nan])))
+        assert math.isnan(result([math.nan, 2.0], [3.0, 4.0]).max_difference(finite))
+        assert finite.max_difference(result([1.0, 2.0], [math.inf, 4.0])) == math.inf
+
+    def test_diverged_newton_reads_the_same_in_both_modes(self):
+        """From x = 1e200, x^2 overflows: a staged refinement used to read
+        the inf residual as 0.0 and report convergence after one step."""
+        degree = 3
+        system = PolynomialSystem([parse_polynomial("x1^2 - 2", degree=degree, kind="float")])
+        starts = [[PowerSeries.constant(1e200, degree)]]
+        runs = {}
+        with np.errstate(all="ignore"):
+            for mode in ("staged", "vectorized"):
+                options = NewtonOptions(mode=mode, max_iterations=3)
+                runs[mode] = newton_power_series_batch(system, starts, options=options)[0]
+        staged, vectorized = runs["staged"], runs["vectorized"]
+        assert not staged.converged and not vectorized.converged
+        assert staged.steps[0].residual == math.inf
+
+        def steps(result):
+            return [(s.iteration, repr(s.residual), repr(s.correction)) for s in result.steps]
+
+        assert steps(staged) == steps(vectorized)
+        assert len(staged.steps) == 3
 
 
 class TestPathTracker:
@@ -273,7 +408,7 @@ class TestPathTracker:
         return PolynomialSystem([p])
 
     def test_tracks_sqrt_path(self):
-        tracker = TaylorPathTracker(self._builder, degree=6, step=0.25)
+        tracker = _tracker(self._builder, degree=6, step=0.25)
         result = tracker.track([1.0], 0.0, 1.0)
         assert result.success
         assert result.final_values[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)
@@ -284,18 +419,18 @@ class TestPathTracker:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            TaylorPathTracker(self._builder, degree=0)
+            _tracker(self._builder, degree=0)
         with pytest.raises(ValueError):
-            TaylorPathTracker(self._builder, step=0.0)
+            _tracker(self._builder, step=0.0)
 
     def test_partial_range(self):
-        tracker = TaylorPathTracker(self._builder, degree=5, step=0.5)
+        tracker = _tracker(self._builder, degree=5, step=0.5)
         result = tracker.track([1.0], 0.0, 0.5)
         assert result.success
         assert result.final_values[0] == pytest.approx(math.sqrt(1.5), abs=1e-9)
 
     def test_track_many_matches_single_path(self):
-        tracker = TaylorPathTracker(self._builder, degree=6, step=0.25)
+        tracker = _tracker(self._builder, degree=6, step=0.25)
         single = tracker.track([1.0], 0.0, 1.0)
         many = tracker.track_many([[1.0], [-1.0]], 0.0, 1.0)
         assert all(result.success for result in many)
@@ -317,7 +452,7 @@ class TestPathTracker:
         ten steps; without snapping onto ``t_end`` the tracker used to emit a
         spurious twelfth micro-step at that off-grid parameter value.
         """
-        tracker = TaylorPathTracker(self._builder, degree=6, step=0.1)
+        tracker = _tracker(self._builder, degree=6, step=0.1)
         result = tracker.track([1.0], 0.0, 1.0)
         assert result.success
         assert len(result.points) == 11
@@ -343,7 +478,7 @@ class TestPathTracker:
         whole track then silently ran in doubles.  The linear path
         x = 1 + t over [0, 1] must stay rational and exact at every point.
         """
-        tracker = TaylorPathTracker(self._fraction_builder, degree=3, step=0.25)
+        tracker = _tracker(self._fraction_builder, degree=3, step=0.25)
         result = tracker.track([Fraction(1)], 0.0, 1.0)
         assert result.success
         assert len(result.points) == 5
@@ -354,7 +489,7 @@ class TestPathTracker:
         assert result.final_values[0] == Fraction(2)
 
     def test_track_many_drops_failing_paths(self):
-        tracker = TaylorPathTracker(
+        tracker = _tracker(
             self._builder, degree=6, step=0.25, newton_iterations=6, tolerance=1e-10
         )
         # A start far from any solution branch fails; the good path survives.

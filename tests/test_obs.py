@@ -29,6 +29,7 @@ import pytest
 from repro.circuits import parse_polynomial
 from repro.circuits.monomial import Monomial
 from repro.core import CommonFactorPlan, ScheduleCache, SystemEvaluator
+from repro.core import system as system_module
 from repro.homotopy import PathScheduler, TrackOptions, track_paths
 from repro.obs import (
     DEFAULT_OBS_CONFIG,
@@ -357,7 +358,11 @@ class TestInlineIntegration:
         snap = tel.snapshot()
         assert snap["events"] == [] and snap["counters"] == {} and snap["ledger"] == []
 
-    def test_enabled_tracking_covers_the_whole_stack(self):
+    def test_enabled_tracking_covers_the_whole_stack(self, monkeypatch):
+        # A private default cache: the retry family's structure may already
+        # be cached by earlier tests in this process, and this test counts
+        # the misses of its own staging.
+        monkeypatch.setattr(system_module, "_DEFAULT_CACHE", ScheduleCache())
         tel = get_telemetry()
         starts = [[2.0], [1.0], [2.0], [1.0]]
         report = track_paths(retry_family(), starts, _RETRY_OPTIONS, telemetry=True)

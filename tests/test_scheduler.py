@@ -8,9 +8,8 @@ The contracts under test are the tracker redesign's headline guarantees:
 * paths that fail at the working precision escalate up the configured
   precision ladder as one fresh lifted fleet per rung, without touching the
   bits of the paths that already finished;
-* the one :class:`TrackOptions` object carries every knob, the deprecated
-  keyword signatures build bit-identical shims, and mixing the two styles
-  is rejected.
+* the one :class:`TrackOptions` object carries every knob, and the removed
+  per-keyword signatures are rejected as unknown keywords.
 """
 
 from __future__ import annotations
@@ -190,22 +189,24 @@ class TestTrackOptions:
 # the deprecated keyword shims
 # --------------------------------------------------------------------- #
 class TestDeprecationShims:
-    def test_tracker_legacy_keywords_warn_and_match(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = TaylorPathTracker(sqrt_family, degree=6, step=0.25)
-        modern = TaylorPathTracker(
-            sqrt_family, options=TrackOptions().override(degree=6, step=0.25)
-        )
-        old = legacy.track([1.0], 0.0, 1.0)
-        new = modern.track([1.0], 0.0, 1.0)
-        assert old.success and new.success
-        assert [_point_bits(p) for p in old.points] == [
-            _point_bits(p) for p in new.points
-        ]
+    """The per-keyword shims are gone: the Newton functions and the tracker
+    take ``options=`` only, so each of the 13 removed keywords is an unknown
+    keyword now, and the options-only forms never warn."""
 
     def test_tracker_rejects_mixed_styles(self):
-        with pytest.raises(ValueError, match="not both"):
-            TaylorPathTracker(sqrt_family, degree=6, options=TrackOptions())
+        removed = {
+            "degree": 6,
+            "step": 0.25,
+            "newton_iterations": 4,
+            "tolerance": 1e-10,
+            "mode": "staged",
+        }
+        for keyword, value in removed.items():
+            with pytest.raises(TypeError, match=keyword):
+                TaylorPathTracker(sqrt_family, options=TrackOptions(), **{keyword: value})
+        # The old positional degree fails at the call, not at the first step.
+        with pytest.raises(TypeError):
+            TaylorPathTracker(sqrt_family, 6)
 
     def test_tracker_options_only_does_not_warn(self):
         with warnings.catch_warnings():
@@ -213,56 +214,25 @@ class TestDeprecationShims:
             TaylorPathTracker(sqrt_family, options=TrackOptions())
             TaylorPathTracker(sqrt_family)
 
-    def test_newton_legacy_keywords_warn_and_match(self):
-        degree = 8
-        system = sqrt_family(0.0, degree)
-        start = [PowerSeries.constant(1.0, degree)]
-        with pytest.warns(DeprecationWarning):
-            old = newton_power_series(system, start, max_iterations=5, tolerance=1e-13)
-        new = newton_power_series(
-            system, start, options=NewtonOptions(max_iterations=5, tolerance=1e-13)
-        )
-        assert old.converged == new.converged
-        assert old.iterations == new.iterations
-        for mine, theirs in zip(old.solution, new.solution):
-            assert mine.max_abs_error(theirs) == 0.0
-
-    def test_newton_batch_legacy_keywords_warn_and_match(self):
-        degree = 6
-        system = sqrt_family(0.0, degree)
-        starts = [[PowerSeries.constant(1.0, degree)], [PowerSeries.constant(1.5, degree)]]
-        with pytest.warns(DeprecationWarning):
-            old = newton_power_series_batch(system, starts, max_iterations=4)
-        new = newton_power_series_batch(
-            system, starts, options=NewtonOptions(max_iterations=4)
-        )
-        for a, b in zip(old, new):
-            assert a.iterations == b.iterations
-            for mine, theirs in zip(a.solution, b.solution):
-                assert mine.max_abs_error(theirs) == 0.0
-
     def test_newton_rejects_mixed_styles(self):
         degree = 4
         system = sqrt_family(0.0, degree)
         start = [PowerSeries.constant(1.0, degree)]
-        with pytest.raises(ValueError, match="not both"):
-            newton_power_series(system, start, max_iterations=5, options=NewtonOptions())
-
-    def test_deprecation_warnings_point_at_the_caller(self):
-        """Every shim warns with ``stacklevel=2``: the reported location is
-        this file — the caller — never the library frame that raised it."""
-        degree = 4
-        system = sqrt_family(0.0, degree)
-        start = [PowerSeries.constant(1.0, degree)]
-        with pytest.warns(DeprecationWarning) as record:
-            newton_power_series(system, start, max_iterations=3)
-        assert [w.filename for w in record] == [__file__]
-        with pytest.warns(DeprecationWarning) as record:
-            newton_power_series_batch(system, [start], max_iterations=3)
-        assert [w.filename for w in record] == [__file__]
-        with pytest.warns(DeprecationWarning) as record:
-            TaylorPathTracker(sqrt_family, degree=degree)
-        assert [w.filename for w in record] == [__file__]
+        removed = {"max_iterations": 5, "tolerance": 1e-13, "raise_on_failure": True}
+        for keyword, value in removed.items():
+            with pytest.raises(TypeError, match=keyword):
+                newton_power_series(system, start, options=NewtonOptions(), **{keyword: value})
+        removed.update(mode="staged", solver="scalar")
+        for keyword, value in removed.items():
+            with pytest.raises(TypeError, match=keyword):
+                newton_power_series_batch(
+                    system, [start], options=NewtonOptions(), **{keyword: value}
+                )
+        # An old positional iteration bound fails at the call.
+        with pytest.raises(TypeError):
+            newton_power_series(system, start, 6)
+        with pytest.raises(TypeError):
+            newton_power_series_batch(system, [start], 6)
 
 
 # --------------------------------------------------------------------- #
@@ -352,6 +322,25 @@ class TestAdaptiveScheduler:
         (status,) = report.statuses
         assert not status.converged
         assert status.reason == "diverged"
+
+    @pytest.mark.parametrize("mode", ["vectorized", "staged"])
+    def test_singular_path_fails_alone(self, mode):
+        """From x = 0 the Jacobian 2x of x^2 - (1 + t) vanishes: that path
+        fails as singular, on every rung of the ladder, with the residual of
+        its singular step, and its fleet mates converge to +-sqrt(2)."""
+        report = track_paths(
+            sqrt_family,
+            [[1.0], [0.0], [-1.0]],
+            options=TrackOptions().override(degree=6, mode=mode),
+        )
+        first, singular, last = report.statuses
+        assert not singular.converged
+        assert singular.reason == "singular"
+        assert singular.residual == 1.0
+        assert singular.retries == 2
+        assert first.converged and last.converged
+        assert report.results[0].final_values[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+        assert report.results[2].final_values[0] == pytest.approx(-math.sqrt(2.0), abs=1e-9)
 
     def test_empty_starts(self):
         report = track_paths(sqrt_family, [])

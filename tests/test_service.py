@@ -22,7 +22,7 @@ from repro import (
     parse_polynomial,
 )
 from repro.core import EvalContext
-from repro.errors import ServiceError, ServiceOverloadedError
+from repro.errors import ServiceError, ServiceOverloadedError, SingularSystemError
 from repro.gpusim import TimingModel
 from repro.homotopy import TrackOptions
 from repro.homotopy.newton import newton_power_series_batch
@@ -311,7 +311,8 @@ class TestEngine:
             TrackRequest(family="not-callable", start=[1.0])
 
     def test_non_tensor_ring_falls_back_to_solo(self):
-        """Exact fraction coefficients cannot pack; requests solve per-call."""
+        """Exact fraction coefficients cannot pack; the flush still coalesces,
+        through the Newton kernel's delegating branch."""
         fraction = parse_polynomial(
             "x1^2 - 2", dimension=1, degree=DEGREE, kind="fraction"
         )
@@ -337,41 +338,126 @@ class TestEngine:
         assert first.solution[0].coefficients[0] == second.solution[0].coefficients[0]
 
     def test_singular_lane_fails_alone(self):
-        """A singular Newton system fails its own lane, not its batchmates."""
-        # F(0) = 1 but J(0) = 2x = 0: the very first Newton system is singular.
-        singular = parse_polynomial(
-            "x1^2 + 1", dimension=1, degree=DEGREE, kind="md", precision=LIMBS
-        )
-        bad = SolveRequest(
-            system=PolynomialSystem([singular], mode="vectorized"),
-            initial=[PowerSeries.constant(_md(0.0), DEGREE)],
-            options=OPTIONS,
-        )
-        cube = parse_polynomial(
-            "x1^3 - 2", dimension=1, degree=DEGREE, kind="md", precision=LIMBS
-        )
-        good = SolveRequest(
-            system=PolynomialSystem([cube], mode="vectorized"),
-            initial=[PowerSeries.constant(_md(1.25), DEGREE)],
-            options=OPTIONS,
-        )
-        # Same structure key? No — different exponents, so different buckets;
-        # build two structurally identical requests instead: one singular at
-        # its start point, one regular.
-        assert (
-            bad.coalesce_key("vectorized")[2] != good.coalesce_key("vectorized")[2]
-        )
+        """A singular Newton system fails its own lane, not its batchmates.
+
+        Both requests share one structure, ``x1^2 + c``, so they flush in one
+        bucket: with c = 1 from x = 0 the Jacobian 2x vanishes at the very
+        first step, while c = -2 from x = 1.25 converges to sqrt(2)."""
+
+        def request(c: float, start: float) -> SolveRequest:
+            polynomial = parse_polynomial(
+                "x1^2 + 1", dimension=1, degree=DEGREE, kind="md", precision=LIMBS
+            )
+            polynomial.constant.coefficients[0] = _md(c)
+            return SolveRequest(
+                system=PolynomialSystem([polynomial], mode="vectorized"),
+                initial=[PowerSeries.constant(_md(start), DEGREE)],
+                options=OPTIONS,
+            )
+
+        bad, good = request(1.0, 0.0), request(-2.0, 1.25)
+        assert bad.coalesce_key("vectorized") == good.coalesce_key("vectorized")
 
         async def main():
             engine = SolveEngine(window_ms=25.0, max_batch=4, workers=1)
             async with engine:
-                return await asyncio.gather(
-                    engine.submit(bad), engine.submit(good), return_exceptions=True
-                )
+                return await asyncio.gather(engine.submit(bad), engine.submit(good))
 
         first, second = run(main())
-        assert not first.ok
+        assert first.batch_fill == second.batch_fill == 2
+        assert isinstance(first.error, SingularSystemError)
         assert second.ok and second.converged
+        solo = newton_power_series_batch(good.system, [good.initial], options=OPTIONS)[0]
+        assert second.iterations == solo.iterations
+        for got, want in zip(second.solution, solo.solution):
+            assert [c.limbs for c in got.coefficients] == [
+                c.limbs for c in want.coefficients
+            ]
+
+    def test_scalar_solver_option_is_honoured(self, monkeypatch):
+        """``NewtonOptions(solver="scalar")`` solves each coalesced lane with
+        ``lu_solve``, limb for limb equal to the solo solves."""
+        import repro.homotopy.newton as newton_module
+
+        calls = {"count": 0}
+        original = newton_module.lu_solve
+
+        def counting(*args, **kwargs):
+            calls["count"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(newton_module, "lu_solve", counting)
+        options = OPTIONS.override(solver="scalar")
+        requests = [
+            SolveRequest(
+                system=make_system(4.0 + 0.01 * i, 1.0 + 0.005 * i),
+                initial=make_initial(),
+                options=options,
+            )
+            for i in range(3)
+        ]
+
+        async def main():
+            engine = SolveEngine(window_ms=25.0, max_batch=4, workers=1)
+            async with engine:
+                return await asyncio.gather(*[engine.submit(r) for r in requests])
+
+        responses = run(main())
+        assert [r.batch_fill for r in responses] == [3, 3, 3]
+        # One scalar solve per lane and iteration that did not converge.
+        assert calls["count"] == sum(r.iterations - r.converged for r in responses)
+        assert calls["count"] > 0
+        for request, response in zip(requests, responses):
+            solo = newton_power_series_batch(
+                request.system, [request.initial], options=options
+            )[0]
+            assert response.converged == solo.converged
+            assert response.iterations == solo.iterations
+            for got, want in zip(response.solution, solo.solution):
+                assert [c.limbs for c in got.coefficients] == [
+                    c.limbs for c in want.coefficients
+                ]
+
+    def test_coalesce_ledger_pairs_resident_flushes_only(self):
+        """Every flush is timed, but only a resident batched-solve flush is
+        paired with the coalesced-sweep prediction in the ledger."""
+        from fractions import Fraction
+
+        from repro.obs import get_telemetry
+
+        fraction = parse_polynomial("x1^2 - 2", dimension=1, degree=DEGREE, kind="fraction")
+        exact = SolveRequest(
+            system=PolynomialSystem([fraction], mode="vectorized"),
+            initial=[PowerSeries.constant(Fraction(3, 2), DEGREE)],
+            options=NewtonOptions(max_iterations=4, tolerance=0.0),
+        )
+        scalar = [
+            SolveRequest(
+                system=make_system(4.0 + 0.01 * i),
+                initial=make_initial(),
+                options=OPTIONS.override(solver="scalar"),
+            )
+            for i in range(2)
+        ]
+        flushes = [[make_request(0), make_request(1)], scalar, [exact, exact]]
+
+        async def main():
+            engine = SolveEngine(window_ms=25.0, max_batch=4, workers=1)
+            async with engine:
+                for pair in flushes:
+                    await asyncio.gather(*[engine.submit(r) for r in pair])
+
+        tel = get_telemetry()
+        tel.reset()
+        try:
+            with tel.overridden(True):
+                run(main())
+            snap = tel.snapshot()
+        finally:
+            tel.reset()
+        solves = [event for event in snap["events"] if event[0] == "service.solve"]
+        assert [event[5]["fill"] for event in solves] == [2, 2, 2]
+        assert [row[0] for row in snap["ledger"]].count("coalesce") == 1
 
     def test_failed_flush_discards_its_context(self, monkeypatch):
         """A flush that raises mid-update answers every lane with the error

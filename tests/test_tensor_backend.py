@@ -28,8 +28,10 @@ from repro.core import (
     infer_ring,
 )
 from repro.homotopy import (
+    NewtonOptions,
     PolynomialSystem,
     TaylorPathTracker,
+    TrackOptions,
     newton_power_series_batch,
 )
 from repro.md import MDArray, MultiDouble
@@ -507,9 +509,10 @@ class TestHomotopyWiring:
              for _ in range(system.dimension)]
             for _ in range(3)
         ]
-        staged = newton_power_series_batch(system, initials, max_iterations=3)
+        options = NewtonOptions(max_iterations=3)
+        staged = newton_power_series_batch(system, initials, options=options)
         vectorized = newton_power_series_batch(
-            system, initials, max_iterations=3, mode="vectorized"
+            system, initials, options=options.override(mode="vectorized")
         )
         for a, b in zip(staged, vectorized):
             assert a.iterations == b.iterations
@@ -530,9 +533,10 @@ class TestHomotopyWiring:
             return PolynomialSystem([polynomial], mode="staged", cache=cache)
 
         starts = [[0.0], [0.0]]
-        staged = TaylorPathTracker(builder, degree=4, step=0.25).track_many(starts)
+        options = TrackOptions().override(degree=4, step=0.25)
+        staged = TaylorPathTracker(builder, options=options).track_many(starts)
         vectorized = TaylorPathTracker(
-            builder, degree=4, step=0.25, mode="vectorized"
+            builder, options=options.override(mode="vectorized")
         ).track_many(starts)
         for a, b in zip(staged, vectorized):
             assert a.success and b.success
