@@ -400,10 +400,12 @@ class TimingModel:
           convolution and one addition launch of ``r * (dimension - c + 1) *
           batch`` blocks updating the trailing columns and the right-hand
           side together;
-        * per back-substitution row ``r``: ``dimension - 1 - r`` sequential
-          convolution + addition pairs of ``batch`` blocks (the running
-          accumulator forces the serialisation) and one final ``batch``-block
-          convolution by the cached pivot inverse.
+        * per back-substitution row ``r``: one convolution launch of
+          ``(dimension - 1 - r) * batch`` blocks forming all the row's
+          products at once, ``dimension - 1 - r`` sequential addition
+          launches of ``batch`` blocks subtracting them (the running
+          accumulator forces the serialisation), and one final
+          ``batch``-block convolution by the cached pivot inverse.
 
         The column index is recorded as the launch ``layer``.  This is the
         device-cost counterpart of the host-side batched solver: wide,
@@ -425,8 +427,9 @@ class TimingModel:
                 report.add(self.convolution_launch(span, degree, layer=column + 1))
                 report.add(self.addition_launch(span, degree, layer=column + 1))
         for row in range(dimension - 1, -1, -1):
+            if row < dimension - 1:
+                report.add(self.convolution_launch((dimension - 1 - row) * batch, degree, layer=row + 1))
             for _ in range(dimension - 1 - row):
-                report.add(self.convolution_launch(batch, degree, layer=row + 1))
                 report.add(self.addition_launch(batch, degree, layer=row + 1))
             report.add(self.convolution_launch(batch, degree, layer=row + 1))
         return report

@@ -1,9 +1,9 @@
 """Batched Gaussian elimination directly on packed limb tensors.
 
 Scalar :func:`repro.homotopy.lu_solve` eliminates one
-:class:`repro.series.PowerSeries` operation at a time — after PR 5 moved the
-evaluation sweeps onto the tensorized NumPy backend, that Python-level solve
-became the dominant cost of a batched Newton step.  This module applies the
+:class:`repro.series.PowerSeries` operation at a time — once the evaluation
+sweeps run on the tensorized NumPy backend, that Python-level solve is the
+dominant cost of a batched Newton step.  This module applies the
 same whole-array multidouble strategy to the solve itself: the matrices and
 right-hand sides of *all* batch instances live in one
 ``(limbs, batch, n, n, degree+1)`` limb tensor (split real/imaginary planes
@@ -23,16 +23,22 @@ The algorithm mirrors the scalar one operation for operation:
   rows, with the reciprocal from :func:`repro.md.vecops.md_reciprocal_rows` /
   :func:`repro.md.cvecops.cmd_reciprocal_rows`; the inverses are cached and
   reused by back substitution (the scalar solver does the same);
+* the solve is bound by its count of Python-level row operations, not their
+  width, so independent products share one call: one multiply per inverse
+  coefficient, one convolution per back-substitution row.  Row operations
+  are elementwise, so stacking moves no bit; only the sums run sequentially;
 * row updates and back substitution accumulate in exactly the scalar
   operand order, so for multiple-double rings at **double-double** precision
   the results are bit-identical to per-instance :func:`lu_solve` — the parity
   the test suite asserts limb by limb.  Higher precisions and one-limb rings
   agree to rounding (the vectorised renormalisation is faithful, not
   bit-reproducing, beyond two limbs; plain-complex division uses the naive
-  formula where Python uses Smith's algorithm).  Complex pivot *selection*
-  compares ``|z|`` computed from collapsed doubles, which can deviate from
-  the scalar multidouble ``sqrt`` magnitude only when two candidate pivots
-  tie within one double ulp.
+  formula where Python uses Smith's algorithm).  Complex rings can differ in
+  the last limb once a unit-circle entry is a pivot candidate: *selection*
+  compares ``|z|`` of collapsed doubles, not the scalar multidouble
+  ``sqrt``, so two candidates tied within one ulp may pick different rows,
+  and the reciprocal's ``|b|^2`` lands just above 1.0, where the sweep
+  renormalisation can round differently from the scalar one.
 
 A singular instance raises :class:`repro.errors.SingularSystemError` naming
 every failing batch position (``exc.instances``); a non-square input is a
@@ -109,7 +115,8 @@ def series_inverse_rows(c: np.ndarray, limbs: int) -> np.ndarray:
     ``c`` is a ``(limbs, m, degree+1)`` limb tensor of series with invertible
     constant terms; the result holds ``1 / c`` row by row, computed with the
     recursion of :meth:`repro.series.PowerSeries.inverse` in the exact scalar
-    accumulation order.
+    accumulation order.  Coefficient ``k`` forms its ``k`` products
+    ``c_i * b_(k-i)`` in one multiply; only their sum runs in sequence.
     """
     limb_list = list(range(limbs))
     out = np.zeros_like(c)
@@ -117,16 +124,14 @@ def series_inverse_rows(c: np.ndarray, limbs: int) -> np.ndarray:
     for i in limb_list:
         out[i, :, 0] = inv0[i]
     for k in range(1, c.shape[2]):
-        acc = md_mul_rows(
-            [c[i, :, 1] for i in limb_list], [out[i, :, k - 1] for i in limb_list], limbs
+        products = md_mul_rows(
+            [c[i, :, 1 : k + 1] for i in limb_list],
+            [out[i, :, k - 1 :: -1] for i in limb_list],
+            limbs,
         )
-        for j in range(2, k + 1):
-            term = md_mul_rows(
-                [c[i, :, j] for i in limb_list],
-                [out[i, :, k - j] for i in limb_list],
-                limbs,
-            )
-            acc = md_add_rows(acc, term, limbs)
+        acc = [p[:, 0] for p in products]
+        for j in range(1, k):
+            acc = md_add_rows(acc, [p[:, j] for p in products], limbs)
         coeff = md_mul_rows(inv0, acc, limbs)
         for i in limb_list:
             out[i, :, k] = -coeff[i]
@@ -147,22 +152,23 @@ def series_inverse_rows_complex(
         out_r[i, :, 0] = inv0_r[i]
         out_i[i, :, 0] = inv0_i[i]
     for k in range(1, cr.shape[2]):
-        acc_r, acc_i = cmd_mul_rows(
-            [cr[i, :, 1] for i in limb_list],
-            [ci[i, :, 1] for i in limb_list],
-            [out_r[i, :, k - 1] for i in limb_list],
-            [out_i[i, :, k - 1] for i in limb_list],
+        products_r, products_i = cmd_mul_rows(
+            [cr[i, :, 1 : k + 1] for i in limb_list],
+            [ci[i, :, 1 : k + 1] for i in limb_list],
+            [out_r[i, :, k - 1 :: -1] for i in limb_list],
+            [out_i[i, :, k - 1 :: -1] for i in limb_list],
             limbs,
         )
-        for j in range(2, k + 1):
-            term_r, term_i = cmd_mul_rows(
-                [cr[i, :, j] for i in limb_list],
-                [ci[i, :, j] for i in limb_list],
-                [out_r[i, :, k - j] for i in limb_list],
-                [out_i[i, :, k - j] for i in limb_list],
+        acc_r = [p[:, 0] for p in products_r]
+        acc_i = [p[:, 0] for p in products_i]
+        for j in range(1, k):
+            acc_r, acc_i = cmd_add_rows(
+                acc_r,
+                acc_i,
+                [p[:, j] for p in products_r],
+                [p[:, j] for p in products_i],
                 limbs,
             )
-            acc_r, acc_i = cmd_add_rows(acc_r, acc_i, term_r, term_i, limbs)
         coeff_r, coeff_i = cmd_mul_rows(inv0_r, inv0_i, acc_r, acc_i, limbs)
         for i in limb_list:
             out_r[i, :, k] = -coeff_r[i]
@@ -290,25 +296,25 @@ def batch_lu_solve_tensor(matrix: np.ndarray, rhs: np.ndarray, limbs: int) -> np
         a[:, :, column + 1 :, column:, :] = eliminated[:, :, :, :span, :]
         b[:, :, column + 1 :, :] = eliminated[:, :, :, span, :]
 
-    # Back substitution: the k-accumulation is sequential (scalar order), the
-    # batch axis is vectorised; pivot inverses are reused from elimination.
+    # Back substitution: the products a[row][k] * x[k] of one row form in one
+    # convolution, their subtraction from b[row] stays sequential (scalar
+    # order, increasing k); pivot inverses are reused from elimination.
     x = np.zeros_like(b)
     for row in range(n - 1, -1, -1):
-        accumulator = np.ascontiguousarray(b[:, :, row, :])
-        for k in range(row + 1, n):
-            product = convolve_rows(
-                np.ascontiguousarray(a[:, :, row, k, :]),
-                np.ascontiguousarray(x[:, :, k, :]),
+        accumulator = [b[i, :, row, :] for i in limb_list]
+        later = n - 1 - row
+        if later:
+            products = convolve_rows(
+                _flat(a[:, :, row, row + 1 :, :], limbs, width),
+                _flat(x[:, :, row + 1 :, :], limbs, width),
                 limbs,
-            )
-            difference = md_sub_rows(
-                [accumulator[i] for i in limb_list],
-                [product[i] for i in limb_list],
-                limbs,
-            )
-            accumulator = np.stack(difference)
+            ).reshape(limbs, batch, later, width)
+            for k in range(later):
+                accumulator = md_sub_rows(
+                    accumulator, [products[i, :, k] for i in limb_list], limbs
+                )
         x[:, :, row, :] = convolve_rows(
-            accumulator, np.ascontiguousarray(inverses[:, :, row, :]), limbs
+            np.stack(accumulator), np.ascontiguousarray(inverses[:, :, row, :]), limbs
         )
     return x
 
@@ -413,29 +419,31 @@ def batch_lu_solve_tensor_complex(
     x_r = np.zeros_like(br)
     x_i = np.zeros_like(bi)
     for row in range(n - 1, -1, -1):
-        acc_r = np.ascontiguousarray(br[:, :, row, :])
-        acc_i = np.ascontiguousarray(bi[:, :, row, :])
-        for k in range(row + 1, n):
-            product_r, product_i = convolve_rows_complex(
-                np.ascontiguousarray(ar[:, :, row, k, :]),
-                np.ascontiguousarray(ai[:, :, row, k, :]),
-                np.ascontiguousarray(x_r[:, :, k, :]),
-                np.ascontiguousarray(x_i[:, :, k, :]),
-                limbs,
-            )
-            acc_r, acc_i = (
-                np.stack(component)
-                for component in cmd_sub_rows(
-                    [acc_r[i] for i in limb_list],
-                    [acc_i[i] for i in limb_list],
-                    [product_r[i] for i in limb_list],
-                    [product_i[i] for i in limb_list],
+        acc_r = [br[i, :, row, :] for i in limb_list]
+        acc_i = [bi[i, :, row, :] for i in limb_list]
+        later = n - 1 - row
+        if later:
+            products_r, products_i = (
+                product.reshape(limbs, batch, later, width)
+                for product in convolve_rows_complex(
+                    _flat(ar[:, :, row, row + 1 :, :], limbs, width),
+                    _flat(ai[:, :, row, row + 1 :, :], limbs, width),
+                    _flat(x_r[:, :, row + 1 :, :], limbs, width),
+                    _flat(x_i[:, :, row + 1 :, :], limbs, width),
                     limbs,
                 )
             )
+            for k in range(later):
+                acc_r, acc_i = cmd_sub_rows(
+                    acc_r,
+                    acc_i,
+                    [products_r[i, :, k] for i in limb_list],
+                    [products_i[i, :, k] for i in limb_list],
+                    limbs,
+                )
         solved_r, solved_i = convolve_rows_complex(
-            acc_r,
-            acc_i,
+            np.stack(acc_r),
+            np.stack(acc_i),
             np.ascontiguousarray(inv_r[:, :, row, :]),
             np.ascontiguousarray(inv_i[:, :, row, :]),
             limbs,

@@ -141,7 +141,7 @@ class TaylorPathTracker:
                 context=context,
             )
             residual = newton.final_residual
-            if not newton.converged and residual > self.tolerance:
+            if not newton.converged:
                 result.success = False
                 return result
             result.points.append(
@@ -207,7 +207,7 @@ class TaylorPathTracker:
             survivors: list[int] = []
             for index, newton in zip(active, newtons):
                 residual = newton.final_residual
-                if not newton.converged and residual > self.tolerance:
+                if not newton.converged:
                     results[index].success = False
                     continue
                 results[index].points.append(

@@ -451,10 +451,7 @@ class PathScheduler:
                 if result.singular:
                     state.fail("singular")
                     continue
-                missed = not result.converged and (
-                    result.final_residual > options.newton.tolerance
-                )
-                if missed:
+                if not result.converged:
                     self._reject(state, result.solution, t_end)
                 else:
                     self._accept(state, result, t_end)

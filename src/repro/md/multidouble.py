@@ -314,7 +314,9 @@ class MultiDouble:
     # ------------------------------------------------------------------ #
     # comparisons
     # ------------------------------------------------------------------ #
-    def _compare(self, other) -> int:
+    def _compare(self, other) -> float:
+        """Sign of ``self - other`` (-1, 0 or 1), or NaN for a NaN difference:
+        unordered like an IEEE NaN, so only ``!=`` reads True."""
         operands = self._binary_operands(other)
         if operands is None:
             raise TypeError(f"cannot compare MultiDouble with {type(other).__name__}")
@@ -325,7 +327,7 @@ class MultiDouble:
             return 1
         if lead < 0.0:
             return -1
-        return 0
+        return 0 if lead == 0.0 else math.nan
 
     def __eq__(self, other):
         try:

@@ -37,8 +37,8 @@ __all__ = [
 
 
 def _broadcast(components: Sequence[np.ndarray], shape) -> list[np.ndarray]:
-    """Broadcast every limb component to the common result shape."""
-    return [np.broadcast_to(c, shape) for c in components]
+    """Broadcast every limb component to the common result shape (if not already)."""
+    return [c if np.shape(c) == shape else np.broadcast_to(c, shape) for c in components]
 
 
 def md_add_rows(

@@ -23,6 +23,7 @@ from repro.homotopy import (
     residual_norm,
 )
 from repro.homotopy.newton import refine_lanes
+from repro.md import MultiDouble
 from repro.series import PowerSeries, random_fraction_series
 
 
@@ -396,6 +397,23 @@ class TestNonFiniteNorms:
 
         assert steps(staged) == steps(vectorized)
         assert len(staged.steps) == 3
+
+    def test_diverged_multidouble_newton_fails_in_both_modes(self):
+        """From x = 1e200 a double-double x^2 - 2 gives NaN residuals.  The
+        staged solver used to read the NaN pivot as zero (a NaN multidouble
+        compared equal to 0) and raise ZeroDivisionError from the series
+        inverse."""
+        degree = 3
+        polynomial = parse_polynomial("x1^2 - 2", degree=degree, kind="md", precision=2)
+        system = PolynomialSystem([polynomial])
+        starts = [[PowerSeries.constant(MultiDouble.from_float(1e200, 2), degree)]]
+        with np.errstate(all="ignore"):
+            for mode in ("staged", "vectorized"):
+                options = NewtonOptions(mode=mode, max_iterations=3)
+                (result,) = newton_power_series_batch(system, starts, options=options)
+                assert not result.converged
+                assert math.isnan(result.final_residual)
+                assert all(math.isnan(step.residual) for step in result.steps)
 
 
 class TestPathTracker:

@@ -173,6 +173,18 @@ class TestComparisons:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_nan_difference_is_unordered(self):
+        """A NaN difference compares like an IEEE NaN, so a NaN pivot is not
+        mistaken for a zero one; ``from_float(inf)`` has limbs (inf, nan)
+        and used to compare equal to 0 as well."""
+        nan = MultiDouble.from_float(float("nan"), 2)
+        inf = MultiDouble.from_float(float("inf"), 2)
+        one = MultiDouble.one(2)
+        for x, other in [(nan, 0), (nan, one), (nan, nan), (one, nan), (inf, 0)]:
+            assert not x == other
+            assert x != other
+            assert not (x < other or x <= other or x > other or x >= other)
+
     def test_bool_and_float(self):
         assert bool(MultiDouble.one(3))
         assert not bool(MultiDouble.zero(3))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.circuits import parse_polynomial
@@ -323,6 +324,24 @@ class TestAdaptiveScheduler:
         assert not status.converged
         assert status.reason == "diverged"
 
+    @pytest.mark.parametrize("ladder", [(), (4,)], ids=["no-ladder", "qd-ladder"])
+    @pytest.mark.parametrize("mode", ["vectorized", "staged"])
+    def test_nan_iterate_fails_as_diverged(self, mode, ladder):
+        """From x = 1e200, x^2 overflows and every Newton residual is NaN.
+        ``NaN > tolerance`` is False, so the scheduler used to accept the
+        point and report the path converged at a NaN endpoint; with a
+        quad-double rung the staged solver then raised ZeroDivisionError."""
+        options = TrackOptions().override(
+            degree=6, mode=mode, retry={"precision_ladder": ladder}
+        )
+        with np.errstate(all="ignore"):
+            report = track_paths(sqrt_family, [[1.0e200], [1.0]], options=options)
+        bad, good = report.statuses
+        assert not bad.converged
+        assert bad.reason == "diverged"
+        assert good.converged
+        assert report.failed_indices == [0]
+
     @pytest.mark.parametrize("mode", ["vectorized", "staged"])
     def test_singular_path_fails_alone(self, mode):
         """From x = 0 the Jacobian 2x of x^2 - (1 + t) vanishes: that path
@@ -489,6 +508,21 @@ class TestLockstepFacade:
             assert [_point_bits(p) for p in wrapped.points] == [
                 _point_bits(p) for p in direct.points
             ]
+
+    @pytest.mark.parametrize("mode", ["vectorized", "staged"])
+    def test_nan_iterate_fails_the_path(self, mode):
+        """The lockstep tracker (no retries, so no ladder) fails a path whose
+        Newton residual is NaN (from x = 1e200) instead of accepting it; its
+        fleet mate finishes."""
+        options = TrackOptions().override(degree=6, mode=mode, scheduler="lockstep")
+        tracker = TaylorPathTracker(sqrt_family, options=options)
+        with np.errstate(all="ignore"):
+            single = tracker.track([1.0e200])
+            bad, good = tracker.track_many([[1.0e200], [1.0]])
+            report = track_paths(sqrt_family, [[1.0e200]], options=options)
+        assert not single.success
+        assert not bad.success and good.success
+        assert not report.statuses[0].converged
 
 
 # --------------------------------------------------------------------- #
