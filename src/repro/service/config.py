@@ -48,7 +48,10 @@ class ServiceConfig:
     window_ms:
         The micro-batching window: the first request of a structure opens a
         bucket that flushes after this many milliseconds (or as soon as the
-        bucket holds ``max_batch`` requests, whichever comes first).
+        bucket holds ``max_batch`` requests, whichever comes first).  A
+        window that closes while all ``workers`` are running flushes leaves
+        its bucket open to later requests of the structure until a worker
+        frees (the ``service.deferred_buckets`` gauge counts such buckets).
         ``0`` flushes every request immediately — coalescing off.
     max_batch:
         Lane count of the pooled resident contexts, and the largest number

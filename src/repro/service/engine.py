@@ -13,7 +13,13 @@ await their :class:`repro.service.SolveResponse`.  Internally the engine
 2. **coalesces**: the first request of a key opens a micro-batching window
    (``window_ms``); every structurally identical request arriving inside it
    joins the same bucket, which flushes when the window closes or the
-   bucket reaches ``max_batch`` lanes, whichever comes first;
+   bucket reaches ``max_batch`` lanes, whichever comes first.  A window
+   that closes while every executor worker is running a flush does not
+   flush: its bucket stays open, later requests of its key keep joining it,
+   and it flushes as soon as a running flush finishes (oldest deferred
+   bucket first) or when it reaches ``max_batch``.  Queue wait thus turns
+   into batch width instead of a line of one-request flushes; the
+   ``service.deferred_buckets`` gauge counts the buckets waiting this way;
 3. **packs-or-rebinds**: the flush checks a warm resident
    :class:`repro.core.EvalContext` out of the structure-keyed
    :class:`repro.service.ContextPool` and re-targets it with
@@ -32,8 +38,9 @@ keeps admitting (and coalescing) while earlier buckets solve — that overlap
 is where the heavy-traffic throughput comes from.  With telemetry enabled
 (:mod:`repro.obs`) the request lifecycle is fully traced: ``service.admit``
 / ``service.flush`` / ``service.rebind`` / ``service.solve`` /
-``service.respond`` spans, ``service.queue_depth`` and ``service.batch_fill``
-gauges, and a ``coalesce`` ledger entry pricing each flush against
+``service.respond`` spans, ``service.queue_depth``, ``service.batch_fill`` and
+``service.deferred_buckets`` (buckets waiting for a worker) gauges, and a
+``coalesce`` ledger entry pricing each flush against
 :meth:`repro.gpusim.TimingModel.predict_coalesce`.
 """
 
@@ -63,9 +70,15 @@ _TELEMETRY = get_telemetry()
 
 
 class _Bucket:
-    """One open micro-batch: requests of one coalesce key, not yet flushed."""
+    """One open micro-batch: requests of one coalesce key, not yet flushed.
 
-    __slots__ = ("key", "items", "timer", "config", "opened_ns")
+    ``ready`` marks a bucket whose window closed while every executor worker
+    was busy; it flushes when a worker frees.  Readiness belongs to this
+    object, not to its key: the next bucket of the key waits for its own
+    window.
+    """
+
+    __slots__ = ("key", "items", "timer", "config", "opened_ns", "ready")
 
     def __init__(self, key, config: ServiceConfig):
         self.key = key
@@ -73,6 +86,7 @@ class _Bucket:
         self.timer = None
         self.config = config
         self.opened_ns = _perf_counter_ns()
+        self.ready = False
 
 
 class SolveEngine:
@@ -102,8 +116,10 @@ class SolveEngine:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._flushes: set[asyncio.Task] = set()
+        # Flushes handed to the executor and not yet finished.  Like the
+        # buckets, it is only touched on the event-loop thread.
+        self._busy = 0
         self._started = False
-        self._closing = False
         self._stats_lock = threading.Lock()
         self._stats = {
             "requests": 0,
@@ -129,17 +145,15 @@ class SolveEngine:
             max_workers=self.config.workers, thread_name_prefix="repro-solve"
         )
         self._started = True
-        self._closing = False
         return self
 
-    async def stop(self, drain: bool = True) -> None:
-        """Flush every open bucket, wait for in-flight solves, shut down."""
+    async def stop(self) -> None:
+        """Flush every open bucket, deferred ones too, wait for in-flight solves, shut down."""
         if not self._started:
             return
-        self._closing = not drain
-        for key in list(self._buckets):
-            self._flush_now(key)
-        while self._flushes:
+        while self._buckets or self._flushes:
+            for key in list(self._buckets):
+                self._flush_now(key)
             await asyncio.gather(*list(self._flushes), return_exceptions=True)
         self._executor.shutdown(wait=True)
         self._started = False
@@ -176,7 +190,10 @@ class SolveEngine:
         t0 = tel.enabled and _perf_counter_ns()
         config = self.config
         if request.overrides is not None:
-            config = coerce_service_layer(request.overrides).merged_onto(config)
+            try:
+                config = coerce_service_layer(request.overrides).merged_onto(config)
+            except (TypeError, ValueError) as exc:
+                raise ServiceError(f"bad service overrides: {exc}") from exc
         if self._queued >= config.max_queue:
             with self._stats_lock:
                 self._stats["rejected"] += 1
@@ -195,7 +212,7 @@ class SolveEngine:
             self._buckets[key] = bucket
             if config.window_ms > 0.0:
                 bucket.timer = self._loop.call_later(
-                    config.window_ms / 1000.0, self._flush_now, key
+                    config.window_ms / 1000.0, self._window_closed, bucket
                 )
         bucket.items.append((request, future, admitted_ns))
         self._queued += 1
@@ -223,6 +240,28 @@ class SolveEngine:
     # ------------------------------------------------------------------ #
     # flushing
     # ------------------------------------------------------------------ #
+    def _window_closed(self, bucket: _Bucket) -> None:
+        """Timer callback: flush ``bucket`` if a worker is free, else defer it."""
+        if self._buckets.get(bucket.key) is not bucket:
+            return
+        if self._busy < self.config.workers:
+            self._flush_now(bucket.key)
+            return
+        bucket.ready = True
+        if _TELEMETRY.enabled:
+            _TELEMETRY.gauge("service.deferred_buckets", self._deferred())
+
+    def _deferred(self) -> int:
+        """Open buckets waiting for a worker."""
+        return sum(1 for bucket in self._buckets.values() if bucket.ready)
+
+    def _flush_ready(self) -> None:
+        """Flush deferred buckets, oldest first, while a worker is free."""
+        for bucket in [b for b in self._buckets.values() if b.ready]:
+            if self._busy >= self.config.workers:
+                return
+            self._flush_now(bucket.key)
+
     def _flush_now(self, key) -> None:
         """Close the bucket of ``key`` and hand it to the executor."""
         bucket = self._buckets.pop(key, None)
@@ -230,6 +269,12 @@ class SolveEngine:
             return
         if bucket.timer is not None:
             bucket.timer.cancel()
+        if bucket.ready and _TELEMETRY.enabled:
+            _TELEMETRY.gauge("service.deferred_buckets", self._deferred())
+        # Busy from the hand-off, not from when the task first runs: two
+        # windows closing in one loop iteration must not both see a free
+        # worker.
+        self._busy += 1
         task = self._loop.create_task(self._flush(bucket))
         self._flushes.add(task)
         task.add_done_callback(self._flushes.discard)
@@ -248,6 +293,9 @@ class SolveEngine:
                 SolveResponse(error=error, batch_fill=k, coalesced=k > 1)
                 for _ in items
             ]
+        finally:
+            self._busy -= 1
+            self._flush_ready()
         self._queued -= k
         respond_ns = _perf_counter_ns()
         for (request, future, admitted_ns), response in zip(items, responses):
@@ -422,6 +470,7 @@ class SolveEngine:
         stats["mean_fill"] = flushes[0] / flushes[1] if flushes[1] else 0.0
         stats["queued"] = self._queued
         stats["open_buckets"] = len(self._buckets)
+        stats["deferred_buckets"] = self._deferred()
         stats["config"] = self.config.as_dict()
         stats["pool"] = self.pool.stats()
         stats["cache"] = default_schedule_cache().stats()

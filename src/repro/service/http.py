@@ -22,19 +22,26 @@ Hand-rolled on :func:`asyncio.start_server` — no web framework, stdlib only
     ``{"real": ..., "imag": ...}`` (complex, each side again a number or a
     limb list).  Concurrent posts of structurally identical systems land in
     the same micro-batch — the response's ``batch_fill`` says how many
-    shared the flush.  ``429`` signals admission-control backpressure.
+    shared the flush.  ``429`` signals admission-control backpressure;
+    a malformed request gets ``400`` with an ``error`` field.
 
 ``GET /v1/stats``
     The engine's live counters (:meth:`repro.service.SolveEngine.stats`).
 
 ``GET /healthz``
     Liveness.
+
+The wire is strict JSON (RFC 8259) both ways: a request holding ``NaN``,
+``Infinity`` or a number that overflows a double gets ``400``, and every
+non-finite float of a response (a diverged limb, the residual of a failed
+lane) goes out as ``null``, the rule of JavaScript's ``JSON.stringify``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Optional
 
 from ..circuits.parser import parse_polynomial
@@ -126,17 +133,30 @@ def encode_solution(solution) -> Optional[list]:
     ]
 
 
+def _is_count(value, minimum: int) -> bool:
+    """``value`` is a JSON integer (not a boolean) of at least ``minimum``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 def decode_solve_request(body: dict, mode: str) -> SolveRequest:
     """JSON body of ``POST /v1/solve`` -> a :class:`SolveRequest`."""
     if not isinstance(body, dict):
         raise ServiceError("the request body must be a JSON object")
     equations = body.get("equations")
-    if not isinstance(equations, list) or not equations:
+    if (
+        not isinstance(equations, list)
+        or not equations
+        or not all(isinstance(text, str) for text in equations)
+    ):
         raise ServiceError("'equations' must be a non-empty list of strings")
-    degree = int(body.get("degree", 0))
+    degree = body.get("degree", 0)
+    if not _is_count(degree, 0):
+        raise ServiceError(f"'degree' must be an integer >= 0, got {degree!r}")
+    dimension = body.get("dimension")
+    if dimension is not None and not _is_count(dimension, 1):
+        raise ServiceError(f"'dimension' must be an integer >= 1, got {dimension!r}")
     kind = body.get("kind", "float")
     precision = body.get("precision", 2)
-    dimension = body.get("dimension")
     polynomials = [
         parse_polynomial(
             text,
@@ -160,6 +180,28 @@ def decode_solve_request(body: dict, mode: str) -> SolveRequest:
     return SolveRequest(
         system=system, initial=initial, options=options, overrides=overrides
     )
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} is not JSON")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows a double")
+    return value
+
+
+def _strict(payload):
+    """``payload`` with every non-finite float replaced by ``None``."""
+    if isinstance(payload, float):
+        return payload if math.isfinite(payload) else None
+    if isinstance(payload, dict):
+        return {key: _strict(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_strict(value) for value in payload]
+    return payload
 
 
 def encode_response(response) -> dict:
@@ -241,7 +283,10 @@ class ServiceServer:
                     try:
                         length = int(value.strip())
                     except ValueError:
-                        length = 0
+                        length = -1
+            if length < 0:
+                await self._respond(writer, 400, {"error": "bad Content-Length"})
+                return
             if length > _MAX_BODY:
                 await self._respond(writer, 413, {"error": "body too large"})
                 return
@@ -265,12 +310,16 @@ class ServiceServer:
             return 200, self.engine.stats()
         if method == "POST" and path == "/v1/solve":
             try:
-                data = json.loads(body.decode("utf-8")) if body else {}
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                data = json.loads(
+                    body.decode("utf-8") or "{}",
+                    parse_constant=_reject_constant,
+                    parse_float=_finite_float,
+                )
+            except ValueError as exc:  # also bad UTF-8 and JSONDecodeError
                 return 400, {"error": f"bad JSON: {exc}"}
             try:
                 request = decode_solve_request(data, self.engine.config.mode)
-            except (ServiceError, ReproError, ValueError) as exc:
+            except (ServiceError, ReproError, ValueError, OverflowError) as exc:
                 return 400, {"error": str(exc)}
             try:
                 response = await self.engine.submit(request)
@@ -286,7 +335,7 @@ class ServiceServer:
                    413: "Payload Too Large", 429: "Too Many Requests",
                    500: "Internal Server Error"}
         try:
-            body = json.dumps(payload, default=str).encode("utf-8")
+            body = json.dumps(_strict(payload), default=str, allow_nan=False).encode("utf-8")
         except (TypeError, ValueError):
             status, body = 500, b'{"error": "unserialisable response"}'
         head = (

@@ -5,7 +5,11 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import random
+import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -67,6 +71,18 @@ def make_request(i: int = 0, **kwargs) -> SolveRequest:
         initial=make_initial(),
         options=OPTIONS,
         **kwargs,
+    )
+
+
+def make_cubic_request() -> SolveRequest:
+    """``x1^3 = 2`` — a second structure key."""
+    cubic = parse_polynomial(
+        "x1^3 - 2", dimension=1, degree=DEGREE, kind="md", precision=LIMBS
+    )
+    return SolveRequest(
+        system=PolynomialSystem([cubic], mode="vectorized"),
+        initial=[PowerSeries.constant(_md(1.25), DEGREE)],
+        options=OPTIONS,
     )
 
 
@@ -512,6 +528,276 @@ class TestEngine:
 
 
 # --------------------------------------------------------------------- #
+# executor-aware flushing: windows that close while every worker is busy
+# --------------------------------------------------------------------- #
+#: Bound, in seconds, on every wait of the deferral tests.
+TIMEOUT = 20.0
+
+
+class HeldFlushes:
+    """Hold the first ``count`` flushes in their executor thread until released.
+
+    Patches ``SolveEngine._solve_bucket``.  A released flush solves as usual,
+    or raises ``error`` when one is given.
+    """
+
+    def __init__(self, monkeypatch, count: int = 1, error: Exception | None = None):
+        self.gate = threading.Event()
+        self._left = count
+        self._lock = threading.Lock()
+        solve_bucket = SolveEngine._solve_bucket
+
+        def held(engine, bucket):
+            with self._lock:
+                hold = self._left > 0
+                self._left -= hold
+            if hold:
+                if not self.gate.wait(TIMEOUT):
+                    raise TimeoutError("a held flush was never released")
+                if error is not None:
+                    raise error
+            return solve_bucket(engine, bucket)
+
+        monkeypatch.setattr(SolveEngine, "_solve_bucket", held)
+
+    def release(self) -> None:
+        self.gate.set()
+
+
+async def until(condition) -> None:
+    """Yield to the event loop until ``condition()`` holds, for at most ``TIMEOUT``."""
+    deadline = time.monotonic() + TIMEOUT
+    while not condition():
+        assert time.monotonic() < deadline, "timed out waiting for the engine"
+        await asyncio.sleep(0.001)
+
+
+def handed_off(engine, requests: int) -> bool:
+    """``requests`` were admitted and every bucket has left for a worker."""
+    stats = engine.stats()
+    return stats["requests"] == requests and stats["open_buckets"] == 0
+
+
+def submit(engine, request) -> asyncio.Future:
+    return asyncio.ensure_future(engine.submit(request))
+
+
+def blocking_request(i: int = 0) -> SolveRequest:
+    """A request whose zero window flushes it at admission, whatever is busy."""
+    return make_request(i, overrides={"window_ms": 0.0})
+
+
+def assert_solo(response, i: int) -> None:
+    """``response`` is limb for limb the solo solve of ``make_request(i)``."""
+    solo = newton_power_series_batch(
+        make_system(4.0 + 0.01 * i, 1.0 + 0.005 * i), [make_initial()], options=OPTIONS
+    )[0]
+    assert response.ok
+    assert response.converged == solo.converged
+    assert response.iterations == solo.iterations
+    for got, want in zip(response.solution, solo.solution):
+        assert [c.limbs for c in got.coefficients] == [c.limbs for c in want.coefficients]
+
+
+class TestDeferredFlush:
+    def test_requests_after_the_window_join_the_deferred_bucket(self, monkeypatch):
+        held = HeldFlushes(monkeypatch)
+
+        async def main():
+            engine = SolveEngine(window_ms=2.0, max_batch=8, workers=1)
+            async with engine:
+                try:
+                    blocker = submit(engine, blocking_request(0))
+                    waiting = [submit(engine, make_request(1))]
+                    await until(lambda: engine.stats()["deferred_buckets"] == 1)
+                    waiting += [submit(engine, make_request(i)) for i in (2, 3, 4)]
+                    await asyncio.sleep(0.01)  # five windows later: still open
+                    assert engine.stats()["open_buckets"] == 1
+                    assert not any(future.done() for future in waiting)
+                finally:
+                    held.release()
+                return await asyncio.wait_for(asyncio.gather(blocker, *waiting), TIMEOUT)
+
+        blocker, *responses = run(main())
+        assert blocker.batch_fill == 1
+        assert [r.batch_fill for r in responses] == [4] * 4
+        for i, response in enumerate(responses, start=1):
+            assert_solo(response, i)
+
+    def test_max_batch_flushes_a_deferred_bucket_not_its_successor(self, monkeypatch):
+        """Readiness belongs to the bucket: once ``max_batch`` flushed a
+        deferred bucket, the next bucket of its key waits for its own window
+        even when every running flush has ended."""
+        held = HeldFlushes(monkeypatch)
+
+        async def main():
+            engine = SolveEngine(window_ms=2.0, max_batch=3, workers=1)
+            async with engine:
+                try:
+                    blocker = submit(engine, blocking_request(0))
+                    full = [submit(engine, make_request(1))]
+                    await until(lambda: engine.stats()["deferred_buckets"] == 1)
+                    full += [submit(engine, make_request(i)) for i in (2, 3)]
+                    await until(lambda: handed_off(engine, 4))
+                    newer = submit(engine, make_request(4, overrides={"window_ms": 10_000.0}))
+                    await until(lambda: engine.stats()["open_buckets"] == 1)
+                finally:
+                    held.release()
+                flushed = await asyncio.wait_for(asyncio.gather(blocker, *full), TIMEOUT)
+                stats = engine.stats()
+                assert not newer.done()
+            return flushed, stats, newer.result()  # stop() flushed the newer bucket
+
+        (_, *full), stats, newer = run(main())
+        assert [r.batch_fill for r in full] == [3] * 3
+        assert (stats["open_buckets"], stats["deferred_buckets"]) == (1, 0)
+        assert newer.ok and newer.batch_fill == 1
+
+    def test_failing_flush_frees_its_worker_for_the_deferred_bucket(self, monkeypatch):
+        held = HeldFlushes(monkeypatch, error=RuntimeError("solve failed"))
+
+        async def main():
+            engine = SolveEngine(window_ms=2.0, max_batch=8, workers=1)
+            async with engine:
+                try:
+                    failing = [submit(engine, make_request(i)) for i in (0, 1)]
+                    await until(lambda: handed_off(engine, 2))
+                    deferred = [submit(engine, make_request(2))]
+                    await until(lambda: engine.stats()["deferred_buckets"] == 1)
+                    deferred.append(submit(engine, make_request(3)))
+                    await asyncio.sleep(0)
+                finally:
+                    held.release()
+                responses = await asyncio.wait_for(
+                    asyncio.gather(*failing, *deferred), TIMEOUT
+                )
+                return responses, engine.stats()
+
+        responses, stats = run(main())
+        failed, converged = responses[:2], responses[2:]
+        assert [r.batch_fill for r in failed] == [2, 2]
+        assert all(isinstance(r.error, RuntimeError) for r in failed)
+        assert [r.batch_fill for r in converged] == [2, 2]
+        for i, response in enumerate(converged, start=2):
+            assert response.converged
+            assert_solo(response, i)
+        assert stats["errors"] == 2
+
+    def test_stop_answers_every_future_of_a_deferred_bucket(self, monkeypatch):
+        held = HeldFlushes(monkeypatch)
+
+        async def main():
+            engine = SolveEngine(window_ms=2.0, max_batch=8, workers=1)
+            await engine.start()
+            try:
+                blocker = submit(engine, blocking_request(0))
+                deferred = [submit(engine, make_request(1))]
+                await until(lambda: engine.stats()["deferred_buckets"] == 1)
+                deferred.append(submit(engine, make_request(2)))
+                await asyncio.sleep(0)
+                stopping = asyncio.ensure_future(engine.stop())
+                # stop() hands the deferred bucket over while the blocker runs
+                await until(lambda: engine.stats()["open_buckets"] == 0)
+            finally:
+                held.release()
+            await asyncio.wait_for(stopping, TIMEOUT)
+            return [future.result() for future in (blocker, *deferred)]
+
+        blocker, *responses = run(main())
+        assert blocker.ok
+        assert [r.batch_fill for r in responses] == [2, 2]
+        for i, response in enumerate(responses, start=1):
+            assert_solo(response, i)
+
+    def test_third_bucket_defers_while_two_flushes_run(self, monkeypatch):
+        held = HeldFlushes(monkeypatch, count=2)
+
+        async def main():
+            engine = SolveEngine(window_ms=2.0, max_batch=8, workers=2)
+            async with engine:
+                try:
+                    first = submit(engine, blocking_request(0))
+                    second = submit(engine, make_request(1))
+                    # one of the two workers is free: this window flushes
+                    await until(lambda: handed_off(engine, 2))
+                    assert engine.stats()["deferred_buckets"] == 0
+                    third = [submit(engine, make_request(2))]
+                    await until(lambda: engine.stats()["deferred_buckets"] == 1)
+                    third.append(submit(engine, make_request(3)))
+                    await asyncio.sleep(0)
+                finally:
+                    held.release()
+                return await asyncio.wait_for(
+                    asyncio.gather(first, second, *third), TIMEOUT
+                )
+
+        responses = run(main())
+        assert [r.batch_fill for r in responses] == [1, 1, 2, 2]
+        for i, response in enumerate(responses):
+            assert_solo(response, i)
+
+    def test_windows_closing_in_one_iteration_take_one_worker(self, monkeypatch):
+        """A flush counts as running from its hand-off: of two windows that
+        close in the same loop iteration with one worker free, only the first
+        flushes."""
+        held = HeldFlushes(monkeypatch)
+
+        async def main():
+            engine = SolveEngine(window_ms=10_000.0, max_batch=8, workers=1)
+            async with engine:
+                try:
+                    futures = [submit(engine, make_request(0)), submit(engine, make_cubic_request())]
+                    await until(lambda: engine.stats()["open_buckets"] == 2)
+                    for bucket in list(engine._buckets.values()):
+                        engine._window_closed(bucket)
+                    stats = engine.stats()
+                finally:
+                    held.release()
+                responses = await asyncio.wait_for(asyncio.gather(*futures), TIMEOUT)
+            return stats, responses
+
+        stats, responses = run(main())
+        assert (stats["open_buckets"], stats["deferred_buckets"]) == (1, 1)
+        assert all(r.ok and r.batch_fill == 1 for r in responses)
+
+    def test_stress_every_future_answered_exactly_once(self):
+        """Four workers (more than a small CI host has cores) and 64 requests
+        of two structures arriving at random: nothing is lost, nothing is
+        answered twice, and a stopped engine holds no bucket and counts no
+        running flush."""
+        requests = [make_request(i) if i % 2 else make_cubic_request() for i in range(64)]
+        rng = random.Random(16)
+        delays = [rng.uniform(0.0, 0.05) for _ in requests]
+
+        async def main():
+            engine = SolveEngine(window_ms=1.0, max_batch=8, workers=4)
+
+            async def client(request, delay):
+                await asyncio.sleep(delay)
+                return await engine.submit(request)
+
+            async with engine:
+                responses = await asyncio.wait_for(
+                    asyncio.gather(*map(client, requests, delays)), TIMEOUT
+                )
+                stats = engine.stats()
+            return responses, stats, engine.stats(), engine._busy
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0e-5)
+        try:
+            responses, stats, stopped, busy = run(main())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(responses) == len(requests)
+        assert all(r.ok and r.converged for r in responses)
+        assert stats["requests"] == stats["responses"] == len(requests)
+        assert stats["mean_fill"] * stats["flushes"] == pytest.approx(len(requests))
+        assert (stopped["open_buckets"], stopped["deferred_buckets"], busy) == (0, 0, 0)
+        assert stopped["queued"] == 0
+
+
+# --------------------------------------------------------------------- #
 # track-request coalescing
 # --------------------------------------------------------------------- #
 class _LineFamily:
@@ -758,6 +1044,29 @@ def _get_json(port: int, path: str):
         return error.code, json.loads(error.read())
 
 
+def _post_raw(port: int, body: bytes, content_length=None) -> tuple[int, bytes]:
+    """POST ``body`` to ``/v1/solve`` over a socket; returns status and raw body."""
+    length = len(body) if content_length is None else content_length
+    head = f"POST /v1/solve HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: {length}\r\n\r\n"
+    reply = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(head.encode("latin-1") + body)
+        while chunk := sock.recv(65536):
+            reply += chunk
+    status_line, _, rest = reply.partition(b"\r\n")
+    assert status_line, "the server closed the connection without a response"
+    return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2]
+
+
+def _strict_json(raw: bytes):
+    """Parse ``raw`` as RFC 8259 JSON, where ``NaN`` and ``Infinity`` are errors."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(raw, parse_constant=reject)
+
+
 class TestHttp:
     def _solve_body(self, a: float = 4.0) -> dict:
         zeros = [[0.0, 0.0]] * DEGREE
@@ -800,30 +1109,67 @@ class TestHttp:
         assert stats[0] == 200 and stats[1]["requests"] == 1
         assert missing[0] == 404
 
-    def test_bad_requests_get_400_and_backpressure_429(self):
+    @pytest.mark.parametrize(
+        "changes, content_length",
+        [
+            pytest.param({"equations": []}, None, id="no-equations"),
+            pytest.param(
+                {"equations": ["x1 -"], "initial": [[1.0]]}, None, id="unparsable-equation"
+            ),
+            pytest.param({"equations": [1]}, None, id="equation-not-a-string"),
+            pytest.param({"degree": [1]}, None, id="degree-not-an-integer"),
+            pytest.param({"degree": -1}, None, id="negative-degree"),
+            pytest.param({"dimension": "x"}, None, id="dimension-not-an-integer"),
+            pytest.param({"overrides": 5}, None, id="overrides-not-a-mapping"),
+            pytest.param({"overrides": {"window_ms": "x"}}, None, id="override-bad-value"),
+            pytest.param({"overrides": {"nope": 1}}, None, id="override-unknown-field"),
+            pytest.param({"initial": [[math.nan], [0.55]]}, None, id="nan-limb"),
+            pytest.param({"initial": [[10**400], [0.55]]}, None, id="limb-overflows-a-double"),
+            pytest.param({}, -5, id="negative-content-length"),
+        ],
+    )
+    def test_bad_requests_get_400_and_backpressure_429(self, changes, content_length):
+        """Each malformed request gets a 400 with an ``error`` field, never a
+        dropped connection."""
+        body = json.dumps({**self._solve_body(), **changes}).encode("utf-8")
+
         async def main():
             server = ServiceServer(
                 window_ms=1.0, max_batch=4, workers=1, port=0, max_queue=1
             )
             loop = asyncio.get_running_loop()
             async with server:
-                port = server.port
-                bad = await loop.run_in_executor(
-                    None, _post_json, port, "/v1/solve", {"equations": []}
+                return await loop.run_in_executor(
+                    None, _post_raw, server.port, body, content_length
                 )
-                worse = await loop.run_in_executor(
-                    None,
-                    _post_json,
-                    port,
-                    "/v1/solve",
-                    {"equations": ["x1 -"], "initial": [[1.0]]},
-                )
-            return bad, worse
 
-        bad, worse = run(main())
-        assert bad[0] == 400
-        assert worse[0] == 400
-        assert "error" in bad[1]
+        status, raw = run(main())
+        assert status == 400
+        assert "error" in _strict_json(raw)
+
+    def test_error_response_is_strict_json(self):
+        """A failed lane's response has no ``Infinity`` token: its residual
+        goes out as ``null``."""
+        body = {
+            **self._solve_body(),
+            "equations": ["x1^2 + 1"],
+            "dimension": 1,
+            "initial": [[[0.0, 0.0]] * (DEGREE + 1)],
+        }
+
+        async def main():
+            server = ServiceServer(window_ms=1.0, max_batch=4, workers=1, port=0)
+            loop = asyncio.get_running_loop()
+            async with server:
+                return await loop.run_in_executor(
+                    None, _post_raw, server.port, json.dumps(body).encode("utf-8")
+                )
+
+        status, raw = run(main())
+        assert status == 200
+        payload = _strict_json(raw)
+        assert payload["error"]["type"] == "SingularSystemError"
+        assert payload["residual"] is None
 
     def test_solution_coefficients_roundtrip_bitwise(self):
         """Wire limbs == in-process limbs: encode/decode loses nothing."""
