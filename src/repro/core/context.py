@@ -36,6 +36,16 @@ A context run is bit-identical to the corresponding per-call
 ``evaluate_batch``: the product region is re-zeroed before every sweep, so
 the resident tensor starts each run in exactly the state a fresh pack would
 produce.
+
+A packed context also keeps the lanes' *Newton state*: every loaded input
+vector as limb rows, one ``(limbs, batch, n, degree+1)`` block per plane,
+with the ring of the scalars each lane holds.  Newton adds its batched
+corrections to those rows (:meth:`EvalContext.apply_corrections`), the
+many-path scheduler writes its predictions into them
+(:meth:`EvalContext.set_state`), and :meth:`EvalContext.update_inputs` loads
+them from there for a ``None`` entry — so an iterate never round-trips
+through :class:`PowerSeries` between sweeps.  The row arithmetic replays the
+scalar operators limb for limb (:mod:`repro.md.replica`).
 """
 
 from __future__ import annotations
@@ -48,17 +58,21 @@ import numpy as np
 from ..circuits.powers import PowerTable
 from ..circuits.reference import EvaluationResult
 from ..errors import StagingError
+from ..md import replica
+from ..md.complexmd import ComplexMD
+from ..md.multidouble import MultiDouble
 from ..obs import get_telemetry
 from ..series.series import PowerSeries
 from .tensor import (
     ComplexSlotTensor,
-    SlotTensor,
+    RowSeries,
     compile_tensor_program,
     infer_ring,
     instance_norms,
     join_rings,
     pack_exact,
     promote_planes,
+    ring_planes,
     scalar_ring,
     zero_tensor,
 )
@@ -77,6 +91,18 @@ _TELEMETRY = get_telemetry()
 #: at double doubles and 7-10 at quad doubles.  32 keeps a margin, and keeps
 #: a one-request service flush (a few rows) on the loop.
 _BATCHED_COMMON_FACTOR_ROWS = 32
+#: The same crossover for lanes loaded from their resident Newton state,
+#: whose per-lane loop first builds their series from the rows.  On the same
+#: host at degree 4 to 8 the plan took 1-3 ms at double doubles and 7-8 ms at
+#: quad doubles at any width, the loop about 0.15 ms a row at double doubles
+#: and 0.35 ms at quad doubles: even at about 8 and 20 rows.  8 puts a
+#: coalesced service flush (8 lanes x 2 monomials at double doubles: 1.2 ms
+#: against 2.2 ms) on the plan, and a fleet of a few paths on the loop.
+_RESIDENT_COMMON_FACTOR_ROWS = 8
+
+#: The scalar type of each multiple-double tensor ring: a Newton state
+#: coefficient of another type is a plain operand of ``z + dz``.
+_RING_SCALARS = {"md": MultiDouble, "cmd": ComplexMD}
 
 
 class EvalContext:
@@ -129,6 +155,13 @@ class EvalContext:
         self._raw = None
         self._raw_exact: np.ndarray | None = None
         self._grad_rows: np.ndarray | None = None
+        # The Newton state: every lane's input vector as limb rows, one
+        # (limbs, batch, n, degree+1) block per tensor plane, the ring of the
+        # scalars each lane holds, and per coefficient whether that scalar is
+        # a plain operand of the tensor ring (a float among multiple doubles).
+        self._state: tuple[np.ndarray, ...] | None = None
+        self._state_rings: list = []
+        self._plain: np.ndarray | None = None
         # Telemetry-only memo caches: TimingModel predictions per active
         # count / series count, built lazily and only while telemetry is on.
         self._predicted_sweeps: dict[int, float | None] = {}
@@ -232,7 +265,7 @@ class EvalContext:
     # ------------------------------------------------------------------ #
     # input updates
     # ------------------------------------------------------------------ #
-    def update_inputs(self, zs: Sequence[Sequence[PowerSeries]]) -> None:
+    def update_inputs(self, zs: Sequence[Sequence[PowerSeries] | None]) -> None:
         """Load a batch of input vectors, packing at most once.
 
         The first call packs: it decides the tensor ring from the system and
@@ -251,17 +284,27 @@ class EvalContext:
         convolutions; other lanes run
         :meth:`repro.circuits.Monomial.split_common_factor` one by one.  The
         two are bit-identical.
+
+        The loaded inputs also become the lanes' *Newton state*, kept as limb
+        rows beside the tensor (:meth:`state`).  An entry of ``zs`` may be
+        ``None`` for a lane whose inputs are its state as it stands — after
+        :meth:`apply_corrections` or :meth:`set_state` — so an iterate never
+        round-trips through :class:`PowerSeries`.  Such lanes group by the
+        ring of their scalars straight from the rows, and their groups run
+        the plan from ``_RESIDENT_COMMON_FACTOR_ROWS`` rows.
         """
-        zs = [list(z) for z in zs]
+        zs = [None if z is None else list(z) for z in zs]
         if len(zs) != self._batch:
             raise StagingError(
                 f"this context is resident for batch {self._batch}, got {len(zs)} inputs"
             )
         for z in zs:
-            self._evaluator._check_inputs(z)
-        self._zs = zs
+            if z is not None:
+                self._evaluator._check_inputs(z)
         if self._delegate_to is not None:
+            self._zs = self._materialize(zs)
             return
+        self._zs = zs
         tel = _TELEMETRY
         t0 = tel.enabled and _perf_counter_ns()
         if self._tensor is not None:
@@ -276,6 +319,7 @@ class EvalContext:
             if rest.size and not self._ring_carries(zs, rest):
                 self._tensor = None
         if self._tensor is None:
+            zs = self._zs = self._materialize(zs)
             self._pack(zs)
             if self._tensor is None:
                 return
@@ -301,18 +345,38 @@ class EvalContext:
             if predicted is not None:
                 tel.ledger("transfer", (w1 - w0) / 1e6, predicted)
 
+    def _materialize(self, zs: list) -> list:
+        """``zs`` with every ``None`` entry replaced by that lane's state."""
+        missing = [b for b, z in enumerate(zs) if z is None]
+        if missing:
+            if self._state is None:
+                raise StagingError("a lane without input series has no Newton state to load")
+            for b, vector in zip(missing, self.state_vectors(missing)):
+                zs[b] = vector
+        return zs
+
     def _input_groups(self, zs, lanes: np.ndarray):
         """Split ``lanes`` by the ring their input coefficients are scalars of.
 
-        Returns ``(groups, rest)``: each group is ``(lanes, ring, planes)``,
-        lanes whose every input coefficient is a scalar of one ring the
-        tensor carries, packed in that ring by
-        :func:`repro.core.tensor.pack_exact`; ``rest`` holds the other lanes.
+        Returns ``(groups, rest)``: each group is ``(lanes, ring, planes,
+        resident)``, lanes whose every input coefficient is a scalar of one
+        ring the tensor carries, as limb planes in that ring — packed by
+        :func:`repro.core.tensor.pack_exact`, or, for ``resident`` groups
+        (``None`` entries of ``zs``), read from the state rows.  ``rest``
+        holds the other lanes.
         """
         by_ring: dict = {}
+        resident: dict = {}
         for b in lanes.tolist():
-            by_ring.setdefault(scalar_ring(zs[b][0].coefficients[0]), []).append(b)
+            if zs[b] is None:
+                resident.setdefault(self._state_rings[b], []).append(b)
+            else:
+                by_ring.setdefault(scalar_ring(zs[b][0].coefficients[0]), []).append(b)
         groups = []
+        for ring, members in resident.items():
+            members = np.asarray(members, dtype=np.int64)
+            planes = tuple(plane[:, members] for plane in ring_planes(self._state, ring))
+            groups.append((members, ring, planes, True))
         rest: list[int] = []
         for ring, members in by_ring.items():
             planes = None
@@ -321,7 +385,7 @@ class EvalContext:
             if planes is None:
                 rest.extend(members)
             else:
-                groups.append((np.asarray(members, dtype=np.int64), ring, planes))
+                groups.append((np.asarray(members, dtype=np.int64), ring, planes, False))
         return groups, np.asarray(rest, dtype=np.int64)
 
     def _ring_carries(self, zs, lanes: np.ndarray) -> bool:
@@ -333,39 +397,56 @@ class EvalContext:
         """Write the lanes' input series into every equation's variable slots.
 
         A group's block goes in with one row assignment per plane, widened
-        into the tensor ring; the other lanes write series by series.
+        into the tensor ring; the other lanes write series by series.  Lanes
+        loaded from series also get them as their Newton state.
         """
         tensor = self._tensor
         stride = self._evaluator.fused.total_slots
         limbs, width = tensor.limbs, tensor.width
         equations, dimension = self._var_slots.shape
-        for lanes, ring, planes in groups:
+        for lanes, ring, planes, resident in groups:
             rows = (lanes * stride)[:, None, None] + self._var_slots[None, :, :]
             shape = (limbs, lanes.size, equations, dimension, width)
-            for plane, block in zip(
-                tensor.planes, promote_planes(planes, ring[1], self._ring)
+            for plane, state, block in zip(
+                tensor.planes, self._state, promote_planes(planes, ring[1], self._ring)
             ):
                 values = block.reshape(limbs, lanes.size, 1, dimension, width)
                 plane[:, rows.reshape(-1), :] = np.broadcast_to(values, shape).reshape(
                     limbs, -1, width
                 )
+                if not resident:
+                    state[:, lanes] = values[:, :, 0]
+            if not resident:
+                self._set_rings(lanes, ring)
         for b in rest.tolist():
             base = b * stride
             for variable, series in enumerate(zs[b]):
                 tensor.write_series(self._var_slots[:, variable] + base, series)
+        if rest.size:
+            rows = (rest * stride)[:, None] + self._var_slots[0][None, :]
+            for plane, state in zip(tensor.planes, self._state):
+                state[:, rest] = plane[:, rows, :]
+            scalar = _RING_SCALARS.get(self._ring[0], object)
+            for b in rest.tolist():
+                self._state_rings[b] = infer_ring(zs[b])
+                self._plain[b] = [
+                    [not isinstance(c, scalar) for c in series.coefficients] for series in zs[b]
+                ]
 
     def _write_common_factors(self, zs, groups, rest: np.ndarray) -> None:
         """Write the lanes' adjusted coefficients of non-multilinear monomials.
 
         A group is batched through the program's :class:`CommonFactorPlan`
-        when it has enough rows and every product lands in the ring the
-        scalar code promotes it to: the powers run in the group's ring, and
-        the factor steps in the tensor ring, which is that of the
-        coefficient times the power when the inputs are the tensor ring or
-        the lanes' raw coefficients are (``_raw_exact``).  Every other lane
+        when every product lands in the ring the scalar code promotes it to
+        — the powers run in the group's ring, and the factor steps in the
+        tensor ring, which is that of the coefficient times the power when
+        the inputs are the tensor ring or the lanes' raw coefficients are
+        (``_raw_exact``) — and when it has enough rows.  Every other lane
         runs ``split_common_factor`` on its own :class:`PowerTable` — the
         scalar oracle, kept for narrow updates, where the fixed cost of a
-        batched convolution does not pay off.
+        batched convolution does not pay off.  A resident group needs fewer
+        rows (``_RESIDENT_COMMON_FACTOR_ROWS``): its loop has to build its
+        series from the rows first.
         """
         plan = self._program.common_factor
         if plan is None:
@@ -378,10 +459,10 @@ class EvalContext:
         stride = self._evaluator.fused.total_slots
         per_lane = [rest]
         batched_rows = 0
-        for lanes, ring, planes in groups:
-            if lanes.size * monomials < _BATCHED_COMMON_FACTOR_ROWS or not (
-                ring == self._ring or self._raw_exact[lanes].all()
-            ):
+        for lanes, ring, planes, resident in groups:
+            threshold = _RESIDENT_COMMON_FACTOR_ROWS if resident else _BATCHED_COMMON_FACTOR_ROWS
+            narrow = lanes.size * monomials < threshold
+            if narrow or not (ring == self._ring or self._raw_exact[lanes].all()):
                 per_lane.append(lanes)
                 continue
             batched_rows += lanes.size * monomials
@@ -403,7 +484,7 @@ class EvalContext:
         slots = plan.coefficient_rows.tolist()
         lanes_left = np.concatenate(per_lane).tolist()
         for b in lanes_left:
-            z = zs[b]
+            z = zs[b] if zs[b] is not None else self.state_vectors([b])[0]
             base = b * stride
             polynomials = self._polynomials_of(b)
             table = PowerTable(z)
@@ -452,6 +533,11 @@ class EvalContext:
             tensor = self._relocate(tensor)
         self._tensor = tensor
         self._ring = (kind, limbs)
+        self._state = tuple(
+            np.zeros((limbs, self._batch, fused.dimension, width)) for _ in tensor.planes
+        )
+        self._state_rings = [None] * self._batch
+        self._plain = np.zeros((self._batch, fused.dimension, width), dtype=bool)
         self._predicted_sweeps = {}
         self._timing_model = None
         self._packs += 1
@@ -796,31 +882,74 @@ class EvalContext:
         rhs = -self._tensor.data[:, value_rows, :]
         return matrix, rhs
 
-    def unpack_vectors(self, solution) -> list[list[PowerSeries]]:
-        """Unpack per-instance solution vectors of the batched solver.
+    # ------------------------------------------------------------------ #
+    # the resident Newton state
+    # ------------------------------------------------------------------ #
+    def apply_corrections(self, lanes: Sequence[int], solution) -> None:
+        """Add Newton corrections to the lanes' state rows: ``z + dz``.
 
-        ``solution`` is the ``(limbs, m, n, degree+1)`` result tensor of
-        :func:`repro.homotopy.batch_linsolve.solve_packed` (a ``(real,
-        imag)`` pair for complex rings); the result is one list of ``n``
-        series per instance, in the ring this context is packed for.
+        ``solution`` is the ``(limbs, len(lanes), n, degree+1)`` output of
+        :func:`repro.homotopy.batch_linsolve.solve_packed` (a ``(real, imag)``
+        pair for complex rings).  The sum replays :meth:`PowerSeries.__add__`
+        on the scalars the rows stand for, limb for limb
+        (:func:`repro.md.replica.series_add`), including the coercing branch
+        where a lane still holds plain scalars (a float start in a
+        multiple-double system); afterwards every corrected lane holds
+        scalars of the tensor ring.  Pass ``None`` for these lanes to the
+        next :meth:`update_inputs` to load the sums.
         """
-        self._require_outputs()
-        kind, limbs = self._ring
-        if isinstance(solution, tuple):
-            real, imag = solution
-            _, m, n, width = real.shape
-            tensor = ComplexSlotTensor(
-                np.ascontiguousarray(real).reshape(limbs, m * n, width),
-                np.ascontiguousarray(imag).reshape(limbs, m * n, width),
-                kind,
-            )
-        else:
-            _, m, n, width = solution.shape
-            tensor = SlotTensor(
-                np.ascontiguousarray(solution).reshape(limbs, m * n, width), kind
-            )
-        slots = tensor.to_slots()
-        return [slots[b * n : (b + 1) * n] for b in range(m)]
+        lanes = np.asarray(lanes, dtype=np.int64)
+        planes = solution if isinstance(solution, tuple) else (solution,)
+        z = tuple(plane[:, lanes] for plane in self._state)
+        summed = replica.series_add(
+            z, replica.as_scalars(planes, self._ring), self._ring, self._plain[lanes]
+        )
+        for plane, block in zip(self._state, summed):
+            plane[:, lanes] = block
+        self._set_rings(lanes, self._ring)
+
+    def set_state(self, lanes: Sequence[int], planes, ring: tuple[str, int]) -> None:
+        """Make series of ``ring`` scalars the lanes' Newton state.
+
+        ``planes`` holds one ``(ring limbs, len(lanes), n, degree+1)`` block
+        per plane of ``ring``; they are widened into the tensor ring's rows
+        exactly.  Pass ``None`` for these lanes to the next
+        :meth:`update_inputs` to load them.
+        """
+        lanes = np.asarray(lanes, dtype=np.int64)
+        for plane, block in zip(self._state, promote_planes(planes, ring[1], self._ring)):
+            plane[:, lanes] = block
+        self._set_rings(lanes, ring)
+
+    def state(self, lanes: Sequence[int]) -> tuple[tuple[np.ndarray, ...], list]:
+        """Copies of the lanes' Newton state rows, and the ring of each lane.
+
+        The rows are in the tensor ring's layout, ``(limbs, len(lanes), n,
+        degree+1)`` per tensor plane; a lane whose scalars are of a narrower
+        ring (plain floats in a multiple-double tensor) holds them widened
+        exactly, so its leading limbs and planes are its values.
+        """
+        lanes = np.asarray(lanes, dtype=np.int64)
+        rings = [self._state_rings[b] for b in lanes.tolist()]
+        return tuple(plane[:, lanes] for plane in self._state), rings
+
+    def state_vectors(self, lanes: Sequence[int]) -> list[list[RowSeries]]:
+        """The lanes' Newton state as series vectors, one per lane.
+
+        A snapshot: the series are :class:`repro.core.tensor.RowSeries` over
+        a copy of the rows, built into ring scalars only when read.
+        """
+        planes, rings = self.state(lanes)
+        n = planes[0].shape[2]
+        return [
+            [RowSeries(tuple(plane[:, i, v] for plane in planes), ring) for v in range(n)]
+            for i, ring in enumerate(rings)
+        ]
+
+    def _set_rings(self, lanes: np.ndarray, ring: tuple[str, int]) -> None:
+        for b in lanes.tolist():
+            self._state_rings[b] = ring
+        self._plain[lanes] = ring[0] != self._ring[0]
 
     def _delegate(self, values_only: bool):
         """Run through the evaluator's per-call mode dispatch (non-tensor

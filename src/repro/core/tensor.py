@@ -73,8 +73,11 @@ __all__ = [
     "make_tensor",
     "pack_exact",
     "promote_planes",
+    "ring_planes",
+    "RowSeries",
     "scalar_ring",
     "tensor_nbytes",
+    "unpack_scalars",
     "zero_tensor",
 ]
 
@@ -798,6 +801,76 @@ def pack_exact(
         return np.ascontiguousarray(block.real), np.ascontiguousarray(block.imag)
     except (AttributeError, TypeError, ValueError):
         return None
+
+
+def ring_planes(planes: Sequence[np.ndarray], ring: tuple[str, int]) -> tuple:
+    """The part of wider limb planes that holds scalars of ``ring``.
+
+    A narrower ring widens into a tensor ring exactly
+    (:func:`promote_planes`): its limbs lead, and a real ring fills only the
+    first plane.  Returns those leading limbs of those planes (views).
+    """
+    count = 2 if ring[0] in ("complex", "cmd") else 1
+    return tuple(plane[: ring[1]] for plane in planes[:count])
+
+
+def unpack_scalars(planes: Sequence[np.ndarray], ring: tuple[str, int]) -> list:
+    """The ring scalars whose limbs ``planes`` hold, limbs as they are.
+
+    ``planes`` holds ``(limbs, count)`` limb blocks in the layout of a
+    tensor whose ring carries ``ring``: only the first ``ring[1]`` limbs and,
+    for real rings, the first plane are read.  Unlike
+    :meth:`ComplexSlotTensor.series_at`, a :class:`ComplexMD` is paired from
+    its parts without the constructor's renormalisation, because the rows
+    hold the limbs of scalars that exist already (the resident Newton state
+    of :class:`repro.core.EvalContext`).
+    """
+    kind, limbs = ring
+    if kind == "float":
+        return planes[0][0].tolist()
+    if kind == "complex":
+        return [complex(re, im) for re, im in zip(planes[0][0].tolist(), planes[1][0].tolist())]
+    real = [MultiDouble(parts, limbs) for parts in planes[0][:limbs].T.tolist()]
+    if kind == "md":
+        return real
+    imag = [MultiDouble(parts, limbs) for parts in planes[1][:limbs].T.tolist()]
+    return [ComplexMD.from_parts(re, im) for re, im in zip(real, imag)]
+
+
+#: The storage of :attr:`PowerSeries.coefficients` (a ``__slots__`` member).
+_COEFFICIENTS = PowerSeries.__dict__["coefficients"]
+
+
+class RowSeries(PowerSeries):
+    """A :class:`PowerSeries` whose coefficients stay limb rows until read.
+
+    ``planes`` holds ``(limbs, degree+1)`` blocks of a series of ``ring``
+    scalars (see :func:`unpack_scalars`); the first access to
+    :attr:`coefficients` — which every series operation makes — turns them
+    into ring scalars once.  Refined Newton vectors come back this way, so a
+    caller that never reads a solution never pays for building its scalars.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, planes: Sequence[np.ndarray], ring: tuple[str, int]):
+        self._rows = (planes, ring)
+
+    @property
+    def coefficients(self) -> list:
+        if self._rows is not None:
+            planes, ring = self._rows
+            self._rows = None
+            _COEFFICIENTS.__set__(self, unpack_scalars(planes, ring))
+        return _COEFFICIENTS.__get__(self, RowSeries)
+
+    @coefficients.setter
+    def coefficients(self, value) -> None:
+        self._rows = None
+        _COEFFICIENTS.__set__(self, value)
+
+    def __reduce__(self):
+        return PowerSeries, (self.coefficients,)
 
 
 # --------------------------------------------------------------------- #

@@ -21,6 +21,16 @@ slots of the lanes still refining, and the final residual check reads values
 only.  Callers that run many refinements against structurally identical
 systems (the path tracker) can pass their own ``context`` to keep even that
 single pack amortised across steps.
+
+On a resident context the Newton state itself stays resident too: the
+iterates live as limb rows beside the tensor, the batched solve's output is
+added to them in place, and the next input update reads them from there —
+no iterate is unpacked into :class:`PowerSeries` and packed back.  The
+addition replays ``PowerSeries.__add__`` on the scalars limb for limb
+(:mod:`repro.md.replica`), so the row path and the object path of
+delegating contexts and ``solver="scalar"`` return the same bits.  A
+refined vector is handed back as :class:`repro.core.tensor.RowSeries`,
+which builds its scalars when first read.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ __all__ = [
     "NewtonResult",
     "newton_power_series",
     "newton_power_series_batch",
+    "keeps_state",
     "refine_lanes",
 ]
 
@@ -105,7 +116,7 @@ def _ensure_context(system: PolynomialSystem, batch: int, context):
 
 def refine_lanes(
     context,
-    solutions: list[list[PowerSeries]],
+    solutions: list[list[PowerSeries] | None],
     lanes: Sequence[int],
     options: NewtonOptions,
 ) -> list[NewtonResult]:
@@ -117,20 +128,27 @@ def refine_lanes(
     context to the lanes still refining (:meth:`EvalContext.set_active`),
     updates their inputs and sweeps them once.  Then:
 
-    * a **resident** context reads the residual norms off the value rows
-      and solves every pending lane in one batched elimination
-      (:func:`repro.homotopy.batch_linsolve.solve_packed`) — unless
-      ``options.solver == "scalar"``;
+    * a **resident** context reads the residual norms off the value rows,
+      solves every pending lane in one batched elimination
+      (:func:`repro.homotopy.batch_linsolve.solve_packed`) and adds the
+      corrections to the lanes' Newton state rows
+      (:meth:`EvalContext.apply_corrections`) — unless
+      ``options.solver == "scalar"``.  The iterates never leave the rows: a
+      refined vector comes back as :class:`repro.core.tensor.RowSeries`,
+      whose scalars are built when first read.  An entry of ``solutions``
+      may be ``None`` for a lane whose input is already its state there
+      (:meth:`EvalContext.set_state`);
     * a **delegating** context (staged, fraction), or any context under
-      ``options.solver == "scalar"``, unpacks the sweep and calls
-      :func:`repro.homotopy.lu_solve` per lane; ``options.solver ==
-      "batched"`` raises :class:`repro.errors.StagingError` here instead.
+      ``options.solver == "scalar"``, unpacks the sweep, calls
+      :func:`repro.homotopy.lu_solve` per lane and adds ``z + dz`` as
+      :class:`PowerSeries`; ``options.solver == "batched"`` raises
+      :class:`repro.errors.StagingError` here instead.
 
-    A lane whose Newton system is singular drops out with
-    ``singular=True`` while the others keep solving.  Lanes still pending
-    after ``options.max_iterations`` get one values-only residual check.
-    ``options.mode`` and ``options.raise_on_failure`` are applied by the
-    callers, not here.  The active mask is cleared on every exit.
+    The two are bit-identical.  A lane whose Newton system is singular drops
+    out with ``singular=True`` while the others keep solving.  Lanes still
+    pending after ``options.max_iterations`` get one values-only residual
+    check.  ``options.mode`` and ``options.raise_on_failure`` are applied by
+    the callers, not here.  The active mask is cleared on every exit.
 
     Returns one :class:`NewtonResult` per entry of ``lanes``, in order.
     """
@@ -141,7 +159,7 @@ def refine_lanes(
         for iteration in range(1, options.max_iterations + 1):
             if not pending:
                 break
-            resident = _load(context, solutions, pending, options.solver)
+            resident = _load(context, solutions, pending, options)
             residuals, evaluations = _sweep(context, pending, resident)
             unsolved = []
             for lane, residual in zip(pending, residuals):
@@ -150,41 +168,49 @@ def refine_lanes(
                     results[lane].converged = True
                 else:
                     unsolved.append((lane, residual))
-            corrections = _solve(context, [lane for lane, _ in unsolved], evaluations)
+            norms = _correct(context, solutions, [lane for lane, _ in unsolved], evaluations)
             pending = []
-            for (lane, residual), correction in zip(unsolved, corrections):
+            for (lane, residual), norm in zip(unsolved, norms):
                 result = results[lane]
-                if correction is None:
+                if norm is None:
                     result.steps.append(NewtonStep(iteration, residual, math.nan))
                     result.singular = True
                     continue
-                delta, norm = correction
-                solutions[lane] = [z + dz for z, dz in zip(solutions[lane], delta)]
                 result.solution = solutions[lane]
                 result.steps.append(NewtonStep(iteration, residual, norm))
                 pending.append(lane)
         if pending:
-            resident = _load(context, solutions, pending, options.solver)
+            resident = _load(context, solutions, pending, options)
             residuals, _ = _sweep(context, pending, resident, values_only=True)
             for lane, residual in zip(pending, residuals):
                 results[lane].converged = residual <= tolerance
     finally:
         context.set_active(None)
+    in_rows = [lane for lane in results if solutions[lane] is None]
+    if in_rows:
+        for lane, vector in zip(in_rows, context.state_vectors(in_rows)):
+            solutions[lane] = results[lane].solution = vector
     return list(results.values())
 
 
-def _load(context, solutions, lanes: list[int], solver: str) -> bool:
+def keeps_state(context, options: NewtonOptions) -> bool:
+    """True when :func:`refine_lanes` keeps the Newton state of ``context``'s
+    lanes in its limb rows (a resident context, batched solves)."""
+    return context.resident and options.solver != "scalar"
+
+
+def _load(context, solutions, lanes: list[int], options: NewtonOptions) -> bool:
     """Mask ``context`` to ``lanes`` and load their inputs; return whether
     the sweep and solve run resident (known only once the first load packs)."""
     context.set_active(None if len(lanes) == context.batch else lanes)
     context.update_inputs(solutions)
-    if solver == "batched" and not context.resident:
+    if options.solver == "batched" and not context.resident:
         raise StagingError(
             "solver='batched' needs a tensor-resident context; this one "
             "delegates (staged/fraction/non-vectorized mode) — use "
             "solver='auto' or 'scalar'"
         )
-    return context.resident and solver != "scalar"
+    return keeps_state(context, options)
 
 
 def _sweep(context, lanes: list[int], resident: bool, values_only: bool = False):
@@ -198,22 +224,27 @@ def _sweep(context, lanes: list[int], resident: bool, values_only: bool = False)
     return [residual_norm([e.value for e in evaluations[lane]]) for lane in lanes], evaluations
 
 
-def _solve(context, lanes: list[int], evaluations) -> list:
-    """Solve ``J dz = -F`` for ``lanes``: one ``(dz, norm)`` pair per lane,
-    ``None`` for a lane whose system is singular."""
+def _correct(context, solutions, lanes: list[int], evaluations) -> list:
+    """Solve ``J dz = -F`` for ``lanes`` and add ``dz`` to their solutions.
+
+    Returns one correction norm per lane, ``None`` for a lane whose system
+    is singular.  Resident lanes are corrected in the context's state rows,
+    and their ``solutions`` entries become ``None``.
+    """
     if not lanes:
         return []
     if evaluations is not None:
-        corrections = []
+        norms = []
         for lane in lanes:
             rows = evaluations[lane]
             try:
                 delta = lu_solve([list(e.gradient) for e in rows], [-e.value for e in rows])
             except SingularSystemError:
-                corrections.append(None)
+                norms.append(None)
                 continue
-            corrections.append((delta, residual_norm(delta)))
-        return corrections
+            solutions[lane] = [z + dz for z, dz in zip(solutions[lane], delta)]
+            norms.append(residual_norm(delta))
+        return norms
     matrix, rhs = context.newton_system(lanes)
     solving = list(range(len(lanes)))
     while solving:
@@ -228,12 +259,16 @@ def _solve(context, lanes: list[int], evaluations) -> list:
             solving = [k for k in solving if k not in singular]
     else:
         return [None] * len(lanes)
-    deltas = context.unpack_vectors(solution)
+    planes = solution if isinstance(solution, tuple) else (solution,)
+    if len(solving) < len(lanes):
+        planes = tuple(plane[:, solving] for plane in planes)
+    corrected = [lanes[k] for k in solving]
+    context.apply_corrections(corrected, planes)
+    for lane in corrected:
+        solutions[lane] = None
     norms = instance_norms(solution)
     solved = set(solving)
-    return [
-        (deltas[k], float(norms[k])) if k in solved else None for k in range(len(lanes))
-    ]
+    return [float(norms[k]) if k in solved else None for k in range(len(lanes))]
 
 
 def newton_power_series_batch(

@@ -29,6 +29,7 @@ and :class:`repro.homotopy.TaylorPathTracker` take these objects only.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -68,12 +69,24 @@ class NewtonOptions:
     mode: str | None = None
 
     def __post_init__(self):
+        if isinstance(self.max_iterations, bool) or not isinstance(
+            self.max_iterations, numbers.Integral
+        ):
+            raise TypeError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not isinstance(self.tolerance, numbers.Real):
+            raise TypeError(f"tolerance must be a real number, got {self.tolerance!r}")
+        if not self.tolerance >= 0:
+            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        if not isinstance(self.raise_on_failure, bool):
+            raise TypeError(f"raise_on_failure must be a bool, got {self.raise_on_failure!r}")
         if self.solver not in _SOLVERS:
             raise ValueError(
                 f"solver must be 'auto', 'batched' or 'scalar', got {self.solver!r}"
             )
+        if self.mode is not None and not isinstance(self.mode, str):
+            raise TypeError(f"mode must be None or a string, got {self.mode!r}")
 
     def override(self, **overrides) -> "NewtonOptions":
         """A derived copy with the given fields replaced."""

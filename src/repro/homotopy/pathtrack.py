@@ -15,7 +15,7 @@ with PHCpack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -40,14 +40,53 @@ __all__ = [
 _SNAP_EPSILON = 1.0e-12
 
 
-@dataclass(frozen=True)
 class PathPoint:
-    """One accepted point of the tracked path."""
+    """One accepted point of the tracked path (immutable).
 
-    t: float
-    values: tuple
-    residual: float
-    newton_iterations: int
+    ``values`` may be given as a zero-argument callable returning them
+    instead of a tuple: the many-path scheduler passes one that unpacks the
+    point from limb rows, so the coordinates become ring scalars only when
+    first read.
+    """
+
+    __slots__ = ("t", "_values", "residual", "newton_iterations")
+
+    def __init__(self, t: float, values, residual: float, newton_iterations: int):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "newton_iterations", newton_iterations)
+
+    @property
+    def values(self) -> tuple:
+        values = self._values
+        if callable(values):
+            values = tuple(values())
+            object.__setattr__(self, "_values", values)
+        return values
+
+    def _fields(self) -> tuple:
+        return self.t, self.values, self.residual, self.newton_iterations
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, PathPoint):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return PathPoint, self._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"PathPoint(t={self.t!r}, values={self.values!r}, residual={self.residual!r}, "
+            f"newton_iterations={self.newton_iterations!r})"
+        )
 
 
 @dataclass

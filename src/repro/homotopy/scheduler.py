@@ -12,6 +12,20 @@ shape, and this module provides it:
   point is rejected, under the :class:`repro.homotopy.options.StepControl`
   policy.  ``grow = 1.0`` disables growth and makes healthy paths reproduce
   the lockstep grid bit for bit;
+* **resident Newton state** — on a resident context every path's iterate,
+  accepted series and next trial input stay limb rows: Newton corrects the
+  context's state rows in place, and the predictor evaluates each accepted
+  series at that path's own step with a row Horner
+  (:func:`repro.md.replica.series_evaluate`) that replicates
+  ``series.evaluate(_promote_step(series, h))`` limb for limb, writing the
+  next round's inputs straight into the rows.  :class:`PathPoint` values
+  are unpacked into scalars only when read.  A path whose state is still
+  the caller's plain floats (an exact start) keeps them: its corrections
+  coerce them as ``PowerSeries.__add__`` does and its predictions run in
+  floats.  Start values of other types (ints, NumPy scalars) are carried in
+  the ring they promote into, so their points read back as that ring's
+  scalars.  Delegating contexts (staged, fractions) and ``solver="scalar"``
+  keep the object path, the oracle the rows are tested against;
 * **masked residency** — the whole fleet stays packed in one resident
   :class:`repro.core.EvalContext` for the entire track, and every round
   refines the running paths through the one Newton iteration,
@@ -55,13 +69,16 @@ from dataclasses import dataclass, field
 from time import perf_counter_ns as _perf_counter_ns
 from typing import Callable, Sequence
 
-from ..core.tensor import infer_ring
+import numpy as np
+
+from ..core.tensor import infer_ring, ring_planes, unpack_scalars
 from ..errors import ConvergenceError
+from ..md import replica
 from ..md.complexmd import ComplexMD
 from ..md.multidouble import MultiDouble
 from ..obs import get_telemetry
 from ..series.series import PowerSeries
-from .newton import NewtonResult, refine_lanes
+from .newton import NewtonResult, keeps_state, refine_lanes
 from .options import TrackOptions
 from .pathtrack import PathPoint, PathTrackResult, _advance, _promote_step
 from .systems import PolynomialSystem, lift_value
@@ -175,7 +192,6 @@ class _PathState:
     __slots__ = (
         "index",
         "start_values",
-        "values",
         "t_trial",
         "t_accepted",
         "series",
@@ -192,7 +208,6 @@ class _PathState:
     def __init__(self, index: int, start_values: Sequence, h: float, limbs: int | None):
         self.index = index
         self.start_values = list(start_values)
-        self.values = list(start_values)
         self.t_trial = 0.0
         self.t_accepted: float | None = None
         self.series: list[PowerSeries] | None = None
@@ -212,7 +227,6 @@ class _PathState:
     def relaunch(self, start_values: Sequence, h: float, limbs: int | None) -> None:
         """Reset for a fresh attempt at the next precision rung."""
         self.start_values = list(start_values)
-        self.values = list(start_values)
         self.t_accepted = None
         self.series = None
         self.h = h
@@ -245,6 +259,72 @@ def _endpoint(state: _PathState) -> tuple[complex, ...]:
         else:
             out.append(complex(value))
     return tuple(out)
+
+
+class _RowValues:
+    """One accepted point's values, unpacked from its round's constant terms
+    when :class:`PathPoint` first reads them.  The round's limb block and
+    ring list are shared by all its points, so a point costs one small
+    object until it is read."""
+
+    __slots__ = ("constants", "rings", "index")
+
+    def __init__(self, constants: tuple, rings: list, index: int):
+        self.constants = constants
+        self.rings = rings
+        self.index = index
+
+    def __call__(self) -> list:
+        i = self.index
+        return unpack_scalars(tuple(plane[:, i] for plane in self.constants), self.rings[i])
+
+
+def _hold_accepted(context, lanes: list[int], accepted):
+    """Keep the accepted lanes' Newton state rows as the fleet's accepted series.
+
+    ``accepted`` is ``(planes, rings)``: the accepted series of every lane,
+    in the context's state layout, and the ring of each lane's scalars
+    (``None`` before the first call).  Returns it updated, together with each
+    accepted lane's point values for :class:`PathPoint`.
+    """
+    rows, rings = context.state(lanes)
+    if accepted is None:
+        shape = (context.batch,) + rows[0].shape[2:]
+        accepted = (
+            tuple(np.zeros(rows[0].shape[:1] + shape) for _ in rows),
+            [None] * context.batch,
+        )
+    planes, accepted_rings = accepted
+    for plane, block in zip(planes, rows):
+        plane[:, lanes] = block
+    constants = tuple(np.ascontiguousarray(block[..., 0]) for block in rows)
+    values = {}
+    for i, (p, ring) in enumerate(zip(lanes, rings)):
+        accepted_rings[p] = ring
+        values[p] = _RowValues(constants, rings, i)
+    return accepted, values
+
+
+def _predict_rows(context, accepted, steps: list[tuple[int, float]]) -> None:
+    """Seed each stepping lane's next trial from its accepted series rows.
+
+    One Horner evaluation per ring of accepted scalars, replicating
+    ``series.evaluate(_promote_step(series, h))`` limb for limb at each
+    lane's own ``h`` (:func:`repro.md.replica.series_evaluate`); the values
+    become the lanes' next inputs, constant series written straight into
+    the context's state rows.
+    """
+    planes, rings = accepted
+    by_ring: dict = {}
+    for p, h in steps:
+        by_ring.setdefault(rings[p], []).append((p, h))
+    width = planes[0].shape[-1]
+    for ring, members in by_ring.items():
+        lanes = np.asarray([p for p, _ in members], dtype=np.int64)
+        h = np.asarray([h for _, h in members])[:, None]
+        series = tuple(plane[:, lanes] for plane in ring_planes(planes, ring))
+        values = replica.series_evaluate(series, h, ring)
+        context.set_state(lanes, replica.series_constant(values, ring, width), ring)
 
 
 class PathScheduler:
@@ -411,10 +491,11 @@ class PathScheduler:
         f0 = tel.enabled and _perf_counter_ns()
         for state in states:
             state.t_trial = float(t_start)
-        solutions: list[list[PowerSeries]] = [
-            [PowerSeries.constant(v, degree) for v in state.values] for state in states
+        solutions: list = [
+            [PowerSeries.constant(v, degree) for v in state.start_values] for state in states
         ]
         context = None
+        accepted = None
         evaluators: list = [None] * batch
         rounds = 0
         while True:
@@ -433,11 +514,7 @@ class PathScheduler:
                 t = states[p].t_trial
                 if t not in local:
                     local[t] = builder(t, degree).with_mode(options.mode)
-            for p in running:
-                evaluators[p] = local[states[p].t_trial].evaluator
-                solutions[p] = [
-                    PowerSeries.constant(v, degree) for v in states[p].values
-                ]
+                evaluators[p] = local[t].evaluator
             if context is None:
                 context = local[states[running[0]].t_trial].make_context(
                     batch, buffer=buffer
@@ -445,6 +522,11 @@ class PathScheduler:
             context.rebind_fleet(list(evaluators))
 
             results = refine_lanes(context, solutions, running, options.newton)
+            rows = keeps_state(context, options.newton)
+            if rows:
+                done = [p for p, result in zip(running, results) if result.converged]
+                accepted, values = _hold_accepted(context, done, accepted)
+            steps: list[tuple[int, float]] = []
             for p, result in zip(running, results):
                 state = states[p]
                 state.residual = result.final_residual
@@ -452,9 +534,25 @@ class PathScheduler:
                     state.fail("singular")
                     continue
                 if not result.converged:
-                    self._reject(state, result.solution, t_end)
+                    stepping = self._reject(state, result.solution)
+                elif rows:
+                    stepping = self._accept(state, result, values[p], t_end)
                 else:
-                    self._accept(state, result, t_end)
+                    point = tuple(series.constant_term() for series in result.solution)
+                    stepping = self._accept(state, result, point, t_end)
+                    state.series = result.solution
+                if stepping:
+                    steps.append((p, self._step(state, t_end)))
+            if rows:
+                _predict_rows(context, accepted, steps)
+                for p, _ in steps:
+                    solutions[p] = None
+            else:
+                for p, h in steps:
+                    solutions[p] = [
+                        PowerSeries.constant(series.evaluate(_promote_step(series, h)), degree)
+                        for series in states[p].series
+                    ]
             if r0:
                 tel.record_span(
                     "scheduler.round",
@@ -489,28 +587,28 @@ class PathScheduler:
             )
 
     # ------------------------------------------------------------------ #
-    def _accept(self, state: _PathState, result: NewtonResult, t_end: float) -> None:
-        """Record the accepted trial point and predict the next one."""
+    def _accept(self, state: _PathState, result: NewtonResult, values, t_end: float) -> bool:
+        """Record the accepted trial point; True when the path steps on."""
         step = self.options.step
         state.points.append(
             PathPoint(
                 t=state.t_trial,
-                values=tuple(series.constant_term() for series in result.solution),
+                values=values,
                 residual=result.final_residual,
                 newton_iterations=result.iterations,
             )
         )
-        state.series = result.solution
         state.t_accepted = state.t_trial
         if state.t_accepted >= t_end:
             state.status = "converged"
-            return
+            return False
         if result.iterations <= step.fast_iterations:
             state.h = min(state.h * step.grow, step.max)
-        self._predict(state, t_end)
+        return True
 
-    def _reject(self, state: _PathState, solution, t_end: float) -> None:
-        """Shrink the step and retreat to the last accepted point — or fail."""
+    def _reject(self, state: _PathState, solution) -> bool:
+        """Shrink the step to retreat to the last accepted point — or fail;
+        True when the path steps on."""
         retry = self.options.retry
         step = self.options.step
         residual = state.residual
@@ -523,29 +621,28 @@ class PathScheduler:
                     break
         if diverged:
             state.fail("diverged")
-            return
+            return False
         if state.t_accepted is None:
             # The refinement at the very start failed: there is no accepted
             # point to retreat to, so a smaller step cannot help.
             state.fail("newton")
-            return
+            return False
         state.rejections += 1
         if state.rejections > retry.max_rejections:
             state.fail("rejection-budget")
-            return
+            return False
         state.h = state.h * step.shrink
         if state.h < step.min:
             state.fail("step-underflow")
-            return
-        self._predict(state, t_end)
+            return False
+        return True
 
-    def _predict(self, state: _PathState, t_end: float) -> None:
-        """Evaluate the accepted series at the (clamped) step to seed the trial."""
+    @staticmethod
+    def _step(state: _PathState, t_end: float) -> float:
+        """Set the next trial parameter; return the (clamped) step to it."""
         h = min(state.h, t_end - state.t_accepted)
         state.t_trial = _advance(state.t_accepted, h, t_end)
-        state.values = [
-            series.evaluate(_promote_step(series, h)) for series in state.series
-        ]
+        return h
 
     # ------------------------------------------------------------------ #
     def _flag_crossings(self, states: list[_PathState]) -> None:

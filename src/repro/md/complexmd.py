@@ -83,6 +83,19 @@ class ComplexMD:
         return cls(float(value.real), float(value.imag), precision)
 
     @classmethod
+    def from_parts(cls, real: MultiDouble, imag: MultiDouble) -> "ComplexMD":
+        """Pair two multiple doubles of one precision, limbs as they are.
+
+        The constructor renormalises both parts, which can move a last bit;
+        parts read back from the limbs of an existing ``ComplexMD`` must not
+        be renormalised again.
+        """
+        value = cls.__new__(cls)
+        value.real = real
+        value.imag = imag
+        return value
+
+    @classmethod
     def zero(cls, precision=2) -> "ComplexMD":
         return cls(0.0, 0.0, precision)
 

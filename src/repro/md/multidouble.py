@@ -187,6 +187,10 @@ class MultiDouble:
         """True when every limb is zero."""
         return all(limb == 0.0 for limb in self._limbs)
 
+    def is_finite(self) -> bool:
+        """True when every limb is finite (no NaN, no infinity)."""
+        return all(math.isfinite(limb) for limb in self._limbs)
+
     def to_precision(self, precision) -> "MultiDouble":
         """Return this value rounded (or padded) to another precision."""
         prec = get_precision(precision)
@@ -354,6 +358,8 @@ class MultiDouble:
         return self._compare(other) >= 0
 
     def __hash__(self):
+        if not self.is_finite():
+            return hash(self._limbs)
         return hash(self.to_fraction())
 
     def __bool__(self):
@@ -368,8 +374,12 @@ class MultiDouble:
     def to_decimal_string(self, digits: int | None = None) -> str:
         """Decimal representation with ``digits`` significant digits.
 
-        Defaults to the number of digits the precision can carry.
+        Defaults to the number of digits the precision can carry.  A value
+        with a non-finite limb has no decimal expansion; it reads as Python
+        writes its :meth:`to_float`: ``nan``, ``inf`` or ``-inf``.
         """
+        if not self.is_finite():
+            return str(self.to_float())
         if digits is None:
             digits = max(self._precision.decimal_digits, 17)
         value = self.to_fraction()

@@ -132,9 +132,11 @@ def vec_renormalize_exact(terms: list[np.ndarray], limbs: int) -> list[np.ndarra
     data-dependent, so here lanes with a zero term keep their previous
     expansion (plus one transparent zero slot) via a mask.  Zero *components*
     inside an expansion need no mask — they pass through every two-sum chain
-    and every ordered accumulation unchanged.  The cost is quadratic in the
-    term count (against the sweeps' linear passes), which is why only the
-    division/reciprocal kernels pay for it.
+    and every ordered accumulation unchanged.  A term that is zero in every
+    lane is skipped outright, which is the same thing.  The cost is quadratic
+    in the term count (against the sweeps' linear passes), which is why only
+    the division/reciprocal kernels and the resident Newton state
+    (:mod:`repro.md.replica`) pay for it.
     """
     if limbs < 1:
         raise ValueError(f"limbs must be >= 1, got {limbs}")
@@ -145,6 +147,8 @@ def vec_renormalize_exact(terms: list[np.ndarray], limbs: int) -> list[np.ndarra
     zero = np.zeros(shape, dtype=np.float64)
     expansion: list[np.ndarray] = []
     for term in work:
+        if not term.any():
+            continue
         term = np.broadcast_to(term, shape)
         grown = _grow_expansion(expansion, term)
         skip = term == 0.0

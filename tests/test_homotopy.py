@@ -173,7 +173,7 @@ class TestNewton:
             approx = newton_power_series(
                 system,
                 [PowerSeries.constant(1.0, degree)],
-                options=NewtonOptions(max_iterations=iterations, tolerance=-1.0),
+                options=NewtonOptions(max_iterations=iterations, tolerance=0.0),
             ).solution[0]
             correct = 0
             for a, b in zip(approx.coefficients, exact.coefficients):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from repro.md import MultiDouble
+from repro.md import ComplexMD, MultiDouble
+from repro.series import PowerSeries
 
 PRECISIONS = (1, 2, 3, 4, 5, 8, 10)
 
@@ -211,3 +213,35 @@ class TestFormatting:
         assert relative_error(y, Fraction(1, 3)) < ulp(2)
         z = y.to_precision(10)
         assert z.precision.limbs == 10
+
+
+class TestNonFinite:
+    """Diverged lanes hold NaN and infinite limbs; such values still print
+    (as Python prints floats) and hash (by their limbs)."""
+
+    CASES = [
+        ((math.nan, 0.0), "nan"),
+        ((math.inf, 0.0), "inf"),
+        ((-math.inf, 0.0), "-inf"),
+        ((1.0, math.nan), "nan"),
+    ]
+
+    @pytest.mark.parametrize("limbs, text", CASES)
+    def test_prints_like_a_float(self, limbs, text):
+        value = MultiDouble(limbs, 2)
+        assert str(value) == text
+        assert f"{value}" == text
+        assert value.to_decimal_string(20) == text
+
+    @pytest.mark.parametrize("limbs, text", CASES)
+    def test_hashes(self, limbs, text):
+        value = MultiDouble(limbs, 2)
+        assert hash(value) == hash(MultiDouble(limbs, 2))
+        hash(ComplexMD.from_parts(value, MultiDouble.zero(2)))
+        hash(ComplexMD(1.0, value))
+        hash(PowerSeries([MultiDouble.one(2), value]))
+
+    def test_finite_values_keep_their_value_hash(self):
+        assert hash(MultiDouble.from_float(0.5, 2)) == hash(0.5)
+        assert MultiDouble.from_float(0.5, 2).is_finite()
+        assert not MultiDouble((math.inf, 0.0), 2).is_finite()

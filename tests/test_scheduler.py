@@ -163,6 +163,21 @@ class TestTrackOptions:
             TrackOptions(scheduler="chaotic")
         with pytest.raises(ValueError):
             NewtonOptions(solver="gpu")
+        for bad in (2.5, True, "8"):
+            with pytest.raises(TypeError):
+                NewtonOptions(max_iterations=bad)
+        with pytest.raises(ValueError):
+            NewtonOptions(max_iterations=0)
+        with pytest.raises(TypeError):
+            NewtonOptions(tolerance="x")
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                NewtonOptions(tolerance=bad)
+        with pytest.raises(TypeError):
+            NewtonOptions(raise_on_failure="yes")
+        with pytest.raises(TypeError):
+            NewtonOptions(mode=3)
+        assert NewtonOptions(max_iterations=np.int64(3), tolerance=0).max_iterations == 3
         with pytest.raises(ValueError):
             StepControl(grow=0.5)
         with pytest.raises(ValueError):
@@ -458,6 +473,28 @@ class TestRetryLadder:
             assert [_point_bits(p) for p in noisy.points] == [
                 _point_bits(p) for p in quiet.points
             ]
+
+    def test_resident_state_reproduces_the_object_path(self):
+        """The vectorized fleet keeps its Newton state and predictor on limb
+        rows; the staged fleet runs both on objects.  Every point — t, values
+        by type and limbs, residual, iterations — and every status agree,
+        through the dd base fleet, its failures and the qd retry fleet."""
+        starts = [[2.0] if i in (1, 4, 6) else [1.0] for i in range(8)]
+        staged = track_paths(
+            retry_family(2), starts, options=_RETRY_OPTIONS.override(mode="staged")
+        )
+        rows = track_paths(retry_family(2), starts, options=_RETRY_OPTIONS)
+        assert staged.escalated_indices == [1, 4, 6]
+        assert rows.statuses == staged.statuses
+
+        def typed(point):
+            values = tuple(
+                (type(v).__name__, tuple(x.hex() for x in np.ravel(_bits(v)))) for v in point.values
+            )
+            return point.t, values, point.residual, point.newton_iterations
+
+        for a, b in zip(rows.results, staged.results):
+            assert [typed(p) for p in a.points] == [typed(p) for p in b.points]
 
     def test_base_fleet_failure_reason_is_recorded_without_a_ladder(self):
         options = _RETRY_OPTIONS.override(retry={"precision_ladder": ()})

@@ -1126,6 +1126,14 @@ class TestHttp:
             pytest.param({"initial": [[math.nan], [0.55]]}, None, id="nan-limb"),
             pytest.param({"initial": [[10**400], [0.55]]}, None, id="limb-overflows-a-double"),
             pytest.param({}, -5, id="negative-content-length"),
+            pytest.param({"options": {"tolerance": "x"}}, None, id="tolerance-not-a-number"),
+            pytest.param({"options": {"tolerance": -1.0}}, None, id="negative-tolerance"),
+            pytest.param(
+                {"options": {"max_iterations": 2.5}}, None, id="max-iterations-not-an-integer"
+            ),
+            pytest.param(
+                {"options": {"raise_on_failure": "yes"}}, None, id="raise-on-failure-not-a-bool"
+            ),
         ],
     )
     def test_bad_requests_get_400_and_backpressure_429(self, changes, content_length):
