@@ -24,7 +24,11 @@ launch per layer" with the paper's structure-of-arrays data layout:
   :func:`repro.series.convolve_vectorized`), one vectorised scale pass, and
   one renormalised addition per tree level — all built on
   :func:`repro.md.veft.vec_two_prod` / :func:`repro.md.vrenorm.vec_renormalize`
-  through :mod:`repro.md.vecops`.
+  through :mod:`repro.md.vecops`.  A convolution layer whose products fit
+  a budget of elements forms them all with one multiple-double multiply; a
+  larger one multiplies pass by pass over row blocks of that budget, so its
+  temporaries stay in cache.  Either way the layer costs a few row
+  operations, not a few per job.
 
 The backend is registered as the fifth execution mode (``"vectorized"``) of
 :class:`repro.core.SystemEvaluator`.  It covers every ring the vectorised
@@ -37,13 +41,16 @@ complex layer sweeps decompose into real sweeps through
 :class:`repro.md.ComplexMD` — so the PHCpack-style unit-circle workloads of
 the paper run on the fast path bit-compatibly with the staged oracle.
 Evaluators fall back to the staged path only for exact fractions, which keep
-their oracle role.
+their oracle role.  The kernel drivers (sweeps, convolutions, norms) run with
+NumPy's floating-point warnings off (:func:`quiet_fp`), as silent on an
+infinity or a NaN as the scalar operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache, wraps
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,6 +80,7 @@ __all__ = [
     "make_tensor",
     "pack_exact",
     "promote_planes",
+    "quiet_fp",
     "ring_planes",
     "RowSeries",
     "scalar_ring",
@@ -876,6 +884,23 @@ class RowSeries(PowerSeries):
 # --------------------------------------------------------------------- #
 # the batched convolution kernel
 # --------------------------------------------------------------------- #
+def quiet_fp(driver):
+    """Run a row-kernel driver with NumPy's floating-point warnings off.
+
+    The scalar operators turn an infinity or a NaN into NaNs silently, and so
+    do the drivers: a diverged lane must not fail the lanes that share its
+    rows by way of a warning filter.  ``np.errstate`` is context-local, so
+    every thread that runs a driver sets its own state, once per call.
+    """
+
+    @wraps(driver)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return driver(*args, **kwargs)
+
+    return quiet
+
+
 def collapse_limbs(planes: np.ndarray) -> np.ndarray:
     """Collapse a stack of limb planes to plain doubles, the scalar way.
 
@@ -891,6 +916,7 @@ def collapse_limbs(planes: np.ndarray) -> np.ndarray:
     return total
 
 
+@quiet_fp
 def instance_norms(planes) -> np.ndarray:
     """Largest coefficient magnitude per instance of packed series vectors.
 
@@ -909,6 +935,104 @@ def instance_norms(planes) -> np.ndarray:
     return magnitudes.max(axis=(1, 2))
 
 
+#: Elements (rows x products) one stacked multiply of :func:`convolve_rows`
+#: may span: 16,384 doubles, 128 KiB per limb array.  A layer whose whole
+#: product triangle fits forms every product in one multiply; a larger layer
+#: multiplies pass by pass over row blocks whose passes fit, so the
+#: temporaries of every row operation stay in cache.
+_CONVOLUTION_BUDGET = 16_384
+
+
+@lru_cache(maxsize=64)
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The operand columns of every product of a width-``n`` convolution.
+
+    Pass ``j`` multiplies column ``j`` of ``x`` into columns ``0 .. n-j-1``
+    of ``y``.  The passes lie one after another: ``left`` and ``right`` hold
+    the ``x`` and ``y`` column of each product (read-only, since every
+    caller shares them), and pass ``j`` spans ``starts[j]:starts[j + 1]``.
+    """
+    counts = np.arange(n, 0, -1)
+    starts = tuple(accumulate(counts.tolist(), initial=0))
+    left = np.repeat(np.arange(n), counts)
+    right = np.arange(starts[-1]) - np.repeat(np.array(starts[:-1], dtype=np.int64), counts)
+    left.flags.writeable = right.flags.writeable = False
+    return left, right, starts
+
+
+_ALL = slice(None)
+
+
+def _limb_lists(planes, rows=_ALL, columns=_ALL) -> tuple[list, ...]:
+    """The ``rows`` and ``columns`` of each ``(limbs, m, n)`` plane, as a
+    list of limb arrays per plane."""
+    return tuple(list(plane[:, rows, columns]) for plane in planes)
+
+
+def _real_mul(a, b, limbs):
+    return (md_mul_rows(a[0], b[0], limbs),)
+
+
+def _real_add(a, b, limbs):
+    return (md_add_rows(a[0], b[0], limbs),)
+
+
+def _complex_mul(a, b, limbs):
+    return cmd_mul_rows(a[0], a[1], b[0], b[1], limbs)
+
+
+def _complex_add(a, b, limbs):
+    return cmd_add_rows(a[0], a[1], b[0], b[1], limbs)
+
+
+#: Plane count -> the ring's (multiply, add) on tuples of limb lists.
+_RING_OPS = {1: (_real_mul, _real_add), 2: (_complex_mul, _complex_add)}
+
+
+@quiet_fp
+def _convolve(x: tuple, y: tuple, limbs: int) -> tuple[np.ndarray, ...]:
+    """The convolution driver over tuples of ``(limbs, m, n)`` limb planes.
+
+    One plane is a real ring, two are the (real, imaginary) planes of a
+    complex one.  A layer whose ``m n (n+1) / 2`` products fit
+    :data:`_CONVOLUTION_BUDGET` forms them all in one multiply; a larger one
+    multiplies pass by pass, over blocks of ``_CONVOLUTION_BUDGET // n``
+    rows.  Either way every coefficient sums its products in increasing pass
+    order, and every product is elementwise, so the blocking moves no bit.
+    """
+    mul, add = _RING_OPS[len(x)]
+    m, n = x[0].shape[1:]
+    out = tuple(np.zeros(plane.shape) for plane in x)
+    if m * n * (n + 1) // 2 <= _CONVOLUTION_BUDGET:
+        left, right, starts = _triangle(n)
+        products = mul(_limb_lists(x, columns=left), _limb_lists(y, columns=right), limbs)
+        for j in range(n):
+            span = slice(starts[j], starts[j + 1])
+            pass_j = tuple([p[:, span] for p in plane] for plane in products)
+            _accumulate(out, j, pass_j, add, limbs)
+        return out
+    step = max(1, _CONVOLUTION_BUDGET // n)
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        block = tuple(plane[:, rows] for plane in out)
+        for j in range(n):
+            products = mul(
+                _limb_lists(x, rows, slice(j, j + 1)),  # (rows, 1), broadcasts
+                _limb_lists(y, rows, slice(0, n - j)),
+                limbs,
+            )
+            _accumulate(block, j, products, add, limbs)
+    return out
+
+
+def _accumulate(out: tuple, j: int, products: tuple, add, limbs: int) -> None:
+    """Add pass ``j``'s products into columns ``j ..`` of ``out``, in place."""
+    summed = add(_limb_lists(out, columns=slice(j, None)), products, limbs)
+    for plane, limb_list in zip(out, summed):
+        for i in range(limbs):
+            plane[i, :, j:] = limb_list[i]
+
+
 def convolve_rows(x: np.ndarray, y: np.ndarray, limbs: int) -> np.ndarray:
     """Truncated convolution of many series pairs in one sweep.
 
@@ -919,25 +1043,18 @@ def convolve_rows(x: np.ndarray, y: np.ndarray, limbs: int) -> np.ndarray:
     truncated products.
 
     This is :func:`repro.series.convolve_vectorized` generalised from one
-    triple to a whole layer: pass ``j`` multiplies column ``j`` of every
+    triple to a whole layer.  Pass ``j`` multiplies column ``j`` of every
     ``x`` row into the leading ``n - j`` columns of the matching ``y`` row
-    and accumulates into the output tail — ``n`` whole-layer multiple-double
-    multiply/add sweeps regardless of how many jobs the layer carries.  The
-    per-coefficient accumulation order (increasing ``j``) matches
-    :func:`repro.series.convolve_direct`.
+    and accumulates into the output tail, so each coefficient sums in
+    increasing ``j``, the order of :func:`repro.series.convolve_direct`.  A
+    layer of up to :data:`_CONVOLUTION_BUDGET` products makes one
+    multiple-double multiply and ``n`` additions whatever its job count; a
+    larger one makes ``n`` multiplies and ``n`` additions per block of
+    ``_CONVOLUTION_BUDGET // n`` rows.
     """
     if x.shape != y.shape:
         raise ValueError(f"operand tensors must share shape, got {x.shape} and {y.shape}")
-    n = x.shape[2]
-    out = np.zeros_like(x)
-    for j in range(n):
-        xj = [x[i, :, j : j + 1] for i in range(limbs)]  # (m, 1), broadcasts
-        yh = [y[i, :, : n - j] for i in range(limbs)]  # (m, n - j)
-        products = md_mul_rows(xj, yh, limbs)
-        acc = md_add_rows([out[i, :, j:] for i in range(limbs)], products, limbs)
-        for i in range(limbs):
-            out[i, :, j:] = acc[i]
-    return out
+    return _convolve((x,), (y,), limbs)[0]
 
 
 def convolve_rows_complex(
@@ -954,39 +1071,19 @@ def convolve_rows_complex(
     result is the pair of real/imaginary limb tensors of the truncated
     complex products.
 
-    Pass ``j`` forms the complex products of column ``j`` of every ``x`` row
-    with the leading ``n - j`` columns of the matching ``y`` row through
-    :func:`repro.md.cvecops.cmd_mul_rows` (four real multiply sweeps, one
-    subtraction, one addition) and accumulates them with one complex
-    addition (two real sweeps) — the per-coefficient operation order of the
-    scalar :class:`repro.md.ComplexMD` convolution, so the two paths agree
-    to the last limb of both planes.
+    The driver of :func:`convolve_rows` runs with the complex row
+    operations: :func:`repro.md.cvecops.cmd_mul_rows` (four real multiply
+    sweeps, one subtraction, one addition) forms the products and one
+    complex addition (two real sweeps) accumulates each pass — the
+    per-coefficient operation order of the scalar :class:`repro.md.ComplexMD`
+    convolution, so the two paths agree to the last limb of both planes.
     """
     if not (xr.shape == xi.shape == yr.shape == yi.shape):
         raise ValueError(
             "operand tensors must share one shape, got "
             f"{xr.shape}, {xi.shape}, {yr.shape} and {yi.shape}"
         )
-    n = xr.shape[2]
-    out_r = np.zeros_like(xr)
-    out_i = np.zeros_like(xi)
-    for j in range(n):
-        ar = [xr[i, :, j : j + 1] for i in range(limbs)]  # (m, 1), broadcasts
-        ai = [xi[i, :, j : j + 1] for i in range(limbs)]
-        br = [yr[i, :, : n - j] for i in range(limbs)]  # (m, n - j)
-        bi = [yi[i, :, : n - j] for i in range(limbs)]
-        pr, pi = cmd_mul_rows(ar, ai, br, bi, limbs)
-        acc_r, acc_i = cmd_add_rows(
-            [out_r[i, :, j:] for i in range(limbs)],
-            [out_i[i, :, j:] for i in range(limbs)],
-            pr,
-            pi,
-            limbs,
-        )
-        for i in range(limbs):
-            out_r[i, :, j:] = acc_r[i]
-            out_i[i, :, j:] = acc_i[i]
-    return out_r, out_i
+    return _convolve((xr, xi), (yr, yi), limbs)
 
 
 def _convolve_planes(
@@ -996,10 +1093,7 @@ def _convolve_planes(
     (two) over operands of any leading shape ``(limbs, ..., degree+1)``."""
     shape = x[0].shape
     flat = [np.reshape(a, (limbs, -1, shape[-1])) for a in (*x, *y)]
-    if len(x) == 1:
-        products = (convolve_rows(flat[0], flat[1], limbs),)
-    else:
-        products = convolve_rows_complex(*flat, limbs)
+    products = _convolve(tuple(flat[: len(x)]), tuple(flat[len(x) :]), limbs)
     return [product.reshape(shape) for product in products]
 
 
@@ -1190,6 +1284,7 @@ class TensorProgram:
         """Whole-layer NumPy launches per instance sweep."""
         return len(self.layers)
 
+    @quiet_fp
     def run(
         self,
         tensor: "SlotTensor | ComplexSlotTensor",

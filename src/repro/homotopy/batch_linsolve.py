@@ -25,8 +25,12 @@ The algorithm mirrors the scalar one operation for operation:
   reused by back substitution (the scalar solver does the same);
 * the solve is bound by its count of Python-level row operations, not their
   width, so independent products share one call: one multiply per inverse
-  coefficient, one convolution per back-substitution row.  Row operations
-  are elementwise, so stacking moves no bit; only the sums run sequentially;
+  coefficient, one convolution per back-substitution row, and one multiply
+  per convolution whose products fit the convolution budget of
+  :func:`repro.core.tensor.convolve_rows`.  A 6x6 degree-15 solve of a few
+  instances makes 201 multiplies, 966 additions and 20 subtractions.  Row
+  operations are elementwise, so stacking moves no bit; only the sums run
+  sequentially;
 * row updates and back substitution accumulate in exactly the scalar
   operand order, so for multiple-double rings at **double-double** precision
   the results are bit-identical to per-instance :func:`lu_solve` — the parity
@@ -43,6 +47,9 @@ The algorithm mirrors the scalar one operation for operation:
 A singular instance raises :class:`repro.errors.SingularSystemError` naming
 every failing batch position (``exc.instances``); a non-square input is a
 usage error and raises :class:`ValueError`, exactly like the scalar solver.
+The solvers run with NumPy's floating-point warnings off
+(:func:`repro.core.tensor.quiet_fp`): a diverged instance computes NaNs and
+infinities silently instead of failing its batch through a warning filter.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from ..core.tensor import (
     convolve_rows_complex,
     infer_ring,
     make_tensor,
+    quiet_fp,
 )
 from ..errors import SingularSystemError
 from ..md.cvecops import cmd_add_rows, cmd_mul_rows, cmd_reciprocal_rows, cmd_sub_rows
@@ -109,6 +117,7 @@ def _predicted_solve_ms(
 # --------------------------------------------------------------------- #
 # batched series inversion
 # --------------------------------------------------------------------- #
+@quiet_fp
 def series_inverse_rows(c: np.ndarray, limbs: int) -> np.ndarray:
     """Invert many real power series at once.
 
@@ -138,6 +147,7 @@ def series_inverse_rows(c: np.ndarray, limbs: int) -> np.ndarray:
     return out
 
 
+@quiet_fp
 def series_inverse_rows_complex(
     cr: np.ndarray, ci: np.ndarray, limbs: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -232,6 +242,7 @@ def _flat(planes: np.ndarray, limbs: int, width: int) -> np.ndarray:
 # --------------------------------------------------------------------- #
 # the real batched solver
 # --------------------------------------------------------------------- #
+@quiet_fp
 def batch_lu_solve_tensor(matrix: np.ndarray, rhs: np.ndarray, limbs: int) -> np.ndarray:
     """Solve many real series systems in one whole-tensor elimination.
 
@@ -322,6 +333,7 @@ def batch_lu_solve_tensor(matrix: np.ndarray, rhs: np.ndarray, limbs: int) -> np
 # --------------------------------------------------------------------- #
 # the complex batched solver
 # --------------------------------------------------------------------- #
+@quiet_fp
 def batch_lu_solve_tensor_complex(
     matrix_real: np.ndarray,
     matrix_imag: np.ndarray,

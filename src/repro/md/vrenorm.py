@@ -26,18 +26,31 @@ from .veft import vec_two_sum
 __all__ = ["vecsum_sweep", "vec_renormalize", "vec_renormalize_exact"]
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`repro.md.veft.vec_two_sum` on operands that are float64 arrays
+    already: the same ufunc calls, without the per-call ``np.asarray``."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
 def vecsum_sweep(components: list[np.ndarray]) -> list[np.ndarray]:
     """One bottom-up VecSum pass over the component list (in place).
 
     After the pass, ``components[0]`` holds (elementwise) a floating-point
     approximation of the total and the later entries hold the accumulated
     rounding errors; the elementwise sum of the list is unchanged, exactly.
+    The pass rebinds the list's entries to new arrays and writes into none.
     """
-    for i in range(len(components) - 2, -1, -1):
-        s, e = vec_two_sum(components[i], components[i + 1])
-        components[i] = s
-        components[i + 1] = e
+    components[:] = [np.asarray(c, dtype=np.float64) for c in components]
+    _sweep(components)
     return components
+
+
+def _sweep(components: list[np.ndarray]) -> None:
+    """:func:`vecsum_sweep` over float64 arrays of one shape."""
+    for i in range(len(components) - 2, -1, -1):
+        components[i], components[i + 1] = _two_sum(components[i], components[i + 1])
 
 
 def vec_renormalize(
@@ -61,22 +74,27 @@ def vec_renormalize(
 
     Returns
     -------
-    list of ``limbs`` arrays (leading limb first), same shape as the inputs.
+    list of ``limbs`` new arrays (leading limb first), same shape as the
+    inputs.  The terms are not copied: the sweeps rebind list entries to new
+    arrays and write into none, so no result aliases a term (a lone term,
+    which no sweep touches, is copied).
     """
     if limbs < 1:
         raise ValueError(f"limbs must be >= 1, got {limbs}")
     if not terms:
         raise ValueError("vec_renormalize needs at least one term")
-    work = [np.array(t, dtype=np.float64, copy=True) for t in terms]
+    work = [np.asarray(t, dtype=np.float64) for t in terms]
     shape = work[0].shape
     for t in work:
         if t.shape != shape:
             raise ValueError("all term arrays must share the same shape")
+    if len(work) == 1:
+        work[0] = work[0].copy()
     if passes is None:
         passes = limbs + 2
     passes = max(1, min(passes, len(work)))
     for _ in range(passes):
-        vecsum_sweep(work)
+        _sweep(work)
     if len(work) < limbs:
         pad = [np.zeros(shape, dtype=np.float64) for _ in range(limbs - len(work))]
         return work + pad
@@ -87,10 +105,9 @@ def vec_renormalize(
         for extra in work[limbs + 1 :]:
             tail = tail + extra
         head = work[:limbs]
-        head[limbs - 1], carry = vec_two_sum(head[limbs - 1], tail)
+        head[limbs - 1], carry = _two_sum(head[limbs - 1], tail)
         # One final mini-sweep keeps the limbs ordered by magnitude.
-        for i in range(limbs - 2, -1, -1):
-            head[i], head[i + 1] = vec_two_sum(head[i], head[i + 1])
+        _sweep(head)
         return head
     return work
 

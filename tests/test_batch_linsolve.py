@@ -329,11 +329,13 @@ class TestStackedProducts:
         "n, degree", [(6, 15), (1, 8), (2, 4), (3, 0)], ids=["newton", "fleet", "service", "degree0"]
     )
     def test_row_op_calls_follow_closed_forms(self, nprng, monkeypatch, n, degree):
-        """One multiply per inverse coefficient and one convolution per
-        back-substitution row.  For dimension n and degree d: 2dn + (d+1)(4n-3)
-        multiplies, n d(d-1)/2 + (d+1)(4n-3) additions and (n-1) + n(n-1)/2
-        subtractions; 516, 966 and 20 at the newton shape, where the
-        per-product loops made 1,306, 1,126 and 20."""
+        """One multiply per inverse coefficient, one convolution per
+        back-substitution row, and one multiply per convolution (every layer
+        here fits the convolution budget).  For dimension n and degree d:
+        2dn + (4n-3) multiplies, n d(d-1)/2 + (d+1)(4n-3) additions and
+        (n-1) + n(n-1)/2 subtractions; 201, 966 and 20 at the newton shape,
+        where one multiply per convolution pass made 516, 966 and 20 and the
+        per-product loops 1,306, 1,126 and 20."""
         import repro.core.tensor as tensor_module
         import repro.homotopy.batch_linsolve as solver_module
 
@@ -357,7 +359,7 @@ class TestStackedProducts:
         batch_lu_solve_tensor(matrix, _limb_planes(nprng, (2, n, width), limbs), limbs)
         d, convolutions = degree, 4 * n - 3
         assert calls == {
-            "md_mul_rows": 2 * d * n + (d + 1) * convolutions,
+            "md_mul_rows": 2 * d * n + convolutions,
             "md_add_rows": n * d * (d - 1) // 2 + (d + 1) * convolutions,
             "md_sub_rows": (n - 1) + n * (n - 1) // 2,
         }

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from repro.circuits import parse_polynomial
@@ -384,10 +384,9 @@ class TestNonFiniteNorms:
         system = PolynomialSystem([parse_polynomial("x1^2 - 2", degree=degree, kind="float")])
         starts = [[PowerSeries.constant(1e200, degree)]]
         runs = {}
-        with np.errstate(all="ignore"):
-            for mode in ("staged", "vectorized"):
-                options = NewtonOptions(mode=mode, max_iterations=3)
-                runs[mode] = newton_power_series_batch(system, starts, options=options)[0]
+        for mode in ("staged", "vectorized"):
+            options = NewtonOptions(mode=mode, max_iterations=3)
+            runs[mode] = newton_power_series_batch(system, starts, options=options)[0]
         staged, vectorized = runs["staged"], runs["vectorized"]
         assert not staged.converged and not vectorized.converged
         assert staged.steps[0].residual == math.inf
@@ -398,6 +397,27 @@ class TestNonFiniteNorms:
         assert steps(staged) == steps(vectorized)
         assert len(staged.steps) == 3
 
+    def test_diverged_lane_does_not_fail_its_batch(self):
+        """With every warning an error, a vectorized batch with a lane that
+        overflows finishes: the healthy lane converges as it does alone."""
+        degree = 3
+        polynomial = parse_polynomial("x1^2 - 2", degree=degree, kind="md", precision=2)
+        system = PolynomialSystem([polynomial], mode="vectorized")
+        starts = [
+            [PowerSeries.constant(MultiDouble.from_float(value, 2), degree)]
+            for value in (1.25, 1.0e200)
+        ]
+        options = NewtonOptions(max_iterations=8, tolerance=1.0e-28)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            healthy, diverged = newton_power_series_batch(system, starts, options=options)
+            (alone,) = newton_power_series_batch(system, starts[:1], options=options)
+        assert healthy.converged and not diverged.converged
+        assert healthy.iterations == alone.iterations
+        assert [c.limbs for c in healthy.solution[0].coefficients] == [
+            c.limbs for c in alone.solution[0].coefficients
+        ]
+
     def test_diverged_multidouble_newton_fails_in_both_modes(self):
         """From x = 1e200 a double-double x^2 - 2 gives NaN residuals.  The
         staged solver used to read the NaN pivot as zero (a NaN multidouble
@@ -407,13 +427,12 @@ class TestNonFiniteNorms:
         polynomial = parse_polynomial("x1^2 - 2", degree=degree, kind="md", precision=2)
         system = PolynomialSystem([polynomial])
         starts = [[PowerSeries.constant(MultiDouble.from_float(1e200, 2), degree)]]
-        with np.errstate(all="ignore"):
-            for mode in ("staged", "vectorized"):
-                options = NewtonOptions(mode=mode, max_iterations=3)
-                (result,) = newton_power_series_batch(system, starts, options=options)
-                assert not result.converged
-                assert math.isnan(result.final_residual)
-                assert all(math.isnan(step.residual) for step in result.steps)
+        for mode in ("staged", "vectorized"):
+            options = NewtonOptions(mode=mode, max_iterations=3)
+            (result,) = newton_power_series_batch(system, starts, options=options)
+            assert not result.converged
+            assert math.isnan(result.final_residual)
+            assert all(math.isnan(step.residual) for step in result.steps)
 
 
 class TestPathTracker:

@@ -12,6 +12,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -389,6 +390,49 @@ class TestEngine:
             assert [c.limbs for c in got.coefficients] == [
                 c.limbs for c in want.coefficients
             ]
+
+    def test_diverged_lane_fails_alone_with_warnings_as_errors(self):
+        """A lane started at 1e200 overflows in every kernel, but NumPy's
+        floating-point warnings stay off there: with every warning an error,
+        the coalesced flush still answers its two healthy lanes limb for
+        limb like their solo solves, and the diverged lane as not converged."""
+
+        def request(start: float) -> SolveRequest:
+            polynomial = parse_polynomial(
+                "x1^2 - 2", dimension=1, degree=DEGREE, kind="md", precision=LIMBS
+            )
+            return SolveRequest(
+                system=PolynomialSystem([polynomial], mode="vectorized"),
+                initial=[PowerSeries.constant(_md(start), DEGREE)],
+                options=OPTIONS,
+            )
+
+        starts = (1.25, 1.0e200, 1.5)
+        requests = [request(start) for start in starts]
+
+        async def main():
+            engine = SolveEngine(window_ms=25.0, max_batch=4, workers=1)
+            async with engine:
+                return await asyncio.gather(*[engine.submit(r) for r in requests])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            responses = run(main())
+            solos = [
+                newton_power_series_batch(r.system, [r.initial], options=OPTIONS)[0]
+                for r in requests
+            ]
+        assert [r.batch_fill for r in responses] == [3, 3, 3]
+        assert all(r.ok for r in responses)
+        assert not responses[1].converged and not solos[1].converged
+        for k in (0, 2):
+            response, solo = responses[k], solos[k]
+            assert response.converged and solo.converged
+            assert response.iterations == solo.iterations
+            for got, want in zip(response.solution, solo.solution):
+                assert [c.limbs for c in got.coefficients] == [
+                    c.limbs for c in want.coefficients
+                ]
 
     def test_scalar_solver_option_is_honoured(self, monkeypatch):
         """``NewtonOptions(solver="scalar")`` solves each coalesced lane with

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.tensor as tensor_module
+from repro.circuits import parse_polynomial
 from repro.circuits.testpolys import (
     make_polynomial_from_structure,
     p1_structure,
@@ -25,6 +28,7 @@ from repro.core import (
     TensorProgram,
     compile_tensor_program,
     convolve_rows,
+    convolve_rows_complex,
     infer_ring,
 )
 from repro.homotopy import (
@@ -34,7 +38,10 @@ from repro.homotopy import (
     TrackOptions,
     newton_power_series_batch,
 )
+from repro.homotopy.batch_linsolve import _flat, batch_lu_solve_tensor, series_inverse_rows
 from repro.md import MDArray, MultiDouble
+from repro.md.cvecops import cmd_add_rows, cmd_mul_rows
+from repro.md.vecops import md_add_rows, md_mul_rows
 from repro.series import PowerSeries, convolve_vectorized, random_series_vector
 
 SETTINGS = settings(
@@ -369,6 +376,280 @@ class TestConvolveRows:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             convolve_rows(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), 2)
+
+
+# --------------------------------------------------------------------- #
+# the blocked convolution driver against the per-pass loop
+# --------------------------------------------------------------------- #
+def _loop_convolve_rows(x, y, limbs):
+    """The reference: pass ``j`` makes one multiply and one addition over
+    every row of the layer."""
+    n = x.shape[2]
+    out = np.zeros_like(x)
+    for j in range(n):
+        products = md_mul_rows(
+            [x[i, :, j : j + 1] for i in range(limbs)], [y[i, :, : n - j] for i in range(limbs)], limbs
+        )
+        acc = md_add_rows([out[i, :, j:] for i in range(limbs)], products, limbs)
+        for i in range(limbs):
+            out[i, :, j:] = acc[i]
+    return out
+
+
+def _loop_convolve_rows_complex(xr, xi, yr, yi, limbs):
+    """The complex reference: one complex multiply and addition per pass."""
+    n = xr.shape[2]
+    out_r, out_i = np.zeros_like(xr), np.zeros_like(xi)
+    for j in range(n):
+        pr, pi = cmd_mul_rows(
+            [xr[i, :, j : j + 1] for i in range(limbs)],
+            [xi[i, :, j : j + 1] for i in range(limbs)],
+            [yr[i, :, : n - j] for i in range(limbs)],
+            [yi[i, :, : n - j] for i in range(limbs)],
+            limbs,
+        )
+        acc_r, acc_i = cmd_add_rows(
+            [out_r[i, :, j:] for i in range(limbs)], [out_i[i, :, j:] for i in range(limbs)], pr, pi, limbs
+        )
+        for i in range(limbs):
+            out_r[i, :, j:] = acc_r[i]
+            out_i[i, :, j:] = acc_i[i]
+    return out_r, out_i
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    """The bit patterns of a float64 array, every NaN as one pattern.
+
+    Signed zeros, infinities and the positions of NaNs count.  NaN payloads
+    do not: when both operands of an addition are NaNs, NumPy returns either
+    one depending on where the element falls in a SIMD block (the same
+    ``-nan + nan`` gave ``-nan`` in a full block and ``nan`` in the tail of a
+    15-element row), so a payload is a property of the array layout, not of
+    the driver.
+    """
+    return np.where(np.isnan(array), np.nan, array).view(np.int64)
+
+
+def _assert_bit_identical(got, expected) -> None:
+    for mine, theirs in zip(got, expected, strict=True):
+        assert mine.shape == theirs.shape
+        assert np.array_equal(_bits(mine), _bits(theirs))
+
+
+def _layer_rows(size: str, width: int) -> int:
+    """Rows of a layer of ``size`` relative to the convolution budget."""
+    budget = tensor_module._CONVOLUTION_BUDGET
+    fitting = budget // (width * (width + 1) // 2)
+    return {
+        "one row": 1,
+        "under": max(fitting, 1),
+        "over": fitting + 1,
+        # two full row blocks and a ragged third one
+        "blocks": 2 * max(1, budget // width) + 3,
+    }[size]
+
+
+def _operands(nprng, planes: int, limbs: int, rows: int, width: int, layout: str):
+    """``planes`` x-operands and as many y-operands of one layer.
+
+    ``contiguous`` draws every row; ``flat`` tiles a few rows with
+    ``np.broadcast_to`` and collapses them with the solver's ``_flat``, the
+    way ``batch_lu_solve_tensor`` passes its factors and pivot rows;
+    ``view`` passes non-contiguous views (a row-strided slice and a
+    zero-stride broadcast) straight through.  The first row of every x
+    starts with a negative zero, an infinity and a NaN (as many as fit).
+    """
+
+    specials = [-0.0, np.inf, np.nan][:width]
+
+    def draw(count, special=False):
+        lead = nprng.standard_normal((count, width))
+        rest = [lead * nprng.uniform(-1.0, 1.0, lead.shape) * 2.0 ** (-53 * i) for i in range(1, limbs)]
+        if special:
+            lead[0, : len(specials)] = specials
+        return np.stack([lead, *rest])
+
+    def layer(special):
+        if layout == "contiguous":
+            return draw(rows, special)
+        if layout == "flat":
+            tiled = np.broadcast_to(draw(1, special)[:, :, None, :], (limbs, 1, rows, width))
+            return _flat(tiled, limbs, width)
+        if layout == "view":
+            return draw(2 * rows, special)[:, ::2, :]
+        raise ValueError(layout)
+
+    xs = [layer(True) for _ in range(planes)]
+    if layout == "view":
+        return xs, [np.broadcast_to(draw(1), (limbs, rows, width)) for _ in range(planes)]
+    return xs, [layer(False) for _ in range(planes)]
+
+
+def _convolve(ring: str, xs, ys, limbs: int):
+    if ring == "real":
+        return (convolve_rows(xs[0], ys[0], limbs),)
+    return convolve_rows_complex(xs[0], xs[1], ys[0], ys[1], limbs)
+
+
+@tensor_module.quiet_fp
+def _reference(ring: str, xs, ys, limbs: int):
+    if ring == "real":
+        return (_loop_convolve_rows(xs[0], ys[0], limbs),)
+    return _loop_convolve_rows_complex(xs[0], xs[1], ys[0], ys[1], limbs)
+
+
+LAYER_SIZES = ("one row", "under", "over", "blocks")
+
+
+class TestConvolutionDriver:
+    """One multiply per layer within the budget, one per pass and row block
+    beyond it: every product is elementwise and every coefficient sums in
+    increasing pass order, so both equal the per-pass loop bit for bit."""
+
+    @pytest.mark.parametrize("size", LAYER_SIZES)
+    @pytest.mark.parametrize("degree", (0, 1, 8, 15))
+    @pytest.mark.parametrize("limbs", (1, 2, 3, 4, 8))
+    @pytest.mark.parametrize("ring", ("real", "complex"))
+    def test_matches_per_pass_loop(self, nprng, monkeypatch, ring, limbs, degree, size):
+        # A small budget keeps the 8-limb complex grid quick; the blocking
+        # logic only sees the budget, and the next test runs the real one.
+        monkeypatch.setattr(tensor_module, "_CONVOLUTION_BUDGET", 1024)
+        width = degree + 1
+        xs, ys = _operands(nprng, 1 if ring == "real" else 2, limbs, _layer_rows(size, width), width, "contiguous")
+        _assert_bit_identical(_convolve(ring, xs, ys, limbs), _reference(ring, xs, ys, limbs))
+
+    @pytest.mark.parametrize("size", LAYER_SIZES)
+    @pytest.mark.parametrize("degree", (0, 15))
+    @pytest.mark.parametrize("ring", ("real", "complex"))
+    def test_matches_per_pass_loop_at_the_module_budget(self, nprng, ring, degree, size):
+        width = degree + 1
+        xs, ys = _operands(nprng, 1 if ring == "real" else 2, 2, _layer_rows(size, width), width, "contiguous")
+        _assert_bit_identical(_convolve(ring, xs, ys, 2), _reference(ring, xs, ys, 2))
+
+    @pytest.mark.parametrize("layout", ("flat", "view"))
+    @pytest.mark.parametrize("size", LAYER_SIZES)
+    @pytest.mark.parametrize("ring", ("real", "complex"))
+    def test_broadcast_and_strided_operands(self, nprng, monkeypatch, ring, size, layout):
+        monkeypatch.setattr(tensor_module, "_CONVOLUTION_BUDGET", 1024)
+        width = 9
+        xs, ys = _operands(nprng, 1 if ring == "real" else 2, 2, _layer_rows(size, width), width, layout)
+        _assert_bit_identical(_convolve(ring, xs, ys, 2), _reference(ring, xs, ys, 2))
+
+    @pytest.mark.parametrize("shape", [(2, 0, 5), (2, 3, 0)], ids=["no rows", "no columns"])
+    def test_empty_layers(self, shape):
+        x = np.zeros(shape)
+        assert convolve_rows(x, x, 2).shape == shape
+        assert [plane.shape for plane in convolve_rows_complex(x, x, x, x, 2)] == [shape, shape]
+
+    @pytest.mark.parametrize("size", LAYER_SIZES)
+    def test_multiplies_per_layer(self, nprng, monkeypatch, size):
+        """A layer within the budget makes exactly one multiply; a larger
+        one makes one per pass and row block.  Each makes one addition per
+        pass and row block."""
+        calls = dict.fromkeys(("md_mul_rows", "md_add_rows"), 0)
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(tensor_module, name, counting(name, getattr(tensor_module, name)))
+        width = 16
+        rows = _layer_rows(size, width)
+        xs, ys = _operands(nprng, 1, 2, rows, width, "contiguous")
+        convolve_rows(xs[0], ys[0], 2)
+        blocks = -(-rows // (tensor_module._CONVOLUTION_BUDGET // width))
+        stacked = size in ("one row", "under")
+        assert calls == {
+            "md_mul_rows": 1 if stacked else width * blocks,
+            "md_add_rows": width if stacked else width * blocks,
+        }
+
+
+# --------------------------------------------------------------------- #
+# kernel drivers on non-finite lanes
+# --------------------------------------------------------------------- #
+def _planes(nprng, shape, infinity=None):
+    """Random double-double limb planes ``(2, *shape)``, constant terms away
+    from zero, with an infinity at ``infinity`` of the leading limb."""
+    lead = nprng.standard_normal(shape)
+    lead[..., 0] += np.copysign(4.0, lead[..., 0])
+    planes = np.stack([lead, lead * nprng.uniform(-1.0, 1.0, shape) * 2.0**-53])
+    if infinity is not None:
+        planes[(0, *infinity)] = np.inf
+    return planes
+
+
+def _driver_runs(nprng, driver):
+    """``driver`` on two lanes, lane 0 holding an infinity, and on lane 1
+    alone; every result has its lanes on axis 1."""
+    if driver == "convolve_rows":
+        x, y = _planes(nprng, (2, 5), (0, 1)), _planes(nprng, (2, 5))
+        return (convolve_rows(x, y, 2),), (convolve_rows(x[:, 1:], y[:, 1:], 2),)
+    if driver == "convolve_rows_complex":
+        xr, xi, yr, yi = _planes(nprng, (2, 5), (0, 2)), *(_planes(nprng, (2, 5)) for _ in range(3))
+        alone = convolve_rows_complex(xr[:, 1:], xi[:, 1:], yr[:, 1:], yi[:, 1:], 2)
+        return convolve_rows_complex(xr, xi, yr, yi, 2), alone
+    if driver == "series_inverse_rows":
+        c = _planes(nprng, (2, 5), (0, 2))
+        return (series_inverse_rows(c, 2),), (series_inverse_rows(c[:, 1:], 2),)
+    if driver == "batch_lu_solve_tensor":
+        # an infinite elimination target, so the solver's own subtraction sees it
+        matrix, rhs = _planes(nprng, (2, 2, 2, 4), (0, 1, 1, 0)), _planes(nprng, (2, 2, 4))
+        matrix[0, :, 0, 0, 0] += np.copysign(8.0, matrix[0, :, 0, 0, 0])
+        alone = batch_lu_solve_tensor(matrix[:, 1:], rhs[:, 1:], 2)
+        return (batch_lu_solve_tensor(matrix, rhs, 2),), (alone,)
+    if driver == "instance_norms":
+        planes = _planes(nprng, (2, 3, 4), (0, 1, 2))
+        planes[1, 0, 1, 2] = -np.inf  # collapses to inf + -inf
+        norms = tensor_module.instance_norms
+        return (norms(planes)[None],), (norms(planes[:, 1:])[None],)
+    raise ValueError(driver)
+
+
+def _result_limbs(results):
+    """Every coefficient limb of a list of evaluation results."""
+    return [
+        [c.limbs for c in series.coefficients]
+        for result in results
+        for series in (result.value, *result.gradient)
+    ]
+
+
+class TestQuietDrivers:
+    """The kernel drivers turn an infinity into infinities and NaNs as
+    silently as the scalar operators: with every warning an error, each
+    finishes, and the finite lane comes out as it does alone."""
+
+    @pytest.mark.parametrize(
+        "driver",
+        ["convolve_rows", "convolve_rows_complex", "series_inverse_rows", "batch_lu_solve_tensor", "instance_norms"],
+    )
+    def test_a_non_finite_lane_is_silent_and_alone(self, nprng, driver):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            both, alone = _driver_runs(nprng, driver)
+        assert not np.isfinite(both[0][:, 0]).all()
+        _assert_bit_identical([plane[:, 1:] for plane in both], alone)
+
+    def test_a_sweep_with_an_overflowing_lane_is_silent(self):
+        """From ``x1 = 1e308`` the sweep's own scale layer overflows: the
+        gradient of ``x1^2`` is twice its adjusted coefficient ``x1``."""
+        polynomial = parse_polynomial("x1^2 + x1*x2 - 3", dimension=2, degree=3, kind="md", precision=2)
+        evaluator = SystemEvaluator([polynomial], mode="vectorized", cache=ScheduleCache())
+
+        def inputs(x1):
+            return [PowerSeries.constant(MultiDouble.from_float(v, 2), 3) for v in (x1, 1.5)]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            overflowing, healthy = evaluator.evaluate_batch([inputs(1.0e308), inputs(1.25)])
+            (alone,) = evaluator.evaluate_batch([inputs(1.25)])
+        assert not np.isfinite(float(overflowing[0].value.coefficients[0]))
+        assert _result_limbs(healthy) == _result_limbs(alone)
 
 
 # --------------------------------------------------------------------- #

@@ -91,6 +91,26 @@ class TestVecRenormalize:
             got = sum(Fraction(float(row[j])) for row in out)
             assert abs(got - exact) < Fraction(2) ** (-96)
 
+    @pytest.mark.parametrize(
+        "terms, limbs",
+        [(1, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 2), (7, 2)],
+        ids=lambda v: str(v),
+    )
+    def test_results_never_alias_the_terms(self, nprng, terms, limbs):
+        """The terms are not copied, but no result is one of them (a lone
+        term, which no sweep touches, included) and no term is written."""
+        arrays = [nprng.uniform(-1, 1, 6) * 2.0 ** (-50 * i) for i in range(terms)]
+        # broadcast views are read-only: writing into one raises
+        views = [np.broadcast_to(a, a.shape) for a in arrays]
+        before = [a.copy() for a in arrays]
+        out = vec_renormalize(views, limbs)
+        assert len(out) == limbs
+        for row in out:
+            assert row.flags.writeable
+            assert not any(np.shares_memory(row, a) for a in arrays)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             vec_renormalize([], 2)
