@@ -16,16 +16,13 @@ from .system import (
 )
 from .tensor import (
     CommonFactorPlan,
-    ComplexSlotTensor,
     SlotTensor,
     TensorLayer,
     TensorProgram,
     compile_tensor_program,
     convolve_rows,
-    convolve_rows_complex,
     infer_ring,
     join_rings,
-    make_tensor,
 )
 from .context import EvalContext
 
@@ -52,15 +49,12 @@ __all__ = [
     "fuse_schedules",
     "system_structure_key",
     "SlotTensor",
-    "ComplexSlotTensor",
     "CommonFactorPlan",
     "TensorLayer",
     "TensorProgram",
     "compile_tensor_program",
     "convolve_rows",
-    "convolve_rows_complex",
     "infer_ring",
     "join_rings",
-    "make_tensor",
     "EvalContext",
 ]

@@ -64,8 +64,8 @@ from ..md.multidouble import MultiDouble
 from ..obs import get_telemetry
 from ..series.series import PowerSeries
 from .tensor import (
-    ComplexSlotTensor,
     RowSeries,
+    SlotTensor,
     compile_tensor_program,
     infer_ring,
     instance_norms,
@@ -74,7 +74,6 @@ from .tensor import (
     promote_planes,
     ring_planes,
     scalar_ring,
-    zero_tensor,
 )
 
 __all__ = ["EvalContext"]
@@ -207,7 +206,8 @@ class EvalContext:
         """The adoption recipe of the resident tensor (``None`` before packing).
 
         Another process holding the same segment passes this dict to
-        :func:`repro.core.tensor.adopt_buffer` to view the live tensor.
+        :meth:`repro.core.tensor.SlotTensor.from_buffer` (as keywords) to
+        view the live tensor.
         """
         if self._tensor is None:
             return None
@@ -528,7 +528,7 @@ class EvalContext:
         kind, limbs = join_rings(system_ring, input_ring)
         fused = evaluator.fused
         width = fused.degree + 1
-        tensor = zero_tensor(kind, limbs, self._batch * fused.total_slots, width)
+        tensor = SlotTensor.zeros(kind, limbs, self._batch * fused.total_slots, width)
         if self._buffer is not None:
             tensor = self._relocate(tensor)
         self._tensor = tensor
@@ -547,7 +547,7 @@ class EvalContext:
         )
         plan = self._program.common_factor
         if plan is not None:
-            self._raw = zero_tensor(kind, limbs, self._batch * len(plan.monomials), width)
+            self._raw = SlotTensor.zeros(kind, limbs, self._batch * len(plan.monomials), width)
             self._raw_exact = np.zeros(self._batch, dtype=bool)
         self._index_rows()
         # The per-call pack fills the product region with each equation's
@@ -590,14 +590,7 @@ class EvalContext:
         try:
             if tensor.nbytes > len(memoryview(self._buffer).cast("B")):
                 return tensor
-            spec = tensor.export_buffer(self._buffer)
-            adopted = type(tensor).from_buffer(
-                self._buffer,
-                limbs=spec["limbs"],
-                rows=spec["rows"],
-                width=spec["width"],
-                ring=spec["ring"],
-            )
+            adopted = SlotTensor.from_buffer(self._buffer, **tensor.export_buffer(self._buffer))
         except (TypeError, ValueError, BufferError):
             return tensor
         self._adopted = True
@@ -812,7 +805,7 @@ class EvalContext:
         model = self._timing_model_for_ring()
         if model is None:
             return None
-        planes = 2 if isinstance(self._tensor, ComplexSlotTensor) else 1
+        planes = len(self._tensor.planes)
         return model.transfer_ms(n_series, self._evaluator.fused.degree, planes)
 
     # ------------------------------------------------------------------ #
@@ -841,19 +834,15 @@ class EvalContext:
         stride = self._evaluator.fused.total_slots
         bases = np.arange(self._batch, dtype=np.int64) * stride
         rows = bases[:, None] + self._value_rows[None, :]
-        if isinstance(self._tensor, ComplexSlotTensor):
-            return instance_norms(
-                (self._tensor.real[:, rows, :], self._tensor.imag[:, rows, :])
-            )
-        return instance_norms(self._tensor.data[:, rows, :])
+        return instance_norms(tuple(plane[:, rows, :] for plane in self._tensor.planes))
 
     def newton_system(self, instances: Sequence[int]):
         """Gather the packed Newton systems ``J(z) dz = -F(z)`` of ``instances``.
 
-        Returns ``(matrix, rhs)`` limb tensors shaped
-        ``(limbs, m, n, n, degree+1)`` and ``(limbs, m, n, degree+1)`` for
-        the ``m`` requested instances — real planes, or ``(real, imag)``
-        pairs for complex rings, exactly the operands of
+        Returns ``(matrix, rhs)``, tuples of limb planes (one per tensor
+        plane) shaped ``(limbs, m, n, n, degree+1)`` and
+        ``(limbs, m, n, degree+1)`` for the ``m`` requested instances —
+        exactly the operands of
         :func:`repro.homotopy.batch_linsolve.solve_packed`.  The Jacobian
         rows are gathered straight from the resident derivative rows (no
         series unpacking); variables an equation does not depend on read as
@@ -868,18 +857,13 @@ class EvalContext:
         value_rows = bases[:, None] + self._value_rows[None, :]
         missing = self._grad_rows < 0
         grad_rows = bases[:, None, None] + np.where(missing, 0, self._grad_rows)[None, :, :]
-        if isinstance(self._tensor, ComplexSlotTensor):
-            planes = (self._tensor.real, self._tensor.imag)
-            # Advanced indexing gathers into fresh arrays, so zeroing the
-            # missing-variable blocks cannot touch the resident tensor.
-            matrix = tuple(plane[:, grad_rows, :] for plane in planes)
-            for plane in matrix:
-                plane[:, :, missing, :] = 0.0
-            rhs = tuple(-plane[:, value_rows, :] for plane in planes)
-            return matrix, rhs
-        matrix = self._tensor.data[:, grad_rows, :]
-        matrix[:, :, missing, :] = 0.0
-        rhs = -self._tensor.data[:, value_rows, :]
+        planes = self._tensor.planes
+        # Advanced indexing gathers into fresh arrays, so zeroing the
+        # missing-variable blocks cannot touch the resident tensor.
+        matrix = tuple(plane[:, grad_rows, :] for plane in planes)
+        for plane in matrix:
+            plane[:, :, missing, :] = 0.0
+        rhs = tuple(-plane[:, value_rows, :] for plane in planes)
         return matrix, rhs
 
     # ------------------------------------------------------------------ #
@@ -888,21 +872,21 @@ class EvalContext:
     def apply_corrections(self, lanes: Sequence[int], solution) -> None:
         """Add Newton corrections to the lanes' state rows: ``z + dz``.
 
-        ``solution`` is the ``(limbs, len(lanes), n, degree+1)`` output of
-        :func:`repro.homotopy.batch_linsolve.solve_packed` (a ``(real, imag)``
-        pair for complex rings).  The sum replays :meth:`PowerSeries.__add__`
-        on the scalars the rows stand for, limb for limb
-        (:func:`repro.md.replica.series_add`), including the coercing branch
+        ``solution`` is the output of
+        :func:`repro.homotopy.batch_linsolve.solve_packed`, one
+        ``(limbs, len(lanes), n, degree+1)`` block per tensor plane.  The sum
+        replays :meth:`PowerSeries.__add__` on the scalars the rows stand
+        for, limb for limb (:func:`repro.md.replica.series_add`), including
+        the coercing branch
         where a lane still holds plain scalars (a float start in a
         multiple-double system); afterwards every corrected lane holds
         scalars of the tensor ring.  Pass ``None`` for these lanes to the
         next :meth:`update_inputs` to load the sums.
         """
         lanes = np.asarray(lanes, dtype=np.int64)
-        planes = solution if isinstance(solution, tuple) else (solution,)
         z = tuple(plane[:, lanes] for plane in self._state)
         summed = replica.series_add(
-            z, replica.as_scalars(planes, self._ring), self._ring, self._plain[lanes]
+            z, replica.as_scalars(solution, self._ring), self._ring, self._plain[lanes]
         )
         for plane, block in zip(self._state, summed):
             plane[:, lanes] = block

@@ -725,12 +725,12 @@ class SystemEvaluator:
         """One whole-layer NumPy sweep over the packed slot tensor.
 
         Implemented as a one-shot :class:`repro.core.EvalContext`: the fused
-        slot array of the entire batch is packed into one limb tensor (real
-        :class:`repro.core.tensor.SlotTensor` or paired-plane
-        :class:`repro.core.tensor.ComplexSlotTensor`, chosen by the joined
-        coefficient ring), the fused schedule is compiled once per structure
-        into a :class:`repro.core.tensor.TensorProgram` (memoised in the
-        schedule cache next to the fused schedule), and every fused layer
+        slot array of the entire batch is packed into one
+        :class:`repro.core.tensor.SlotTensor` (one limb plane, or real and
+        imaginary planes, by the joined coefficient ring), the fused schedule
+        is compiled once per structure into a
+        :class:`repro.core.tensor.TensorProgram` (memoised in the schedule
+        cache next to the fused schedule), and every fused layer
         executes as a few vectorised multidouble calls — one "launch" per
         layer instead of one Python call per job.  Clients that sweep
         repeatedly should hold the context themselves

@@ -7,12 +7,11 @@ instance — but still execute that width as a Python-level loop over
 turns the width into actual SIMD work, the host-side analogue of "one kernel
 launch per layer" with the paper's structure-of-arrays data layout:
 
-* :class:`SlotTensor` packs the fused slot array of a whole batch into one
-  contiguous limb tensor of shape ``(limbs, total_slots x batch, degree+1)``
+* :class:`SlotTensor` packs the fused slot array of a whole batch into a
+  tuple of limb planes of shape ``(limbs, total_slots x batch, degree+1)``
   — row ``b * total_slots + s`` holds the coefficients of slot ``s`` of
-  instance ``b``, one NumPy plane per limb — with gather/scatter back to
-  :class:`repro.series.PowerSeries` coefficients (floats or
-  :class:`repro.md.MultiDouble`);
+  instance ``b``, one NumPy array per limb — with gather/scatter back to
+  :class:`repro.series.PowerSeries` coefficients;
 * :func:`compile_tensor_program` compiles a
   :class:`repro.core.FusedSystemSchedule` once per structure into a
   :class:`TensorProgram`: per fused layer, the job tuples are transposed
@@ -33,17 +32,22 @@ launch per layer" with the paper's structure-of-arrays data layout:
 The backend is registered as the fifth execution mode (``"vectorized"``) of
 :class:`repro.core.SystemEvaluator`.  It covers every ring the vectorised
 multiple-double stack supports — plain doubles, :class:`MultiDouble` of any
-limb count, Python complexes and :class:`repro.md.ComplexMD`.  Complex data
-lives in a :class:`ComplexSlotTensor` holding *paired* real and imaginary
-limb planes (the split layout of :class:`repro.md.ComplexMDArray`), and the
-complex layer sweeps decompose into real sweeps through
-:mod:`repro.md.cvecops` in the exact operation order of the scalar
-:class:`repro.md.ComplexMD` — so the PHCpack-style unit-circle workloads of
-the paper run on the fast path bit-compatibly with the staged oracle.
-Evaluators fall back to the staged path only for exact fractions, which keep
-their oracle role.  The kernel drivers (sweeps, convolutions, norms) run with
-NumPy's floating-point warnings off (:func:`quiet_fp`), as silent on an
-infinity or a NaN as the scalar operators.
+limb count, Python complexes and :class:`repro.md.ComplexMD`.  A packed
+tensor is a tuple of limb planes: one for the real rings, the real and
+imaginary planes for the complex ones (the split layout of
+:class:`repro.md.ComplexMDArray`).  Every driver — the sweep, the
+convolution, :func:`instance_norms` and the batched solve of
+:mod:`repro.homotopy.batch_linsolve` — is written once over such tuples.
+Only multiplication, the reciprocal and the constant-term magnitude depend
+on the ring (``_RING_OPS``, keyed by plane count); additions, subtractions
+and scalings run plane by plane with :mod:`repro.md.vecops`.  The complex
+operations decompose into real sweeps through :mod:`repro.md.cvecops` in the
+exact operation order of the scalar :class:`repro.md.ComplexMD` — so the
+PHCpack-style unit-circle workloads of the paper run on the fast path
+bit-compatibly with the staged oracle.  Evaluators fall back to the staged
+path only for exact fractions, which keep their oracle role.  The kernel
+drivers run with NumPy's floating-point warnings off (:func:`quiet_fp`), as
+silent on an infinity or a NaN as the scalar operators.
 """
 
 from __future__ import annotations
@@ -51,34 +55,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from math import prod
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..md.complexmd import ComplexMD
-from ..md.cvecops import cmd_add_rows, cmd_mul_rows, cmd_scale_rows
+from ..md.cvecops import cmd_mul_rows, cmd_reciprocal_rows
 from ..md.multidouble import MultiDouble
-from ..md.vecops import md_add_rows, md_mul_rows, md_scale_rows
+from ..md.vecops import md_add_rows, md_mul_rows, md_reciprocal_rows, md_scale_rows
 from ..series.series import PowerSeries
 from .system import FusedSystemSchedule
 
 __all__ = [
     "SlotTensor",
-    "ComplexSlotTensor",
     "CommonFactorPlan",
     "TensorLayer",
     "TensorProgram",
-    "adopt_buffer",
     "collapse_limbs",
     "compile_common_factor_plan",
     "compile_tensor_program",
     "convolve_rows",
-    "convolve_rows_complex",
     "infer_ring",
     "instance_norms",
     "join_rings",
-    "make_tensor",
     "pack_exact",
+    "plane_count",
     "promote_planes",
     "quiet_fp",
     "ring_planes",
@@ -86,7 +88,6 @@ __all__ = [
     "scalar_ring",
     "tensor_nbytes",
     "unpack_scalars",
-    "zero_tensor",
 ]
 
 #: Coefficient types the backend packs losslessly into limb planes.
@@ -165,8 +166,14 @@ def join_rings(a: tuple[str, int], b: tuple[str, int]) -> tuple[str, int]:
     return _join_kinds(a[0], b[0]), max(a[1], b[1])
 
 
+def plane_count(kind: str) -> int:
+    """Limb planes of a tensor of ring ``kind``: the real and imaginary
+    planes for the complex rings, one plane for the real ones."""
+    return 2 if kind in ("complex", "cmd") else 1
+
+
 # --------------------------------------------------------------------- #
-# limb decomposition helpers (shared by the real and complex tensors)
+# limb decomposition helpers
 # --------------------------------------------------------------------- #
 def _limb_tuple(value, limbs: int) -> tuple[float, ...]:
     """A real scalar or :class:`MultiDouble` as exactly ``limbs`` doubles.
@@ -207,14 +214,19 @@ def _complex_parts(value):
     if isinstance(value, (MultiDouble,) + _REAL_SCALARS):
         return value, 0.0
     raise TypeError(
-        f"cannot pack {type(value).__name__} coefficients into a ComplexSlotTensor"
+        f"cannot pack {type(value).__name__} coefficients into a complex tensor"
     )
 
 
-def _series_block(series: PowerSeries, limbs: int) -> np.ndarray:
-    """One real series as a ``(limbs, degree+1)`` limb block."""
+def _real_parts(value) -> tuple:
+    """One coefficient as the single component of a real tensor."""
+    return (value,)
+
+
+def _series_block(coefficients, limbs: int) -> np.ndarray:
+    """Real coefficients as a ``(limbs, len(coefficients))`` limb block."""
     return np.asarray(
-        [_limb_tuple(c, limbs) for c in series.coefficients], dtype=np.float64
+        [_limb_tuple(c, limbs) for c in coefficients], dtype=np.float64
     ).T
 
 
@@ -229,85 +241,72 @@ def tensor_nbytes(kind: str, limbs: int, rows: int, width: int) -> int:
     packed anything: the shape follows from the fused layout (``rows =
     batch x total_slots``, ``width = degree + 1``) and the ring from
     :func:`infer_ring`, so the parent can allocate and the worker adopt with
-    :meth:`SlotTensor.from_buffer` / :meth:`ComplexSlotTensor.from_buffer` —
-    complex rings carry two limb-plane blocks (real, then imaginary).
+    :meth:`SlotTensor.from_buffer` — complex rings carry two limb-plane
+    blocks (real, then imaginary).
     """
-    planes = 2 if kind in ("complex", "cmd") else 1
-    return planes * limbs * rows * width * 8
-
-
-def adopt_buffer(buffer, spec: dict) -> "SlotTensor | ComplexSlotTensor":
-    """Adopt a packed tensor living in ``buffer`` as a zero-copy view.
-
-    ``spec`` is the dict :meth:`SlotTensor.export_buffer` /
-    :meth:`ComplexSlotTensor.export_buffer` returned — ``ring``, ``limbs``,
-    ``rows`` and ``width`` — so a worker process (or the parent, reading a
-    worker's live tensor) reconstructs the exact tensor without copying or
-    repacking a single limb.
-    """
-    cls = ComplexSlotTensor if spec["ring"] in ("complex", "cmd") else SlotTensor
-    return cls.from_buffer(
-        buffer,
-        limbs=spec["limbs"],
-        rows=spec["rows"],
-        width=spec["width"],
-        ring=spec["ring"],
-    )
+    return plane_count(kind) * limbs * rows * width * 8
 
 
 # --------------------------------------------------------------------- #
 # the packed slot tensor
 # --------------------------------------------------------------------- #
-class SlotTensor:
-    """The fused slot array of a whole batch as one limb tensor.
+#: The ring kinds of the lattice :func:`infer_ring` reports.
+_KINDS = ("float", "md", "complex", "cmd")
 
-    ``data[i, r, k]`` is limb ``i`` of coefficient ``k`` of slot row ``r``;
-    with batch stride ``total_slots``, row ``b * total_slots + s`` is slot
-    ``s`` of instance ``b`` — the same flat layout the staged sweep uses,
-    transposed into the paper's one-array-per-limb memory shape.
+
+class SlotTensor:
+    """The fused slot array of a whole batch as a tuple of limb planes.
+
+    ``planes[p][i, r, k]`` is limb ``i`` of coefficient ``k`` of slot row
+    ``r`` in plane ``p``.  The real rings (``"float"``, ``"md"``) have one
+    plane, the complex rings (``"complex"``, ``"cmd"``) a real and an
+    imaginary plane of one shape — the split storage of
+    :class:`repro.md.ComplexMDArray`, which is also the paper's coalesced
+    complex memory layout.  With batch stride ``total_slots``, row
+    ``b * total_slots + s`` is slot ``s`` of instance ``b`` — the same flat
+    layout the staged sweep uses, transposed into the paper's
+    one-array-per-limb memory shape.  Rows scatter back to floats,
+    :class:`MultiDouble`, complexes or :class:`repro.md.ComplexMD`, by ring.
     """
 
-    __slots__ = ("data", "ring")
+    __slots__ = ("planes", "ring")
 
-    #: Real tensor: one set of limb planes (see :class:`ComplexSlotTensor`).
-    is_complex = False
-
-    def __init__(self, data: np.ndarray, ring: str = "md"):
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        if data.ndim != 3:
+    def __init__(self, planes: Sequence[np.ndarray], ring: str = "md"):
+        if ring not in _KINDS:
+            raise ValueError(f"unknown ring {ring!r}; choose one of {', '.join(_KINDS)}")
+        planes = tuple(np.ascontiguousarray(plane, dtype=np.float64) for plane in planes)
+        shapes = [plane.shape for plane in planes]
+        if len(planes) != plane_count(ring) or len(shapes[0]) != 3 or len(set(shapes)) != 1:
             raise ValueError(
-                f"SlotTensor expects a (limbs, rows, degree+1) array, got shape {data.shape}"
+                f"a {ring!r} SlotTensor expects {plane_count(ring)} (limbs, rows, "
+                f"degree+1) array(s) of one shape, got shapes {shapes}"
             )
-        if ring not in ("float", "md"):
-            raise ValueError(f"unknown ring {ring!r}; choose 'float' or 'md'")
-        self.data = data
+        self.planes = planes
         self.ring = ring
 
     # ------------------------------------------------------------------ #
     @property
     def limbs(self) -> int:
-        return self.data.shape[0]
+        return self.planes[0].shape[0]
 
     @property
     def rows(self) -> int:
-        return self.data.shape[1]
+        return self.planes[0].shape[1]
 
     @property
     def width(self) -> int:
         """Coefficients per series row (``degree + 1``)."""
-        return self.data.shape[2]
+        return self.planes[0].shape[2]
 
     @property
     def degree(self) -> int:
         return self.width - 1
 
-    @property
-    def planes(self) -> tuple[np.ndarray]:
-        """The limb-plane blocks, one per component (just ``data`` here)."""
-        return (self.data,)
-
-    def copy(self) -> "SlotTensor":
-        return SlotTensor(self.data.copy(), self.ring)
+    @classmethod
+    def zeros(cls, ring: str, limbs: int, rows: int, width: int) -> "SlotTensor":
+        """An all-zero tensor of ``ring`` with ``rows`` rows of ``width``."""
+        shape = (limbs, rows, width)
+        return cls(tuple(np.zeros(shape) for _ in range(plane_count(ring))), ring)
 
     # ------------------------------------------------------------------ #
     # shared-buffer residence
@@ -315,10 +314,10 @@ class SlotTensor:
     @property
     def nbytes(self) -> int:
         """Bytes the limb planes occupy (what :meth:`export_buffer` needs)."""
-        return self.data.nbytes
+        return sum(plane.nbytes for plane in self.planes)
 
     def buffer_spec(self) -> dict:
-        """The adoption recipe of this tensor (see :func:`adopt_buffer`)."""
+        """The adoption recipe of this tensor: :meth:`from_buffer`'s keywords."""
         return {
             "ring": self.ring,
             "limbs": self.limbs,
@@ -331,12 +330,16 @@ class SlotTensor:
 
         ``buffer`` is any writable buffer (typically the ``buf`` of a
         :class:`multiprocessing.shared_memory.SharedMemory` segment) of at
-        least :attr:`nbytes` bytes.  One ``memcpy`` — not a repack: the
-        packed representation crosses the process boundary bit for bit, and
-        :meth:`from_buffer` on the other side is a zero-copy view.
+        least :attr:`nbytes` bytes.  The planes lie one after another (real
+        block, then imaginary block), one ``memcpy`` each — not a repack:
+        the packed representation crosses the process boundary bit for bit,
+        and :meth:`from_buffer` on the other side is a zero-copy view.
         """
-        out = np.ndarray(self.data.shape, dtype=np.float64, buffer=buffer)
-        np.copyto(out, self.data)
+        offset = 0
+        for plane in self.planes:
+            out = np.ndarray(plane.shape, dtype=np.float64, buffer=buffer, offset=offset)
+            np.copyto(out, plane)
+            offset += plane.nbytes
         return self.buffer_spec()
 
     @classmethod
@@ -345,13 +348,23 @@ class SlotTensor:
     ) -> "SlotTensor":
         """Adopt a packed tensor from a (shared) buffer, zero copy.
 
-        The returned tensor's ``data`` is a view into ``buffer``: in-place
-        updates (:meth:`write_series`, :meth:`zero_rows`, program sweeps) are
+        The returned tensor's planes are views into ``buffer``, in the
+        layout of :meth:`export_buffer`: in-place updates
+        (:meth:`write_series`, :meth:`zero_rows`, program sweeps) are
         visible to every process holding the same segment, which is what
         makes a sharded fleet's residency *shared* instead of per-process.
+        A worker adopts a live tensor with
+        ``SlotTensor.from_buffer(buffer, **spec)``.
         """
-        data = np.ndarray((limbs, rows, width), dtype=np.float64, buffer=buffer)
-        return cls(data, ring)
+        shape = (limbs, rows, width)
+        size = limbs * rows * width * 8
+        return cls(
+            tuple(
+                np.ndarray(shape, dtype=np.float64, buffer=buffer, offset=plane * size)
+                for plane in range(plane_count(ring))
+            ),
+            ring,
+        )
 
     # ------------------------------------------------------------------ #
     # gather: series -> tensor rows
@@ -362,9 +375,13 @@ class SlotTensor:
     ) -> "SlotTensor":
         """Pack a flat slot array of series into one limb tensor.
 
-        Every coefficient must be a real scalar or a :class:`MultiDouble`;
-        values with fewer limbs than the tensor are zero-extended (exact),
-        values with more limbs are renormalised down.
+        Every coefficient must be a real scalar or a :class:`MultiDouble`,
+        or for the complex rings also a complex or a
+        :class:`repro.md.ComplexMD` (real data gets an exact zero imaginary
+        plane); values with fewer limbs than the tensor are zero-extended
+        (exact), values with more limbs are renormalised down.  Anything
+        else (fractions, integers a double cannot carry) raises
+        ``TypeError``.  One nested comprehension packs every plane.
         """
         if not slots:
             raise ValueError("cannot pack an empty slot array")
@@ -374,77 +391,15 @@ class SlotTensor:
                 raise ValueError(
                     f"slot {r} has degree {series.degree}, expected {width - 1}"
                 )
-        data = cls._pack_uniform(slots, limbs, width, ring)
-        if data is None:
-            data = np.zeros((limbs, len(slots), width), dtype=np.float64)
-            for r, series in enumerate(slots):
-                for k, c in enumerate(series.coefficients):
-                    if isinstance(c, MultiDouble):
-                        parts = c.limbs
-                        if len(parts) > limbs:
-                            parts = c.to_precision(limbs).limbs
-                        data[: len(parts), r, k] = parts
-                    else:
-                        # _limb_tuple rejects anything a double limb cannot
-                        # carry exactly (fractions, oversized exact ints).
-                        data[0, r, k] = _limb_tuple(c, 1)[0]
-        return cls(data, ring)
-
-    @staticmethod
-    def _pack_uniform(slots, limbs: int, width: int, ring: str) -> np.ndarray | None:
-        """Fast path: every coefficient shares one representation.
-
-        Slot arrays of one precision pack through a single nested
-        comprehension + transpose instead of a per-coefficient Python loop;
-        odd inputs (mismatched limb counts, unsupported coefficients) return
-        ``None`` and take the general loop.  The dispatch follows the
-        declared ``ring``, never a sampled coefficient, and the md path
-        zero-extends real scalars explicitly (exact) rather than let
-        ``MultiDouble.__float__`` silently round limbs away — a float-ring
-        system evaluated at md inputs (a supported mix) stays on the fast
-        path instead of failing over.
-        """
-        tail = (0.0,) * (limbs - 1)
-
-        def limb_row(c):
-            if isinstance(c, MultiDouble):
-                return c.limbs
-            if isinstance(c, (int, np.integer)) and not _int_fits_double(c):
-                raise TypeError(type(c).__name__)
-            if isinstance(c, _REAL_SCALARS):
-                return (float(c),) + tail
-            # Fractions etc. would survive float() only by rounding; punt to
-            # the general loop, which raises the proper TypeError.
-            raise TypeError(type(c).__name__)
-
-        try:
-            if ring == "md":
-                nested = [
-                    [limb_row(c) for c in s.coefficients] for s in slots
-                ]
-                block = np.asarray(nested, dtype=np.float64)  # (rows, width, k)
-                if block.shape != (len(slots), width, limbs):
-                    return None
-                return np.ascontiguousarray(block.transpose(2, 0, 1))
-            rows = [s.coefficients for s in slots]
-            if any(
-                not isinstance(c, _REAL_SCALARS)
-                or (isinstance(c, (int, np.integer)) and not _int_fits_double(c))
-                for row in rows
-                for c in row
-            ):
-                # np.asarray would lossily coerce anything with __float__
-                # (Fraction, multi-limb MultiDouble, 54-bit ints); punt
-                # instead.
-                raise TypeError("non-exact coefficient in float-ring pack")
-            block = np.asarray(rows, dtype=np.float64)  # (rows, width)
-            if block.shape != (len(slots), width):
-                return None
-            data = np.zeros((limbs, len(slots), width), dtype=np.float64)
-            data[0] = block
-            return data
-        except (AttributeError, TypeError, ValueError):
-            return None
+        parts = _complex_parts if plane_count(ring) == 2 else _real_parts
+        block = np.asarray(
+            [
+                [[_limb_tuple(part, limbs) for part in parts(c)] for c in s.coefficients]
+                for s in slots
+            ],
+            dtype=np.float64,
+        )  # (rows, width, planes, limbs)
+        return cls(tuple(block.transpose(2, 3, 0, 1)), ring)
 
     # ------------------------------------------------------------------ #
     # scatter: tensor rows -> series
@@ -452,21 +407,36 @@ class SlotTensor:
     def zero_series(self) -> PowerSeries:
         """A zero series in this tensor's coefficient ring."""
         if self.ring == "float":
-            return PowerSeries([0.0] * self.width)
-        zero = MultiDouble.zero(self.limbs)
+            zero = 0.0
+        elif self.ring == "complex":
+            zero = 0j
+        else:
+            zero = MultiDouble.zero(self.limbs)
+            if self.ring == "cmd":
+                zero = ComplexMD(zero, zero)
         return PowerSeries([zero] * self.width)
 
     def series_at(self, row: int) -> PowerSeries:
-        """Scatter one tensor row back into a :class:`PowerSeries`."""
+        """Scatter one tensor row back into a :class:`PowerSeries`.
+
+        ``"cmd"`` coefficients go through the renormalising
+        :class:`repro.md.ComplexMD` constructor (see :func:`unpack_scalars`
+        for the pairing that does not renormalise).
+        """
         if self.ring == "float":
-            return PowerSeries([float(v) for v in self.data[0, row, :]])
-        block = self.data[:, row, :]
-        return PowerSeries(
-            [
-                MultiDouble(tuple(block[:, k]), self.limbs)
-                for k in range(self.width)
-            ]
-        )
+            return PowerSeries([float(v) for v in self.planes[0][0, row, :]])
+        if self.ring == "complex":
+            real, imag = self.planes
+            return PowerSeries(
+                [complex(real[0, row, k], imag[0, row, k]) for k in range(self.width)]
+            )
+        parts = [
+            [MultiDouble(tuple(block[:, k]), self.limbs) for k in range(self.width)]
+            for block in (plane[:, row, :] for plane in self.planes)
+        ]
+        if self.ring == "md":
+            return PowerSeries(parts[0])
+        return PowerSeries([ComplexMD(re, im) for re, im in zip(*parts)])
 
     def to_slots(self) -> list[PowerSeries]:
         """Scatter the whole tensor back into a flat slot array of series."""
@@ -476,256 +446,26 @@ class SlotTensor:
     # resident updates (gather/scatter without repacking)
     # ------------------------------------------------------------------ #
     def write_series(self, rows: np.ndarray | Sequence[int], series: PowerSeries) -> None:
-        """Write one series into every listed row, in place.
+        """Write one series into every listed row of every plane, in place.
 
         This is the residency primitive: a resident evaluation context
         updates only the input rows that changed instead of repacking the
         whole slot array, so repeated Newton sweeps pay one
-        :meth:`pack` total.
+        :meth:`pack` total.  Only a complex tensor splits the coefficients
+        into real and imaginary parts.
         """
-        self.data[:, rows, :] = _series_block(series, self.limbs)[:, None, :]
+        coefficients = series.coefficients
+        if len(self.planes) == 1:
+            parts = (coefficients,)
+        else:
+            parts = zip(*map(_complex_parts, coefficients))
+        for plane, part in zip(self.planes, parts):
+            plane[:, rows, :] = _series_block(part, self.limbs)[:, None, :]
 
     def zero_rows(self, rows: np.ndarray | Sequence[int]) -> None:
         """Reset the listed rows to exact zero (the product region between runs)."""
-        self.data[:, rows, :] = 0.0
-
-
-# --------------------------------------------------------------------- #
-# the complex packed slot tensor
-# --------------------------------------------------------------------- #
-class ComplexSlotTensor:
-    """The fused slot array of a whole batch as *paired* limb tensors.
-
-    The complex analogue of :class:`SlotTensor`: real and imaginary parts
-    live in two separate ``(limbs, rows, degree+1)`` limb tensors — the
-    split storage of :class:`repro.md.ComplexMDArray`, which is also the
-    paper's coalesced complex memory layout — with the same row convention
-    (row ``b * total_slots + s`` is slot ``s`` of instance ``b``).
-
-    ``ring`` is ``"cmd"`` (complex multiple doubles, scattered back to
-    :class:`repro.md.ComplexMD`) or ``"complex"`` (one limb per plane,
-    scattered back to plain Python complexes).
-    """
-
-    __slots__ = ("real", "imag", "ring")
-
-    is_complex = True
-
-    def __init__(self, real: np.ndarray, imag: np.ndarray, ring: str = "cmd"):
-        real = np.ascontiguousarray(real, dtype=np.float64)
-        imag = np.ascontiguousarray(imag, dtype=np.float64)
-        if real.ndim != 3 or real.shape != imag.shape:
-            raise ValueError(
-                "ComplexSlotTensor expects two (limbs, rows, degree+1) arrays of "
-                f"one shape, got {real.shape} and {imag.shape}"
-            )
-        if ring not in ("complex", "cmd"):
-            raise ValueError(f"unknown ring {ring!r}; choose 'complex' or 'cmd'")
-        self.real = real
-        self.imag = imag
-        self.ring = ring
-
-    # ------------------------------------------------------------------ #
-    @property
-    def limbs(self) -> int:
-        return self.real.shape[0]
-
-    @property
-    def rows(self) -> int:
-        return self.real.shape[1]
-
-    @property
-    def width(self) -> int:
-        """Coefficients per series row (``degree + 1``)."""
-        return self.real.shape[2]
-
-    @property
-    def degree(self) -> int:
-        return self.width - 1
-
-    @property
-    def planes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The limb-plane blocks, one per component: ``(real, imag)``."""
-        return (self.real, self.imag)
-
-    def copy(self) -> "ComplexSlotTensor":
-        return ComplexSlotTensor(self.real.copy(), self.imag.copy(), self.ring)
-
-    # ------------------------------------------------------------------ #
-    # shared-buffer residence
-    # ------------------------------------------------------------------ #
-    @property
-    def nbytes(self) -> int:
-        """Bytes both limb-plane blocks occupy (real block, then imaginary)."""
-        return self.real.nbytes + self.imag.nbytes
-
-    def buffer_spec(self) -> dict:
-        """The adoption recipe of this tensor (see :func:`adopt_buffer`)."""
-        return {
-            "ring": self.ring,
-            "limbs": self.limbs,
-            "rows": self.rows,
-            "width": self.width,
-        }
-
-    def export_buffer(self, buffer) -> dict:
-        """Move both limb-plane blocks into ``buffer``; return the spec.
-
-        The layout is the real block followed by the imaginary block, the
-        contract :meth:`from_buffer` adopts — one ``memcpy`` per plane, no
-        repacking across the process boundary.
-        """
-        shape = self.real.shape
-        real = np.ndarray(shape, dtype=np.float64, buffer=buffer)
-        imag = np.ndarray(shape, dtype=np.float64, buffer=buffer, offset=self.real.nbytes)
-        np.copyto(real, self.real)
-        np.copyto(imag, self.imag)
-        return self.buffer_spec()
-
-    @classmethod
-    def from_buffer(
-        cls, buffer, limbs: int, rows: int, width: int, ring: str = "cmd"
-    ) -> "ComplexSlotTensor":
-        """Adopt paired limb planes from a (shared) buffer, zero copy."""
-        shape = (limbs, rows, width)
-        offset = limbs * rows * width * 8
-        real = np.ndarray(shape, dtype=np.float64, buffer=buffer)
-        imag = np.ndarray(shape, dtype=np.float64, buffer=buffer, offset=offset)
-        return cls(real, imag, ring)
-
-    # ------------------------------------------------------------------ #
-    # gather: series -> tensor rows
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def pack(
-        cls, slots: Sequence[PowerSeries], limbs: int, ring: str = "cmd"
-    ) -> "ComplexSlotTensor":
-        """Pack a flat slot array of series into paired limb tensors.
-
-        Coefficients may be :class:`repro.md.ComplexMD`, plain complexes,
-        real scalars or :class:`MultiDouble` values (real data gets an exact
-        zero imaginary plane); limb promotion follows the
-        :meth:`SlotTensor.pack` rules, applied per plane.
-        """
-        if not slots:
-            raise ValueError("cannot pack an empty slot array")
-        width = slots[0].degree + 1
-        for r, series in enumerate(slots):
-            if series.degree + 1 != width:
-                raise ValueError(
-                    f"slot {r} has degree {series.degree}, expected {width - 1}"
-                )
-        planes = cls._pack_uniform(slots, limbs, width)
-        if planes is not None:
-            real, imag = planes
-        else:
-            real = np.zeros((limbs, len(slots), width), dtype=np.float64)
-            imag = np.zeros((limbs, len(slots), width), dtype=np.float64)
-            for r, series in enumerate(slots):
-                for k, c in enumerate(series.coefficients):
-                    re, im = _complex_parts(c)
-                    real[:, r, k] = _limb_tuple(re, limbs)
-                    imag[:, r, k] = _limb_tuple(im, limbs)
-        return cls(real, imag, ring)
-
-    @staticmethod
-    def _pack_uniform(slots, limbs: int, width: int):
-        """Fast path: one nested comprehension per plane instead of a
-        per-coefficient loop (see :meth:`SlotTensor._pack_uniform`)."""
-        try:
-            pairs = [
-                [
-                    tuple(_limb_tuple(part, limbs) for part in _complex_parts(c))
-                    for c in s.coefficients
-                ]
-                for s in slots
-            ]
-        except (AttributeError, TypeError, ValueError):
-            return None
-        block = np.asarray(pairs, dtype=np.float64)  # (rows, width, 2, limbs)
-        if block.shape != (len(slots), width, 2, limbs):
-            return None
-        block = block.transpose(2, 3, 0, 1)  # (2, limbs, rows, width)
-        return np.ascontiguousarray(block[0]), np.ascontiguousarray(block[1])
-
-    # ------------------------------------------------------------------ #
-    # scatter: tensor rows -> series
-    # ------------------------------------------------------------------ #
-    def zero_series(self) -> PowerSeries:
-        """A zero series in this tensor's coefficient ring."""
-        if self.ring == "complex":
-            return PowerSeries([0j] * self.width)
-        zero = ComplexMD(MultiDouble.zero(self.limbs), MultiDouble.zero(self.limbs))
-        return PowerSeries([zero] * self.width)
-
-    def series_at(self, row: int) -> PowerSeries:
-        """Scatter one tensor row back into a :class:`PowerSeries`."""
-        if self.ring == "complex":
-            return PowerSeries(
-                [
-                    complex(self.real[0, row, k], self.imag[0, row, k])
-                    for k in range(self.width)
-                ]
-            )
-        re = self.real[:, row, :]
-        im = self.imag[:, row, :]
-        return PowerSeries(
-            [
-                ComplexMD(
-                    MultiDouble(tuple(re[:, k]), self.limbs),
-                    MultiDouble(tuple(im[:, k]), self.limbs),
-                )
-                for k in range(self.width)
-            ]
-        )
-
-    def to_slots(self) -> list[PowerSeries]:
-        """Scatter the whole tensor back into a flat slot array of series."""
-        return [self.series_at(r) for r in range(self.rows)]
-
-    # ------------------------------------------------------------------ #
-    # resident updates (gather/scatter without repacking)
-    # ------------------------------------------------------------------ #
-    def write_series(self, rows: np.ndarray | Sequence[int], series: PowerSeries) -> None:
-        """Write one series into every listed row of both planes, in place."""
-        parts = [_complex_parts(c) for c in series.coefficients]
-        real = np.asarray(
-            [_limb_tuple(re, self.limbs) for re, _ in parts], dtype=np.float64
-        ).T
-        imag = np.asarray(
-            [_limb_tuple(im, self.limbs) for _, im in parts], dtype=np.float64
-        ).T
-        self.real[:, rows, :] = real[:, None, :]
-        self.imag[:, rows, :] = imag[:, None, :]
-
-    def zero_rows(self, rows: np.ndarray | Sequence[int]) -> None:
-        """Reset the listed rows to exact zero in both planes."""
-        self.real[:, rows, :] = 0.0
-        self.imag[:, rows, :] = 0.0
-
-
-def make_tensor(
-    slots: Sequence[PowerSeries], kind: str, limbs: int
-) -> "SlotTensor | ComplexSlotTensor":
-    """Pack a slot array into the tensor variant matching a ring ``kind``.
-
-    ``kind`` is one of the lattice corners :func:`infer_ring` reports:
-    ``"float"``/``"md"`` produce a :class:`SlotTensor`, ``"complex"``/
-    ``"cmd"`` a :class:`ComplexSlotTensor`.
-    """
-    if kind in ("complex", "cmd"):
-        return ComplexSlotTensor.pack(slots, limbs=limbs, ring=kind)
-    return SlotTensor.pack(slots, limbs=limbs, ring=kind)
-
-
-def zero_tensor(
-    kind: str, limbs: int, rows: int, width: int
-) -> "SlotTensor | ComplexSlotTensor":
-    """An all-zero tensor of the class :func:`make_tensor` picks for ``kind``."""
-    shape = (limbs, rows, width)
-    if kind in ("complex", "cmd"):
-        return ComplexSlotTensor(np.zeros(shape), np.zeros(shape), kind)
-    return SlotTensor(np.zeros(shape), kind)
+        for plane in self.planes:
+            plane[:, rows, :] = 0.0
 
 
 def scalar_ring(value) -> tuple[str, int] | None:
@@ -755,7 +495,7 @@ def promote_planes(
     """Limb planes of ``limbs`` limbs, widened exactly into the ``target`` ring.
 
     Extra limbs are exact zeros and real planes gain an exact zero imaginary
-    plane: the promotion :func:`make_tensor` applies to every coefficient.
+    plane: the promotion :meth:`SlotTensor.pack` applies to every coefficient.
     """
     kind, target_limbs = target
     planes = tuple(planes)
@@ -764,7 +504,7 @@ def promote_planes(
             np.concatenate([p, np.zeros((target_limbs - limbs,) + p.shape[1:])])
             for p in planes
         )
-    if kind in ("complex", "cmd") and len(planes) == 1:
+    if plane_count(kind) > len(planes):
         planes = (planes[0], np.zeros_like(planes[0]))
     return planes
 
@@ -818,8 +558,7 @@ def ring_planes(planes: Sequence[np.ndarray], ring: tuple[str, int]) -> tuple:
     (:func:`promote_planes`): its limbs lead, and a real ring fills only the
     first plane.  Returns those leading limbs of those planes (views).
     """
-    count = 2 if ring[0] in ("complex", "cmd") else 1
-    return tuple(plane[: ring[1]] for plane in planes[:count])
+    return tuple(plane[: ring[1]] for plane in planes[: plane_count(ring[0])])
 
 
 def unpack_scalars(planes: Sequence[np.ndarray], ring: tuple[str, int]) -> list:
@@ -828,7 +567,7 @@ def unpack_scalars(planes: Sequence[np.ndarray], ring: tuple[str, int]) -> list:
     ``planes`` holds ``(limbs, count)`` limb blocks in the layout of a
     tensor whose ring carries ``ring``: only the first ``ring[1]`` limbs and,
     for real rings, the first plane are read.  Unlike
-    :meth:`ComplexSlotTensor.series_at`, a :class:`ComplexMD` is paired from
+    :meth:`SlotTensor.series_at`, a :class:`ComplexMD` is paired from
     its parts without the constructor's renormalisation, because the rows
     hold the limbs of scalars that exist already (the resident Newton state
     of :class:`repro.core.EvalContext`).
@@ -882,7 +621,7 @@ class RowSeries(PowerSeries):
 
 
 # --------------------------------------------------------------------- #
-# the batched convolution kernel
+# the ring operations and the batched convolution kernel
 # --------------------------------------------------------------------- #
 def quiet_fp(driver):
     """Run a row-kernel driver with NumPy's floating-point warnings off.
@@ -916,23 +655,55 @@ def collapse_limbs(planes: np.ndarray) -> np.ndarray:
     return total
 
 
+class _RingOps(NamedTuple):
+    """The row operations that differ between the real and complex rings.
+
+    ``mul`` and ``reciprocal`` take tuples of limb lists (one list of limb
+    arrays per plane) and return the same; ``magnitude`` takes a tuple of
+    limb planes, limb axis leading, and drops that axis.  Every other row
+    operation — add, subtract, scale — runs plane by plane with
+    :mod:`repro.md.vecops`, as the complex ones of :mod:`repro.md.cvecops`
+    do, so each ring keeps the operation sequence of its scalar operators.
+    """
+
+    #: ``(a, b, limbs) -> a * b``.
+    mul: Callable
+    #: ``(b, limbs) -> 1 / b``, replaying the scalar ``(b / b) / b``.
+    reciprocal: Callable
+    #: ``planes -> |z|`` of the collapsed doubles (:func:`collapse_limbs`):
+    #: what the batched solve's pivot selection compares and
+    #: :func:`instance_norms` reports.  Complex moduli come from
+    #: ``np.hypot``, which matches Python's ``abs(complex)`` bit for bit
+    #: where ``np.abs`` on complex128 can round one ulp differently.
+    magnitude: Callable
+
+
+#: Plane count -> the ring's :class:`_RingOps`.
+_RING_OPS = {
+    1: _RingOps(
+        mul=lambda a, b, limbs: (md_mul_rows(a[0], b[0], limbs),),
+        reciprocal=lambda b, limbs: (md_reciprocal_rows(b[0], limbs),),
+        magnitude=lambda planes: np.abs(collapse_limbs(planes[0])),
+    ),
+    2: _RingOps(
+        mul=lambda a, b, limbs: cmd_mul_rows(a[0], a[1], b[0], b[1], limbs),
+        reciprocal=lambda b, limbs: cmd_reciprocal_rows(b[0], b[1], limbs),
+        magnitude=lambda planes: np.hypot(collapse_limbs(planes[0]), collapse_limbs(planes[1])),
+    ),
+}
+
+
 @quiet_fp
-def instance_norms(planes) -> np.ndarray:
+def instance_norms(planes: Sequence[np.ndarray]) -> np.ndarray:
     """Largest coefficient magnitude per instance of packed series vectors.
 
-    ``planes`` is a ``(limbs, instances, n, degree+1)`` limb tensor, or a
-    ``(real, imag)`` pair of them.  Limbs collapse the scalar way
-    (:func:`collapse_limbs`), and complex moduli come from ``np.hypot``, which
-    matches Python's ``abs(complex)`` bit for bit where ``np.abs`` on
-    complex128 can round one ulp differently.  So each entry equals
+    ``planes`` is a tuple of ``(limbs, instances, n, degree+1)`` limb planes,
+    one real plane or a ``(real, imag)`` pair.  Magnitudes are the ring's
+    ``magnitude`` (see :class:`_RingOps`), so each entry equals
     :func:`repro.homotopy.residual_norm` of that instance's unpacked series:
     NaN when any coefficient is NaN, and otherwise inf when one is infinite.
     """
-    if isinstance(planes, tuple):
-        magnitudes = np.hypot(collapse_limbs(planes[0]), collapse_limbs(planes[1]))
-    else:
-        magnitudes = np.abs(collapse_limbs(planes))
-    return magnitudes.max(axis=(1, 2))
+    return _RING_OPS[len(planes)].magnitude(planes).max(axis=(1, 2))
 
 
 #: Elements (rows x products) one stacked multiply of :func:`convolve_rows`
@@ -969,38 +740,16 @@ def _limb_lists(planes, rows=_ALL, columns=_ALL) -> tuple[list, ...]:
     return tuple(list(plane[:, rows, columns]) for plane in planes)
 
 
-def _real_mul(a, b, limbs):
-    return (md_mul_rows(a[0], b[0], limbs),)
-
-
-def _real_add(a, b, limbs):
-    return (md_add_rows(a[0], b[0], limbs),)
-
-
-def _complex_mul(a, b, limbs):
-    return cmd_mul_rows(a[0], a[1], b[0], b[1], limbs)
-
-
-def _complex_add(a, b, limbs):
-    return cmd_add_rows(a[0], a[1], b[0], b[1], limbs)
-
-
-#: Plane count -> the ring's (multiply, add) on tuples of limb lists.
-_RING_OPS = {1: (_real_mul, _real_add), 2: (_complex_mul, _complex_add)}
-
-
-@quiet_fp
 def _convolve(x: tuple, y: tuple, limbs: int) -> tuple[np.ndarray, ...]:
     """The convolution driver over tuples of ``(limbs, m, n)`` limb planes.
 
-    One plane is a real ring, two are the (real, imaginary) planes of a
-    complex one.  A layer whose ``m n (n+1) / 2`` products fit
-    :data:`_CONVOLUTION_BUDGET` forms them all in one multiply; a larger one
-    multiplies pass by pass, over blocks of ``_CONVOLUTION_BUDGET // n``
-    rows.  Either way every coefficient sums its products in increasing pass
-    order, and every product is elementwise, so the blocking moves no bit.
+    A layer whose ``m n (n+1) / 2`` products fit :data:`_CONVOLUTION_BUDGET`
+    forms them all in one multiply; a larger one multiplies pass by pass,
+    over blocks of ``_CONVOLUTION_BUDGET // n`` rows.  Either way every
+    coefficient sums its products in increasing pass order, and every
+    product is elementwise, so the blocking moves no bit.
     """
-    mul, add = _RING_OPS[len(x)]
+    mul = _RING_OPS[len(x)].mul
     m, n = x[0].shape[1:]
     out = tuple(np.zeros(plane.shape) for plane in x)
     if m * n * (n + 1) // 2 <= _CONVOLUTION_BUDGET:
@@ -1008,8 +757,7 @@ def _convolve(x: tuple, y: tuple, limbs: int) -> tuple[np.ndarray, ...]:
         products = mul(_limb_lists(x, columns=left), _limb_lists(y, columns=right), limbs)
         for j in range(n):
             span = slice(starts[j], starts[j + 1])
-            pass_j = tuple([p[:, span] for p in plane] for plane in products)
-            _accumulate(out, j, pass_j, add, limbs)
+            _accumulate(out, j, tuple([p[:, span] for p in plane] for plane in products), limbs)
         return out
     step = max(1, _CONVOLUTION_BUDGET // n)
     for start in range(0, m, step):
@@ -1021,80 +769,57 @@ def _convolve(x: tuple, y: tuple, limbs: int) -> tuple[np.ndarray, ...]:
                 _limb_lists(y, rows, slice(0, n - j)),
                 limbs,
             )
-            _accumulate(block, j, products, add, limbs)
+            _accumulate(block, j, products, limbs)
     return out
 
 
-def _accumulate(out: tuple, j: int, products: tuple, add, limbs: int) -> None:
-    """Add pass ``j``'s products into columns ``j ..`` of ``out``, in place."""
-    summed = add(_limb_lists(out, columns=slice(j, None)), products, limbs)
-    for plane, limb_list in zip(out, summed):
+def _accumulate(out: tuple, j: int, products: tuple, limbs: int) -> None:
+    """Add pass ``j``'s products into columns ``j ..`` of ``out``, in place,
+    plane by plane."""
+    for plane, product in zip(out, products):
+        summed = md_add_rows(list(plane[:, :, j:]), product, limbs)
         for i in range(limbs):
-            plane[i, :, j:] = limb_list[i]
+            plane[i, :, j:] = summed[i]
 
 
-def convolve_rows(x: np.ndarray, y: np.ndarray, limbs: int) -> np.ndarray:
+@quiet_fp
+def convolve_rows(
+    x: Sequence[np.ndarray], y: Sequence[np.ndarray], limbs: int
+) -> tuple[np.ndarray, ...]:
     """Truncated convolution of many series pairs in one sweep.
 
-    ``x`` and ``y`` are stacked limb tensors of shape ``(limbs, m, n)`` —
-    ``m`` independent (x, y) operand pairs of ``n`` coefficients each, the
-    gathered input rows of one fused convolution layer across all equations
-    and batch instances.  The result has the same shape and holds the
-    truncated products.
+    ``x`` and ``y`` are tuples of limb planes — one for a real ring, the
+    real and imaginary planes for a complex one — all of one shape
+    ``(limbs, ..., n)``: independent (x, y) operand pairs of ``n``
+    coefficients each, such as the gathered input rows of one fused
+    convolution layer across all equations and batch instances.  The result
+    is the tuple of planes of the truncated products, in that shape.
 
     This is :func:`repro.series.convolve_vectorized` generalised from one
     triple to a whole layer.  Pass ``j`` multiplies column ``j`` of every
     ``x`` row into the leading ``n - j`` columns of the matching ``y`` row
     and accumulates into the output tail, so each coefficient sums in
     increasing ``j``, the order of :func:`repro.series.convolve_direct`.  A
-    layer of up to :data:`_CONVOLUTION_BUDGET` products makes one
-    multiple-double multiply and ``n`` additions whatever its job count; a
-    larger one makes ``n`` multiplies and ``n`` additions per block of
-    ``_CONVOLUTION_BUDGET // n`` rows.
-    """
-    if x.shape != y.shape:
-        raise ValueError(f"operand tensors must share shape, got {x.shape} and {y.shape}")
-    return _convolve((x,), (y,), limbs)[0]
-
-
-def convolve_rows_complex(
-    xr: np.ndarray,
-    xi: np.ndarray,
-    yr: np.ndarray,
-    yi: np.ndarray,
-    limbs: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated *complex* convolution of many series pairs in one sweep.
-
-    The four operands are the real/imaginary limb tensors of ``m`` stacked
-    (x, y) pairs, shaped ``(limbs, m, n)`` like :func:`convolve_rows`; the
-    result is the pair of real/imaginary limb tensors of the truncated
-    complex products.
-
-    The driver of :func:`convolve_rows` runs with the complex row
-    operations: :func:`repro.md.cvecops.cmd_mul_rows` (four real multiply
-    sweeps, one subtraction, one addition) forms the products and one
-    complex addition (two real sweeps) accumulates each pass — the
+    layer of up to :data:`_CONVOLUTION_BUDGET` products makes one ring
+    multiply and ``n`` additions whatever its job count; a larger one makes
+    ``n`` multiplies and ``n`` additions per block of
+    ``_CONVOLUTION_BUDGET // n`` rows.  A complex multiply is
+    :func:`repro.md.cvecops.cmd_mul_rows` (four real multiply sweeps, one
+    subtraction, one addition) and a complex addition two real ones — the
     per-coefficient operation order of the scalar :class:`repro.md.ComplexMD`
     convolution, so the two paths agree to the last limb of both planes.
     """
-    if not (xr.shape == xi.shape == yr.shape == yi.shape):
-        raise ValueError(
-            "operand tensors must share one shape, got "
-            f"{xr.shape}, {xi.shape}, {yr.shape} and {yi.shape}"
-        )
-    return _convolve((xr, xi), (yr, yi), limbs)
-
-
-def _convolve_planes(
-    x: Sequence[np.ndarray], y: Sequence[np.ndarray], limbs: int
-) -> list[np.ndarray]:
-    """:func:`convolve_rows` (one plane) or :func:`convolve_rows_complex`
-    (two) over operands of any leading shape ``(limbs, ..., degree+1)``."""
-    shape = x[0].shape
-    flat = [np.reshape(a, (limbs, -1, shape[-1])) for a in (*x, *y)]
-    products = _convolve(tuple(flat[: len(x)]), tuple(flat[len(x) :]), limbs)
-    return [product.reshape(shape) for product in products]
+    shapes = [plane.shape for plane in (*x, *y)]
+    if len(x) != len(y) or len(set(shapes)) != 1 or len(shapes[0]) < 3 or shapes[0][0] != limbs:
+        raise ValueError(f"operands must be as many (limbs, ..., n) planes of one shape, got {shapes}")
+    shape = shapes[0]
+    rows = (limbs, prod(shape[1:-1]), shape[-1])
+    products = _convolve(
+        tuple(np.reshape(plane, rows) for plane in x),
+        tuple(np.reshape(plane, rows) for plane in y),
+        limbs,
+    )
+    return tuple(product.reshape(shape) for product in products)
 
 
 # --------------------------------------------------------------------- #
@@ -1119,9 +844,9 @@ class CommonFactorPlan:
 
     Power rows ``0 .. dimension-1`` hold ``z`` itself; each level appends
     its outputs after them.  The operands and their order are exactly those
-    of the scalar oracle, and :func:`convolve_rows` (and the complex
-    variant) matches :meth:`repro.series.PowerSeries.convolve` limb for
-    limb.  So the adjusted coefficients are bit-identical to
+    of the scalar oracle, and :func:`convolve_rows` matches
+    :meth:`repro.series.PowerSeries.convolve` limb for limb in every ring.
+    So the adjusted coefficients are bit-identical to
     ``split_common_factor`` when every product runs in the ring the scalar
     code promotes it to: :meth:`powers` in the inputs' ring,
     :meth:`factors` in the ring of the coefficient times the power.
@@ -1159,9 +884,9 @@ class CommonFactorPlan:
             block[:, :, : self.dimension] = z
             powers.append(block)
         for source, variables, out in self.levels:
-            products = _convolve_planes(
-                [block[:, :, source] for block in powers],
-                [z[:, :, variables] for z in inputs],
+            products = convolve_rows(
+                tuple(block[:, :, source] for block in powers),
+                tuple(z[:, :, variables] for z in inputs),
                 limbs,
             )
             for block, product in zip(powers, products):
@@ -1178,9 +903,9 @@ class CommonFactorPlan:
         """
         adjusted = [np.array(plane, dtype=np.float64) for plane in raw]
         for members, power_rows in self.steps:
-            products = _convolve_planes(
-                [plane[:, :, members] for plane in adjusted],
-                [block[:, :, power_rows] for block in powers],
+            products = convolve_rows(
+                tuple(plane[:, :, members] for plane in adjusted),
+                tuple(block[:, :, power_rows] for block in powers),
                 limbs,
             )
             for plane, product in zip(adjusted, products):
@@ -1287,19 +1012,19 @@ class TensorProgram:
     @quiet_fp
     def run(
         self,
-        tensor: "SlotTensor | ComplexSlotTensor",
+        tensor: SlotTensor,
         batch: int,
         active: np.ndarray | None = None,
-    ) -> "SlotTensor | ComplexSlotTensor":
+    ) -> SlotTensor:
         """Execute every fused layer on the packed slot tensor, in place.
 
         Each layer gathers its operand rows (across all ``batch`` instances
         at once), applies one whole-layer vectorised multiple-double
         operation, and scatters the results back — the Python interpreter
         sees a handful of NumPy calls per layer, never a per-job loop.  The
-        index arrays are ring-agnostic: a :class:`SlotTensor` runs the real
-        sweeps, a :class:`ComplexSlotTensor` the complex ones (each complex
-        sweep decomposing into a few real sweeps over the paired planes).
+        index arrays are ring-agnostic and the sweep runs over the tensor's
+        limb planes: convolutions with the ring's multiply
+        (:func:`convolve_rows`), scalings and additions plane by plane.
 
         ``active`` optionally restricts the sweep to a subset of instance
         indices: only their rows are gathered, computed and scattered —
@@ -1321,9 +1046,7 @@ class TensorProgram:
                     f"active instance indices must lie in [0, {batch}), got "
                     f"[{active.min()}, {active.max()}]"
                 )
-        if tensor.is_complex:
-            return self._run_complex(tensor, batch, active)
-        data = tensor.data
+        planes = tensor.planes
         limbs = tensor.limbs
         instances = np.arange(batch, dtype=np.int64) if active is None else active
         bases = (instances * self.total_slots)[:, None]
@@ -1332,70 +1055,27 @@ class TensorProgram:
             if layer.kind == "convolution":
                 in1_rows = (layer.in1[None, :] + bases).reshape(-1)
                 in2_rows = (layer.in2[None, :] + bases).reshape(-1)
-                data[:, out_rows, :] = convolve_rows(
-                    data[:, in1_rows, :], data[:, in2_rows, :], limbs
+                products = convolve_rows(
+                    tuple(plane[:, in1_rows, :] for plane in planes),
+                    tuple(plane[:, in2_rows, :] for plane in planes),
+                    limbs,
                 )
+                for plane, product in zip(planes, products):
+                    plane[:, out_rows, :] = product
             elif layer.kind == "scale":
                 factors = np.tile(layer.factors, len(instances))[:, None]  # (m, 1)
-                gathered = [data[i, out_rows, :] for i in range(limbs)]
-                scaled = md_scale_rows(gathered, factors, limbs)
-                for i in range(limbs):
-                    data[i, out_rows, :] = scaled[i]
+                for plane in planes:
+                    scaled = md_scale_rows(list(plane[:, out_rows, :]), factors, limbs)
+                    for i in range(limbs):
+                        plane[i, out_rows, :] = scaled[i]
             else:  # addition
                 in1_rows = (layer.in1[None, :] + bases).reshape(-1)
-                sources = [data[i, in1_rows, :] for i in range(limbs)]
-                targets = [data[i, out_rows, :] for i in range(limbs)]
-                summed = md_add_rows(targets, sources, limbs)
-                for i in range(limbs):
-                    data[i, out_rows, :] = summed[i]
-        return tensor
-
-    def _run_complex(
-        self, tensor: "ComplexSlotTensor", batch: int, active: np.ndarray | None = None
-    ) -> "ComplexSlotTensor":
-        """The complex layer sweeps: same index arrays, paired limb planes."""
-        real = tensor.real
-        imag = tensor.imag
-        limbs = tensor.limbs
-        instances = np.arange(batch, dtype=np.int64) if active is None else active
-        bases = (instances * self.total_slots)[:, None]
-        for layer in self.layers:
-            out_rows = (layer.out[None, :] + bases).reshape(-1)
-            if layer.kind == "convolution":
-                in1_rows = (layer.in1[None, :] + bases).reshape(-1)
-                in2_rows = (layer.in2[None, :] + bases).reshape(-1)
-                out_r, out_i = convolve_rows_complex(
-                    real[:, in1_rows, :],
-                    imag[:, in1_rows, :],
-                    real[:, in2_rows, :],
-                    imag[:, in2_rows, :],
-                    limbs,
-                )
-                real[:, out_rows, :] = out_r
-                imag[:, out_rows, :] = out_i
-            elif layer.kind == "scale":
-                factors = np.tile(layer.factors, len(instances))[:, None]  # (m, 1)
-                scaled_r, scaled_i = cmd_scale_rows(
-                    [real[i, out_rows, :] for i in range(limbs)],
-                    [imag[i, out_rows, :] for i in range(limbs)],
-                    factors,
-                    limbs,
-                )
-                for i in range(limbs):
-                    real[i, out_rows, :] = scaled_r[i]
-                    imag[i, out_rows, :] = scaled_i[i]
-            else:  # addition
-                in1_rows = (layer.in1[None, :] + bases).reshape(-1)
-                summed_r, summed_i = cmd_add_rows(
-                    [real[i, out_rows, :] for i in range(limbs)],
-                    [imag[i, out_rows, :] for i in range(limbs)],
-                    [real[i, in1_rows, :] for i in range(limbs)],
-                    [imag[i, in1_rows, :] for i in range(limbs)],
-                    limbs,
-                )
-                for i in range(limbs):
-                    real[i, out_rows, :] = summed_r[i]
-                    imag[i, out_rows, :] = summed_i[i]
+                for plane in planes:
+                    summed = md_add_rows(
+                        list(plane[:, out_rows, :]), list(plane[:, in1_rows, :]), limbs
+                    )
+                    for i in range(limbs):
+                        plane[i, out_rows, :] = summed[i]
         return tensor
 
 

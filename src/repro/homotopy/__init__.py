@@ -5,7 +5,6 @@ from .linsolve import lu_solve, matrix_vector_product, residual_norm
 from .batch_linsolve import (
     batch_lu_solve,
     batch_lu_solve_tensor,
-    batch_lu_solve_tensor_complex,
     solve_packed,
 )
 from .options import (
@@ -28,7 +27,6 @@ __all__ = [
     "residual_norm",
     "batch_lu_solve",
     "batch_lu_solve_tensor",
-    "batch_lu_solve_tensor_complex",
     "solve_packed",
     "DEFAULT_TRACK_OPTIONS",
     "NewtonOptions",

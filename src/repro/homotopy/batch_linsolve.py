@@ -6,13 +6,14 @@ sweeps run on the tensorized NumPy backend, that Python-level solve is the
 dominant cost of a batched Newton step.  This module applies the
 same whole-array multidouble strategy to the solve itself: the matrices and
 right-hand sides of *all* batch instances live in one
-``(limbs, batch, n, n, degree+1)`` limb tensor (split real/imaginary planes
-for complex rings, the :mod:`repro.md.cvecops` layout), and every elimination
-step runs as a handful of batched series convolutions
-(:func:`repro.core.tensor.convolve_rows` /
-:func:`repro.core.tensor.convolve_rows_complex`) and whole-array
-multiple-double sweeps — never a per-instance Python loop over ring
-operations.
+``(limbs, batch, n, n, degree+1)`` limb tensor per plane — one plane for the
+real rings, the real and imaginary planes for the complex ones (the
+:mod:`repro.md.cvecops` layout) — and every elimination step runs as a
+handful of batched series convolutions (:func:`repro.core.tensor.convolve_rows`)
+and whole-array multiple-double sweeps — never a per-instance Python loop
+over ring operations.  Each driver is written once over tuples of planes:
+the ring's multiply, reciprocal and pivot magnitude come from the ring
+table of :mod:`repro.core.tensor`, and subtractions run plane by plane.
 
 The algorithm mirrors the scalar one operation for operation:
 
@@ -27,10 +28,10 @@ The algorithm mirrors the scalar one operation for operation:
   width, so independent products share one call: one multiply per inverse
   coefficient, one convolution per back-substitution row, and one multiply
   per convolution whose products fit the convolution budget of
-  :func:`repro.core.tensor.convolve_rows`.  A 6x6 degree-15 solve of a few
-  instances makes 201 multiplies, 966 additions and 20 subtractions.  Row
-  operations are elementwise, so stacking moves no bit; only the sums run
-  sequentially;
+  :func:`repro.core.tensor.convolve_rows`.  A real 6x6 degree-15 solve of a
+  few instances makes 201 multiplies, 966 additions and 20 subtractions.
+  Row operations are elementwise, so stacking moves no bit; only the sums
+  run sequentially;
 * row updates and back substitution accumulate in exactly the scalar
   operand order, so for multiple-double rings at **double-double** precision
   the results are bit-identical to per-instance :func:`lu_solve` — the parity
@@ -59,19 +60,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.tensor import (
-    ComplexSlotTensor,
-    SlotTensor,
-    collapse_limbs,
-    convolve_rows,
-    convolve_rows_complex,
-    infer_ring,
-    make_tensor,
-    quiet_fp,
-)
+from ..core.tensor import _RING_OPS, SlotTensor, convolve_rows, infer_ring, quiet_fp
 from ..errors import SingularSystemError
-from ..md.cvecops import cmd_add_rows, cmd_mul_rows, cmd_reciprocal_rows, cmd_sub_rows
-from ..md.vecops import md_add_rows, md_mul_rows, md_reciprocal_rows, md_sub_rows
+from ..md.vecops import md_add_rows, md_sub_rows
 from ..obs import get_telemetry
 from ..series.series import PowerSeries
 from .linsolve import lu_solve
@@ -79,9 +70,7 @@ from .linsolve import lu_solve
 __all__ = [
     "batch_lu_solve",
     "batch_lu_solve_tensor",
-    "batch_lu_solve_tensor_complex",
     "series_inverse_rows",
-    "series_inverse_rows_complex",
     "solve_packed",
 ]
 
@@ -118,78 +107,56 @@ def _predicted_solve_ms(
 # batched series inversion
 # --------------------------------------------------------------------- #
 @quiet_fp
-def series_inverse_rows(c: np.ndarray, limbs: int) -> np.ndarray:
-    """Invert many real power series at once.
+def series_inverse_rows(c: Sequence[np.ndarray], limbs: int) -> tuple[np.ndarray, ...]:
+    """Invert many power series at once.
 
-    ``c`` is a ``(limbs, m, degree+1)`` limb tensor of series with invertible
-    constant terms; the result holds ``1 / c`` row by row, computed with the
-    recursion of :meth:`repro.series.PowerSeries.inverse` in the exact scalar
-    accumulation order.  Coefficient ``k`` forms its ``k`` products
+    ``c`` is a tuple of ``(limbs, m, degree+1)`` limb planes (one real plane
+    or a ``(real, imag)`` pair) of series with invertible constant terms; the
+    result holds ``1 / c`` row by row in the same planes, computed with the
+    recursion of :meth:`repro.series.PowerSeries.inverse` in the exact
+    scalar accumulation order.  Coefficient ``k`` forms its ``k`` products
     ``c_i * b_(k-i)`` in one multiply; only their sum runs in sequence.
     """
-    limb_list = list(range(limbs))
-    out = np.zeros_like(c)
-    inv0 = md_reciprocal_rows([c[i, :, 0] for i in limb_list], limbs)
-    for i in limb_list:
-        out[i, :, 0] = inv0[i]
-    for k in range(1, c.shape[2]):
-        products = md_mul_rows(
-            [c[i, :, 1 : k + 1] for i in limb_list],
-            [out[i, :, k - 1 :: -1] for i in limb_list],
+    ring = _RING_OPS[len(c)]
+    out = tuple(np.zeros_like(plane) for plane in c)
+    inv0 = ring.reciprocal(tuple(list(plane[:, :, 0]) for plane in c), limbs)
+    for plane, limb_list in zip(out, inv0):
+        for i in range(limbs):
+            plane[i, :, 0] = limb_list[i]
+    for k in range(1, c[0].shape[2]):
+        products = ring.mul(
+            tuple(list(plane[:, :, 1 : k + 1]) for plane in c),
+            tuple(list(plane[:, :, k - 1 :: -1]) for plane in out),
             limbs,
         )
-        acc = [p[:, 0] for p in products]
+        acc = tuple([p[:, 0] for p in plane] for plane in products)
         for j in range(1, k):
-            acc = md_add_rows(acc, [p[:, j] for p in products], limbs)
-        coeff = md_mul_rows(inv0, acc, limbs)
-        for i in limb_list:
-            out[i, :, k] = -coeff[i]
-    return out
-
-
-@quiet_fp
-def series_inverse_rows_complex(
-    cr: np.ndarray, ci: np.ndarray, limbs: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert many complex power series at once (split real/imaginary planes)."""
-    limb_list = list(range(limbs))
-    out_r = np.zeros_like(cr)
-    out_i = np.zeros_like(ci)
-    inv0_r, inv0_i = cmd_reciprocal_rows(
-        [cr[i, :, 0] for i in limb_list], [ci[i, :, 0] for i in limb_list], limbs
-    )
-    for i in limb_list:
-        out_r[i, :, 0] = inv0_r[i]
-        out_i[i, :, 0] = inv0_i[i]
-    for k in range(1, cr.shape[2]):
-        products_r, products_i = cmd_mul_rows(
-            [cr[i, :, 1 : k + 1] for i in limb_list],
-            [ci[i, :, 1 : k + 1] for i in limb_list],
-            [out_r[i, :, k - 1 :: -1] for i in limb_list],
-            [out_i[i, :, k - 1 :: -1] for i in limb_list],
-            limbs,
-        )
-        acc_r = [p[:, 0] for p in products_r]
-        acc_i = [p[:, 0] for p in products_i]
-        for j in range(1, k):
-            acc_r, acc_i = cmd_add_rows(
-                acc_r,
-                acc_i,
-                [p[:, j] for p in products_r],
-                [p[:, j] for p in products_i],
-                limbs,
+            acc = tuple(
+                md_add_rows(total, [p[:, j] for p in plane], limbs)
+                for total, plane in zip(acc, products)
             )
-        coeff_r, coeff_i = cmd_mul_rows(inv0_r, inv0_i, acc_r, acc_i, limbs)
-        for i in limb_list:
-            out_r[i, :, k] = -coeff_r[i]
-            out_i[i, :, k] = -coeff_i[i]
-    return out_r, out_i
+        coeff = ring.mul(inv0, acc, limbs)
+        for plane, limb_list in zip(out, coeff):
+            for i in range(limbs):
+                plane[i, :, k] = -limb_list[i]
+    return out
 
 
 # --------------------------------------------------------------------- #
 # shared elimination helpers
 # --------------------------------------------------------------------- #
-def _check_shapes(matrix_shape, rhs_shape) -> tuple[int, int, int, int, int]:
+def _check_shapes(matrix, rhs) -> tuple[int, int, int, int, int]:
+    """The ``(limbs, batch, n, n, width)`` of plane tuples of a square system."""
+    matrix_shape, rhs_shape = matrix[0].shape, rhs[0].shape
+    if (
+        len(matrix) != len(rhs)
+        or {plane.shape for plane in matrix} != {matrix_shape}
+        or {plane.shape for plane in rhs} != {rhs_shape}
+    ):
+        raise ValueError(
+            "matrix and rhs need as many planes, all planes of each of one shape; "
+            f"got {[p.shape for p in matrix]} and {[p.shape for p in rhs]}"
+        )
     if len(matrix_shape) != 5 or len(rhs_shape) != 4:
         raise ValueError(
             "expected a (limbs, batch, n, n, degree+1) matrix tensor and a "
@@ -207,17 +174,19 @@ def _check_shapes(matrix_shape, rhs_shape) -> tuple[int, int, int, int, int]:
     return limbs, batch, rows, columns, width
 
 
-def _check_pivots(magnitudes: np.ndarray, column: int) -> None:
-    """Raise for every instance whose best pivot magnitude vanishes."""
-    singular = np.nonzero(magnitudes == 0.0)[0]
-    if singular.size:
-        instances = [int(i) for i in singular]
-        error = SingularSystemError(
-            f"zero pivot in column {column} for batch instance(s) "
-            + ", ".join(map(str, instances))
-        )
-        error.instances = instances
-        raise error
+def _singular(instances: Sequence[int], where: str = "") -> SingularSystemError:
+    """The error naming every singular batch position in ``instances``."""
+    error = SingularSystemError(
+        f"zero pivot{where} for batch instance(s) " + ", ".join(map(str, instances))
+    )
+    error.instances = list(instances)
+    return error
+
+
+def _remapped(error: SingularSystemError, positions: Sequence[int]) -> SingularSystemError:
+    """``error`` of a solve over a subset of a batch, naming the batch
+    positions ``positions[i]`` of its instances ``i``."""
+    return _singular([int(positions[i]) for i in getattr(error, "instances", [])])
 
 
 def _swap_rows(a: np.ndarray, b: np.ndarray, column: int, pivot: np.ndarray) -> None:
@@ -234,247 +203,115 @@ def _swap_rows(a: np.ndarray, b: np.ndarray, column: int, pivot: np.ndarray) -> 
     b[:, moved, rows] = rhs_tmp
 
 
-def _flat(planes: np.ndarray, limbs: int, width: int) -> np.ndarray:
-    """Collapse the middle axes to one row axis for the row-op kernels."""
-    return np.ascontiguousarray(planes).reshape(limbs, -1, width)
-
-
 # --------------------------------------------------------------------- #
-# the real batched solver
+# the batched solver
 # --------------------------------------------------------------------- #
 @quiet_fp
-def batch_lu_solve_tensor(matrix: np.ndarray, rhs: np.ndarray, limbs: int) -> np.ndarray:
-    """Solve many real series systems in one whole-tensor elimination.
+def batch_lu_solve_tensor(
+    matrix: Sequence[np.ndarray], rhs: Sequence[np.ndarray], limbs: int
+) -> tuple[np.ndarray, ...]:
+    """Solve many series systems in one whole-tensor elimination.
 
-    ``matrix`` is a ``(limbs, batch, n, n, degree+1)`` limb tensor (instance
-    ``b``, row ``i``, column ``j``), ``rhs`` a ``(limbs, batch, n, degree+1)``
-    tensor; the result has the shape of ``rhs`` and holds the per-instance
-    solutions.  The inputs are not modified.
+    ``matrix`` is a tuple of ``(limbs, batch, n, n, degree+1)`` limb planes
+    (instance ``b``, row ``i``, column ``j``) and ``rhs`` a tuple of
+    ``(limbs, batch, n, degree+1)`` planes: one plane each for a real ring,
+    the real and imaginary planes for a complex one.  The result is a tuple
+    of planes of the shape of ``rhs`` holding the per-instance solutions.
+    The inputs are not modified.
     """
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    rhs = np.ascontiguousarray(rhs, dtype=np.float64)
-    _, batch, n, _, width = _check_shapes(matrix.shape, rhs.shape)
-    a = matrix.copy()
-    b = rhs.copy()
-    limb_list = list(range(limbs))
-    inverses = np.zeros((limbs, batch, n, width), dtype=np.float64)
+    a = tuple(np.array(plane, dtype=np.float64, order="C") for plane in matrix)
+    b = tuple(np.array(plane, dtype=np.float64, order="C") for plane in rhs)
+    _, batch, n, _, width = _check_shapes(a, b)
+    magnitude = _RING_OPS[len(a)].magnitude
+    inverses = tuple(np.zeros((limbs, batch, n, width)) for _ in a)
 
     for column in range(n):
         # Partial pivoting on the constant coefficients, one argmax per
-        # instance; |sum of limbs in reversed order| is exactly the scalar
-        # abs(MultiDouble.to_float()) magnitude, ties break to the first row
-        # in both stacks.
-        magnitudes = np.abs(collapse_limbs(a[:, :, column:, column, 0]))
+        # instance; the ring's magnitude of the collapsed limbs is exactly
+        # the scalar code's, and ties break to the first row in both stacks.
+        magnitudes = magnitude(tuple(plane[:, :, column:, column, 0] for plane in a))
         relative = np.argmax(magnitudes, axis=1)
-        _check_pivots(magnitudes[np.arange(batch), relative], column)
-        _swap_rows(a, b, column, relative + column)
+        singular = np.nonzero(magnitudes[np.arange(batch), relative] == 0.0)[0]
+        if singular.size:
+            raise _singular(singular.tolist(), f" in column {column}")
+        for plane_a, plane_b in zip(a, b):
+            _swap_rows(plane_a, plane_b, column, relative + column)
 
         inverse = series_inverse_rows(
-            np.ascontiguousarray(a[:, :, column, column, :]), limbs
+            tuple(np.ascontiguousarray(plane[:, :, column, column]) for plane in a), limbs
         )
-        inverses[:, :, column, :] = inverse
+        for plane, block in zip(inverses, inverse):
+            plane[:, :, column] = block
         remaining = n - column - 1
         if not remaining:
             continue
         # factor[row] = a[row][column] * pivot_inverse, all rows at once
-        entries = _flat(a[:, :, column + 1 :, column, :], limbs, width)
-        tiled = np.broadcast_to(
-            inverse[:, :, None, :], (limbs, batch, remaining, width)
-        )
-        factors = convolve_rows(entries, _flat(tiled, limbs, width), limbs).reshape(
-            limbs, batch, remaining, width
+        factors = convolve_rows(
+            tuple(plane[:, :, column + 1 :, column] for plane in a),
+            tuple(
+                np.broadcast_to(block[:, :, None], (limbs, batch, remaining, width))
+                for block in inverse
+            ),
+            limbs,
         )
         # a[row][k] -= factor[row] * a[column][k] for every row > column and
         # every k >= column, with the rhs riding along as column n.
         span = n - column
-        source = np.concatenate(
-            [a[:, :, column, column:, :], b[:, :, column, None, :]], axis=2
-        )
-        targets = np.concatenate(
-            [a[:, :, column + 1 :, column:, :], b[:, :, column + 1 :, None, :]], axis=3
-        )
         shape = (limbs, batch, remaining, span + 1, width)
+        sources = [
+            np.concatenate([plane_a[:, :, column, column:], plane_b[:, :, column, None]], axis=2)
+            for plane_a, plane_b in zip(a, b)
+        ]
         products = convolve_rows(
-            _flat(np.broadcast_to(factors[:, :, :, None, :], shape), limbs, width),
-            _flat(np.broadcast_to(source[:, :, None, :, :], shape), limbs, width),
+            tuple(np.broadcast_to(factor[:, :, :, None], shape) for factor in factors),
+            tuple(np.broadcast_to(source[:, :, None], shape) for source in sources),
             limbs,
         )
-        flat_targets = _flat(targets, limbs, width)
-        updated = md_sub_rows(
-            [flat_targets[i] for i in limb_list], [products[i] for i in limb_list], limbs
-        )
-        eliminated = np.stack(updated).reshape(shape)
-        a[:, :, column + 1 :, column:, :] = eliminated[:, :, :, :span, :]
-        b[:, :, column + 1 :, :] = eliminated[:, :, :, span, :]
+        for plane_a, plane_b, product in zip(a, b, products):
+            targets = np.concatenate(
+                [plane_a[:, :, column + 1 :, column:], plane_b[:, :, column + 1 :, None]], axis=3
+            )
+            eliminated = np.stack(md_sub_rows(list(targets), list(product), limbs))
+            plane_a[:, :, column + 1 :, column:] = eliminated[:, :, :, :span]
+            plane_b[:, :, column + 1 :] = eliminated[:, :, :, span]
 
     # Back substitution: the products a[row][k] * x[k] of one row form in one
     # convolution, their subtraction from b[row] stays sequential (scalar
     # order, increasing k); pivot inverses are reused from elimination.
-    x = np.zeros_like(b)
+    x = tuple(np.zeros_like(plane) for plane in b)
     for row in range(n - 1, -1, -1):
-        accumulator = [b[i, :, row, :] for i in limb_list]
+        accumulator = tuple(list(plane[:, :, row]) for plane in b)
         later = n - 1 - row
         if later:
             products = convolve_rows(
-                _flat(a[:, :, row, row + 1 :, :], limbs, width),
-                _flat(x[:, :, row + 1 :, :], limbs, width),
+                tuple(plane[:, :, row, row + 1 :] for plane in a),
+                tuple(plane[:, :, row + 1 :] for plane in x),
                 limbs,
-            ).reshape(limbs, batch, later, width)
+            )
             for k in range(later):
-                accumulator = md_sub_rows(
-                    accumulator, [products[i, :, k] for i in limb_list], limbs
+                accumulator = tuple(
+                    md_sub_rows(total, list(product[:, :, k]), limbs)
+                    for total, product in zip(accumulator, products)
                 )
-        x[:, :, row, :] = convolve_rows(
-            np.stack(accumulator), np.ascontiguousarray(inverses[:, :, row, :]), limbs
+        solved = convolve_rows(
+            tuple(np.stack(total) for total in accumulator),
+            tuple(plane[:, :, row] for plane in inverses),
+            limbs,
         )
+        for plane, block in zip(x, solved):
+            plane[:, :, row] = block
     return x
 
 
 # --------------------------------------------------------------------- #
-# the complex batched solver
-# --------------------------------------------------------------------- #
-@quiet_fp
-def batch_lu_solve_tensor_complex(
-    matrix_real: np.ndarray,
-    matrix_imag: np.ndarray,
-    rhs_real: np.ndarray,
-    rhs_imag: np.ndarray,
-    limbs: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve many complex series systems on paired real/imaginary planes.
-
-    The complex twin of :func:`batch_lu_solve_tensor`: same shapes per
-    plane, same elimination order, with every ring operation decomposed into
-    real sweeps through :mod:`repro.md.cvecops` in the scalar
-    :class:`repro.md.ComplexMD` operation order.
-    """
-    matrix_real = np.ascontiguousarray(matrix_real, dtype=np.float64)
-    matrix_imag = np.ascontiguousarray(matrix_imag, dtype=np.float64)
-    rhs_real = np.ascontiguousarray(rhs_real, dtype=np.float64)
-    rhs_imag = np.ascontiguousarray(rhs_imag, dtype=np.float64)
-    if matrix_real.shape != matrix_imag.shape or rhs_real.shape != rhs_imag.shape:
-        raise ValueError("real and imaginary planes must share one shape")
-    _, batch, n, _, width = _check_shapes(matrix_real.shape, rhs_real.shape)
-    ar, ai = matrix_real.copy(), matrix_imag.copy()
-    br, bi = rhs_real.copy(), rhs_imag.copy()
-    limb_list = list(range(limbs))
-    inv_r = np.zeros((limbs, batch, n, width), dtype=np.float64)
-    inv_i = np.zeros((limbs, batch, n, width), dtype=np.float64)
-
-    for column in range(n):
-        magnitudes = np.hypot(
-            collapse_limbs(ar[:, :, column:, column, 0]),
-            collapse_limbs(ai[:, :, column:, column, 0]),
-        )
-        relative = np.argmax(magnitudes, axis=1)
-        _check_pivots(magnitudes[np.arange(batch), relative], column)
-        pivot = relative + column
-        _swap_rows(ar, br, column, pivot)
-        _swap_rows(ai, bi, column, pivot)
-
-        pivot_inv = series_inverse_rows_complex(
-            np.ascontiguousarray(ar[:, :, column, column, :]),
-            np.ascontiguousarray(ai[:, :, column, column, :]),
-            limbs,
-        )
-        inv_r[:, :, column, :], inv_i[:, :, column, :] = pivot_inv
-        remaining = n - column - 1
-        if not remaining:
-            continue
-        tile_shape = (limbs, batch, remaining, width)
-        factors_r, factors_i = convolve_rows_complex(
-            _flat(ar[:, :, column + 1 :, column, :], limbs, width),
-            _flat(ai[:, :, column + 1 :, column, :], limbs, width),
-            _flat(np.broadcast_to(pivot_inv[0][:, :, None, :], tile_shape), limbs, width),
-            _flat(np.broadcast_to(pivot_inv[1][:, :, None, :], tile_shape), limbs, width),
-            limbs,
-        )
-        factors_r = factors_r.reshape(tile_shape)
-        factors_i = factors_i.reshape(tile_shape)
-        span = n - column
-        shape = (limbs, batch, remaining, span + 1, width)
-        source_r = np.concatenate(
-            [ar[:, :, column, column:, :], br[:, :, column, None, :]], axis=2
-        )
-        source_i = np.concatenate(
-            [ai[:, :, column, column:, :], bi[:, :, column, None, :]], axis=2
-        )
-        targets_r = np.concatenate(
-            [ar[:, :, column + 1 :, column:, :], br[:, :, column + 1 :, None, :]], axis=3
-        )
-        targets_i = np.concatenate(
-            [ai[:, :, column + 1 :, column:, :], bi[:, :, column + 1 :, None, :]], axis=3
-        )
-        products_r, products_i = convolve_rows_complex(
-            _flat(np.broadcast_to(factors_r[:, :, :, None, :], shape), limbs, width),
-            _flat(np.broadcast_to(factors_i[:, :, :, None, :], shape), limbs, width),
-            _flat(np.broadcast_to(source_r[:, :, None, :, :], shape), limbs, width),
-            _flat(np.broadcast_to(source_i[:, :, None, :, :], shape), limbs, width),
-            limbs,
-        )
-        flat_r = _flat(targets_r, limbs, width)
-        flat_i = _flat(targets_i, limbs, width)
-        updated_r, updated_i = cmd_sub_rows(
-            [flat_r[i] for i in limb_list],
-            [flat_i[i] for i in limb_list],
-            [products_r[i] for i in limb_list],
-            [products_i[i] for i in limb_list],
-            limbs,
-        )
-        eliminated_r = np.stack(updated_r).reshape(shape)
-        eliminated_i = np.stack(updated_i).reshape(shape)
-        ar[:, :, column + 1 :, column:, :] = eliminated_r[:, :, :, :span, :]
-        ai[:, :, column + 1 :, column:, :] = eliminated_i[:, :, :, :span, :]
-        br[:, :, column + 1 :, :] = eliminated_r[:, :, :, span, :]
-        bi[:, :, column + 1 :, :] = eliminated_i[:, :, :, span, :]
-
-    x_r = np.zeros_like(br)
-    x_i = np.zeros_like(bi)
-    for row in range(n - 1, -1, -1):
-        acc_r = [br[i, :, row, :] for i in limb_list]
-        acc_i = [bi[i, :, row, :] for i in limb_list]
-        later = n - 1 - row
-        if later:
-            products_r, products_i = (
-                product.reshape(limbs, batch, later, width)
-                for product in convolve_rows_complex(
-                    _flat(ar[:, :, row, row + 1 :, :], limbs, width),
-                    _flat(ai[:, :, row, row + 1 :, :], limbs, width),
-                    _flat(x_r[:, :, row + 1 :, :], limbs, width),
-                    _flat(x_i[:, :, row + 1 :, :], limbs, width),
-                    limbs,
-                )
-            )
-            for k in range(later):
-                acc_r, acc_i = cmd_sub_rows(
-                    acc_r,
-                    acc_i,
-                    [products_r[i, :, k] for i in limb_list],
-                    [products_i[i, :, k] for i in limb_list],
-                    limbs,
-                )
-        solved_r, solved_i = convolve_rows_complex(
-            np.stack(acc_r),
-            np.stack(acc_i),
-            np.ascontiguousarray(inv_r[:, :, row, :]),
-            np.ascontiguousarray(inv_i[:, :, row, :]),
-            limbs,
-        )
-        x_r[:, :, row, :] = solved_r
-        x_i[:, :, row, :] = solved_i
-    return x_r, x_i
-
-
-# --------------------------------------------------------------------- #
-# dispatch helpers
+# entry points
 # --------------------------------------------------------------------- #
 def solve_packed(matrix, rhs, limbs: int, active: Sequence[int] | None = None):
-    """Dispatch packed tensors to the real or complex batched solver.
+    """Solve packed systems with :func:`batch_lu_solve_tensor`.
 
-    ``matrix``/``rhs`` are either plain limb tensors (real rings) or
-    ``(real, imag)`` plane pairs (complex rings) — the shapes a resident
-    :meth:`repro.core.EvalContext.newton_system` gathers; the result has the
-    same form as ``rhs``.
+    ``matrix``/``rhs`` are tuples of limb planes, one per ring component —
+    the operands a resident :meth:`repro.core.EvalContext.newton_system`
+    gathers; the result is a tuple of planes of the shape of ``rhs``.
 
     ``active`` optionally restricts the solve to a subset of batch-axis
     instances: only their systems are gathered and eliminated, the rest of
@@ -486,42 +323,24 @@ def solve_packed(matrix, rhs, limbs: int, active: Sequence[int] | None = None):
     """
     if active is not None:
         indices = np.asarray(list(active), dtype=np.int64)
-        if isinstance(matrix, tuple):
-            sub_matrix = (matrix[0][:, indices], matrix[1][:, indices])
-            sub_rhs = (rhs[0][:, indices], rhs[1][:, indices])
-        else:
-            sub_matrix = matrix[:, indices]
-            sub_rhs = rhs[:, indices]
         try:
-            solved = solve_packed(sub_matrix, sub_rhs, limbs)
-        except SingularSystemError as error:
-            original = [int(indices[i]) for i in getattr(error, "instances", [])]
-            remapped = SingularSystemError(
-                "zero pivot for batch instance(s) " + ", ".join(map(str, original))
+            solved = solve_packed(
+                tuple(plane[:, indices] for plane in matrix),
+                tuple(plane[:, indices] for plane in rhs),
+                limbs,
             )
-            remapped.instances = original
-            raise remapped from error
-        if isinstance(rhs, tuple):
-            out = (np.zeros_like(rhs[0]), np.zeros_like(rhs[1]))
-            out[0][:, indices] = solved[0]
-            out[1][:, indices] = solved[1]
-            return out
-        out = np.zeros_like(rhs)
-        out[:, indices] = solved
+        except SingularSystemError as error:
+            raise _remapped(error, indices) from error
+        out = tuple(np.zeros_like(plane) for plane in rhs)
+        for plane, block in zip(out, solved):
+            plane[:, indices] = block
         return out
     tel = _TELEMETRY
     t0 = tel.enabled and _perf_counter_ns()
-    if isinstance(matrix, tuple):
-        solved = batch_lu_solve_tensor_complex(
-            matrix[0], matrix[1], rhs[0], rhs[1], limbs
-        )
-        plane = matrix[0]
-    else:
-        solved = batch_lu_solve_tensor(matrix, rhs, limbs)
-        plane = matrix
+    solved = batch_lu_solve_tensor(matrix, rhs, limbs)
     if t0:
         end = _perf_counter_ns()
-        _, m, n, _, width = plane.shape
+        _, m, n, _, width = matrix[0].shape
         tel.record_span(
             "solve.packed", t0, end, batch=int(m), dimension=int(n), limbs=limbs
         )
@@ -545,7 +364,8 @@ def batch_lu_solve(
     solutions back — for tensor-resident rings at double-double precision the
     per-instance results are bit-identical to scalar :func:`lu_solve`.  Rings
     the tensor cannot carry (exact fractions) fall back to the scalar oracle
-    per instance.
+    per instance.  Either way every singular instance is named by its batch
+    position in one :class:`repro.errors.SingularSystemError`.
 
     ``active`` optionally names the batch positions to solve: masked-out
     instances never reach the solver (their singular systems cannot raise)
@@ -569,12 +389,7 @@ def batch_lu_solve(
                 [matrices[i] for i in indices], [rhss[i] for i in indices]
             )
         except SingularSystemError as error:
-            original = [indices[i] for i in getattr(error, "instances", [])]
-            remapped = SingularSystemError(
-                "zero pivot for batch instance(s) " + ", ".join(map(str, original))
-            )
-            remapped.instances = original
-            raise remapped from error
+            raise _remapped(error, indices) from error
         results: list[list[PowerSeries] | None] = [None] * len(matrices)
         for position, solution in zip(indices, solved):
             results[position] = solution
@@ -592,30 +407,25 @@ def batch_lu_solve(
     flat_rhs = [series for rhs in rhss for series in rhs]
     ring = infer_ring(flat_matrix + flat_rhs)
     if ring is None:
-        return [lu_solve(matrix, rhs) for matrix, rhs in zip(matrices, rhss)]
+        solutions, singular = [], []
+        for position, (matrix, rhs) in enumerate(zip(matrices, rhss)):
+            try:
+                solutions.append(lu_solve(matrix, rhs))
+            except SingularSystemError:
+                singular.append(position)
+        if singular:
+            raise _singular(singular)
+        return solutions
     kind, limbs = ring
     width = flat_rhs[0].degree + 1
-    matrix_tensor = make_tensor(flat_matrix, kind=kind, limbs=limbs)
-    rhs_tensor = make_tensor(flat_rhs, kind=kind, limbs=limbs)
-    if kind in ("complex", "cmd"):
-        x_r, x_i = batch_lu_solve_tensor_complex(
-            matrix_tensor.real.reshape(limbs, batch, n, n, width),
-            matrix_tensor.imag.reshape(limbs, batch, n, n, width),
-            rhs_tensor.real.reshape(limbs, batch, n, width),
-            rhs_tensor.imag.reshape(limbs, batch, n, width),
-            limbs,
-        )
-        solved = ComplexSlotTensor(
-            x_r.reshape(limbs, batch * n, width),
-            x_i.reshape(limbs, batch * n, width),
-            kind,
-        )
-    else:
-        x = batch_lu_solve_tensor(
-            matrix_tensor.data.reshape(limbs, batch, n, n, width),
-            rhs_tensor.data.reshape(limbs, batch, n, width),
-            limbs,
-        )
-        solved = SlotTensor(x.reshape(limbs, batch * n, width), kind)
-    slots = solved.to_slots()
+    matrix_tensor = SlotTensor.pack(flat_matrix, limbs=limbs, ring=kind)
+    rhs_tensor = SlotTensor.pack(flat_rhs, limbs=limbs, ring=kind)
+    solved = batch_lu_solve_tensor(
+        tuple(plane.reshape(limbs, batch, n, n, width) for plane in matrix_tensor.planes),
+        tuple(plane.reshape(limbs, batch, n, width) for plane in rhs_tensor.planes),
+        limbs,
+    )
+    slots = SlotTensor(
+        tuple(plane.reshape(limbs, batch * n, width) for plane in solved), kind
+    ).to_slots()
     return [slots[b * n : (b + 1) * n] for b in range(batch)]

@@ -259,9 +259,7 @@ def _correct(context, solutions, lanes: list[int], evaluations) -> list:
             solving = [k for k in solving if k not in singular]
     else:
         return [None] * len(lanes)
-    planes = solution if isinstance(solution, tuple) else (solution,)
-    if len(solving) < len(lanes):
-        planes = tuple(plane[:, solving] for plane in planes)
+    planes = solution if len(solving) == len(lanes) else tuple(plane[:, solving] for plane in solution)
     corrected = [lanes[k] for k in solving]
     context.apply_corrections(corrected, planes)
     for lane in corrected:

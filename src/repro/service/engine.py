@@ -444,15 +444,15 @@ class SolveEngine:
     def _predict_coalesce(self, system, requests: int, sweeps: int, ring):
         """Memo-free prediction hook for the measured-vs-predicted ledger."""
         try:
+            from ..core.tensor import plane_count
             from ..gpusim.timing import TimingModel
 
             model = TimingModel(device=system.evaluator.device, precision=ring[1])
-            planes = 2 if ring[0] in ("complex", "cmd") else 1
             return model.predict_coalesce(
                 system.evaluator.fused,
                 requests=requests,
                 steps=max(1, sweeps),
-                planes=planes,
+                planes=plane_count(ring[0]),
             )["coalesced_wall_ms"]
         except Exception:
             return None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,8 +34,8 @@ from repro.homotopy import (
     matrix_vector_product,
     newton_power_series_batch,
 )
-from repro.homotopy.batch_linsolve import series_inverse_rows, series_inverse_rows_complex
-from repro.md import ComplexMD, MultiDouble
+from repro.homotopy.batch_linsolve import series_inverse_rows
+from repro.md import ComplexMD, MultiDouble, vecops
 from repro.md.cvecops import cmd_add_rows, cmd_mul_rows, cmd_reciprocal_rows
 from repro.md.renorm import renormalize
 from repro.md.vecops import md_add_rows, md_mul_rows, md_reciprocal_rows
@@ -217,16 +218,33 @@ class TestBatchedParity:
             batch_lu_solve([good_matrix, bad_matrix], [good_rhs, good_rhs])
         assert info.value.instances == [1]
 
+    def test_fraction_ring_reports_singular_instances_by_position(self, rng):
+        """The exact fallback solves every instance and names every singular
+        position, masked or not, as the tensor path does."""
+        from repro.series import random_fraction_series
+
+        n = 2
+        good = [[random_fraction_series(DEGREE, rng) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            good[i][i] = good[i][i] + PowerSeries.constant(Fraction(2), DEGREE)
+        zero = PowerSeries.zero(DEGREE, Fraction(0))
+        singular = [[zero, zero], [zero, zero]]
+        rhs = [random_fraction_series(DEGREE, rng) for _ in range(n)]
+        for active in (None, [1, 2]):
+            with pytest.raises(SingularSystemError) as info:
+                batch_lu_solve([good, singular, singular], [rhs] * 3, active=active)
+            assert info.value.instances == [1, 2]
+
     def test_non_square_raises_value_error(self):
         zero = PowerSeries.zero(1, MultiDouble.from_float(0.0, 2))
         with pytest.raises(ValueError):
             batch_lu_solve([[[zero, zero]]], [[zero]])
         with pytest.raises(ValueError):
             batch_lu_solve_tensor(
-                np.zeros((2, 1, 2, 3, 4)), np.zeros((2, 1, 2, 4)), 2
+                (np.zeros((2, 1, 2, 3, 4)),), (np.zeros((2, 1, 2, 4)),), 2
             )
         with pytest.raises(ValueError):
-            batch_lu_solve_tensor(np.zeros((2, 1, 2, 2)), np.zeros((2, 1, 2, 4)), 2)
+            batch_lu_solve_tensor((np.zeros((2, 1, 2, 2)),), (np.zeros((2, 1, 2, 4)),), 2)
 
 
 # --------------------------------------------------------------------- #
@@ -302,6 +320,31 @@ def _limb_planes(nprng, shape, limbs: int) -> np.ndarray:
 
 INVERSE_SHAPES = [(degree, batch) for degree in (0, 1, 2, 15) for batch in (1, 5)]
 
+#: The counted :mod:`repro.md.vecops` row kernels.
+ROW_KERNELS = ("md_mul_rows", "md_add_rows", "md_sub_rows", "md_div_rows")
+
+
+def _count_row_kernels(monkeypatch) -> dict:
+    """Count the calls of every :data:`ROW_KERNELS` kernel, wherever a
+    ``repro`` module binds it, so the count does not depend on which module
+    dispatches the call."""
+    calls = dict.fromkeys(ROW_KERNELS, 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ROW_KERNELS:
+        original = getattr(vecops, name)
+        wrapper = counting(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "repro" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
 
 class TestStackedProducts:
     """The stacked inverse and back substitution replace per-product loops;
@@ -311,58 +354,60 @@ class TestStackedProducts:
     def test_inverse_matches_per_product_loop(self, nprng, limbs):
         for degree, batch in INVERSE_SHAPES:
             c = _limb_planes(nprng, (batch, degree + 1), limbs)
-            np.testing.assert_array_equal(
-                series_inverse_rows(c, limbs), _loop_series_inverse_rows(c, limbs)
-            )
+            (got,) = series_inverse_rows((c,), limbs)
+            np.testing.assert_array_equal(got, _loop_series_inverse_rows(c, limbs))
 
     @pytest.mark.parametrize("limbs", [1, 2, 3, 4, 8])
     def test_complex_inverse_matches_per_product_loop(self, nprng, limbs):
         for degree, batch in INVERSE_SHAPES:
             cr = _limb_planes(nprng, (batch, degree + 1), limbs)
             ci = _limb_planes(nprng, (batch, degree + 1), limbs)
-            got = series_inverse_rows_complex(cr, ci, limbs)
+            got = series_inverse_rows((cr, ci), limbs)
             expected = _loop_series_inverse_rows_complex(cr, ci, limbs)
             for mine, theirs in zip(got, expected):
                 np.testing.assert_array_equal(mine, theirs)
 
     @pytest.mark.parametrize(
-        "n, degree", [(6, 15), (1, 8), (2, 4), (3, 0)], ids=["newton", "fleet", "service", "degree0"]
+        "ring, n, degree",
+        [
+            pytest.param(ring, n, degree, id=name if ring == "real" else f"{name}-complex")
+            for ring in ("real", "complex")
+            for name, (n, degree) in {
+                "newton": (6, 15), "fleet": (1, 8), "service": (2, 4), "degree0": (3, 0)
+            }.items()
+        ],
     )
-    def test_row_op_calls_follow_closed_forms(self, nprng, monkeypatch, n, degree):
+    def test_row_op_calls_follow_closed_forms(self, nprng, monkeypatch, ring, n, degree):
         """One multiply per inverse coefficient, one convolution per
         back-substitution row, and one multiply per convolution (every layer
-        here fits the convolution budget).  For dimension n and degree d:
-        2dn + (4n-3) multiplies, n d(d-1)/2 + (d+1)(4n-3) additions and
-        (n-1) + n(n-1)/2 subtractions; 201, 966 and 20 at the newton shape,
-        where one multiply per convolution pass made 516, 966 and 20 and the
-        per-product loops 1,306, 1,126 and 20."""
-        import repro.core.tensor as tensor_module
-        import repro.homotopy.batch_linsolve as solver_module
-
-        calls = dict.fromkeys(("md_mul_rows", "md_add_rows", "md_sub_rows"), 0)
-
-        def counting(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for module in (tensor_module, solver_module):
-            for name in calls:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        here fits the convolution budget).  For dimension n and degree d the
+        real solve makes M = 2dn + (4n-3) multiplies, A = n d(d-1)/2 +
+        (d+1)(4n-3) additions, S = (n-1) + n(n-1)/2 subtractions and n
+        divisions; 201, 966, 20 and 6 at the newton shape, where one
+        multiply per convolution pass made 516, 966 and 20 multiplies,
+        additions and subtractions and the per-product loops 1,306, 1,126
+        and 20.  A complex multiply is four real multiplies, a subtraction
+        and an addition, a complex addition or subtraction two real ones,
+        and a complex reciprocal two complex divisions of 6 multiplies, 2
+        additions, 1 subtraction and 2 divisions each: 4M + 12n, 2A + M +
+        4n, 2S + M + 2n and 4n; 876, 2,157, 253 and 24 at the newton shape."""
+        calls = _count_row_kernels(monkeypatch)
+        planes = 1 if ring == "real" else 2
         limbs, width = 2, degree + 1
-        matrix = _limb_planes(nprng, (2, n, n, width), limbs)
+        matrix = [_limb_planes(nprng, (2, n, n, width), limbs) for _ in range(planes)]
         for i in range(n):
-            matrix[0, :, i, i, 0] += 8.0 * np.sign(matrix[0, :, i, i, 0])
-        batch_lu_solve_tensor(matrix, _limb_planes(nprng, (2, n, width), limbs), limbs)
+            matrix[0][0, :, i, i, 0] += 8.0 * np.sign(matrix[0][0, :, i, i, 0])
+        rhs = [_limb_planes(nprng, (2, n, width), limbs) for _ in range(planes)]
+        batch_lu_solve_tensor(tuple(matrix), tuple(rhs), limbs)
         d, convolutions = degree, 4 * n - 3
-        assert calls == {
-            "md_mul_rows": 2 * d * n + convolutions,
-            "md_add_rows": n * d * (d - 1) // 2 + (d + 1) * convolutions,
-            "md_sub_rows": (n - 1) + n * (n - 1) // 2,
-        }
+        m = 2 * d * n + convolutions
+        a = n * d * (d - 1) // 2 + (d + 1) * convolutions
+        s = (n - 1) + n * (n - 1) // 2
+        if ring == "real":
+            expected = (m, a, s, n)
+        else:
+            expected = (4 * m + 12 * n, 2 * a + m + 4 * n, 2 * s + m + 2 * n, 4 * n)
+        assert calls == dict(zip(ROW_KERNELS, expected))
 
 
 # --------------------------------------------------------------------- #

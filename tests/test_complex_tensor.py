@@ -2,8 +2,9 @@
 
 Covers the two tentpole pieces of the complex-ring refactor:
 
-* the paired-plane :class:`repro.core.ComplexSlotTensor` and the complex
-  layer sweeps of :class:`repro.core.TensorProgram` — parity with the
+* the real and imaginary limb planes of a complex-ring
+  :class:`repro.core.SlotTensor` and the complex layer sweeps of
+  :class:`repro.core.TensorProgram` — parity with the
   staged :class:`repro.md.ComplexMD` oracle on unit-circle mini versions of
   the paper systems, across precisions and batch sizes;
 * the resident :class:`repro.core.EvalContext` — pack-exactly-once
@@ -33,15 +34,13 @@ from repro.circuits.testpolys import (
     random_polynomial,
 )
 from repro.core import (
-    ComplexSlotTensor,
     EvalContext,
     ScheduleCache,
     SlotTensor,
     SystemEvaluator,
     compile_tensor_program,
-    convolve_rows_complex,
+    convolve_rows,
     join_rings,
-    make_tensor,
 )
 from repro.gpusim.timing import TimingModel
 from repro.homotopy import (
@@ -271,7 +270,7 @@ class TestComplexVectorizedParity:
         with pytest.raises(TypeError):
             SlotTensor.pack([PowerSeries([big, 0])], limbs=2, ring="md")
         with pytest.raises(TypeError):
-            ComplexSlotTensor.pack([PowerSeries([big, 0])], limbs=2)
+            SlotTensor.pack([PowerSeries([big, 0])], limbs=2, ring="cmd")
         polynomials = [
             random_polynomial(3, 2, 2, degree=2, kind="float", rng=rng) for _ in range(2)
         ]
@@ -295,7 +294,7 @@ class TestComplexVectorizedParity:
 
 
 # --------------------------------------------------------------------- #
-# ComplexSlotTensor gather/scatter
+# complex-ring SlotTensor gather/scatter
 # --------------------------------------------------------------------- #
 class TestComplexSlotTensor:
     @pytest.mark.parametrize("limbs", (1, 2, 4, 8))
@@ -309,7 +308,7 @@ class TestComplexSlotTensor:
             )
             for _ in range(5)
         ]
-        tensor = ComplexSlotTensor.pack(slots, limbs=limbs, ring="cmd")
+        tensor = SlotTensor.pack(slots, limbs=limbs, ring="cmd")
         for original, back in zip(slots, tensor.to_slots()):
             for a, b in zip(original.coefficients, back.coefficients):
                 assert a.real.limbs == b.real.limbs
@@ -320,7 +319,7 @@ class TestComplexSlotTensor:
             PowerSeries([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)])
             for _ in range(3)
         ]
-        tensor = ComplexSlotTensor.pack(slots, limbs=1, ring="complex")
+        tensor = SlotTensor.pack(slots, limbs=1, ring="complex")
         for original, back in zip(slots, tensor.to_slots()):
             assert original.coefficients == back.coefficients
 
@@ -328,7 +327,7 @@ class TestComplexSlotTensor:
         slots = [
             PowerSeries([1.5, MultiDouble.random(2, rng), ComplexMD(0.25, -0.5)]),
         ]
-        tensor = ComplexSlotTensor.pack(slots, limbs=2, ring="cmd")
+        tensor = SlotTensor.pack(slots, limbs=2, ring="cmd")
         back = tensor.to_slots()[0]
         assert back.coefficients[0].to_complex() == 1.5 + 0j
         assert back.coefficients[0].imag.is_zero()
@@ -337,19 +336,19 @@ class TestComplexSlotTensor:
 
     def test_pack_rejects_fractions_and_bad_shapes(self):
         with pytest.raises(TypeError):
-            ComplexSlotTensor.pack([PowerSeries([Fraction(1, 3)])], limbs=2)
+            SlotTensor.pack([PowerSeries([Fraction(1, 3)])], limbs=2, ring="cmd")
         with pytest.raises(ValueError):
-            ComplexSlotTensor.pack([], limbs=2)
+            SlotTensor.pack([], limbs=2, ring="cmd")
         with pytest.raises(ValueError):
-            ComplexSlotTensor.pack(
+            SlotTensor.pack(
                 [PowerSeries([1j, 2j]), PowerSeries([1j])], limbs=1, ring="complex"
             )
         with pytest.raises(ValueError):
-            ComplexSlotTensor(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)))
+            SlotTensor((np.zeros((2, 3, 4)), np.zeros((2, 3, 5))), "cmd")
 
     def test_write_series_updates_both_planes_in_place(self, rng):
         slots = [PowerSeries([ComplexMD.zero(2)] * 3) for _ in range(4)]
-        tensor = ComplexSlotTensor.pack(slots, limbs=2, ring="cmd")
+        tensor = SlotTensor.pack(slots, limbs=2, ring="cmd")
         series = PowerSeries(
             [ComplexMD(MultiDouble.random(2, rng), MultiDouble.random(2, rng)) for _ in range(3)]
         )
@@ -386,10 +385,9 @@ class TestConvolveRowsComplex:
         xs = [random_series() for _ in range(m)]
         ys = [random_series() for _ in range(m)]
         ring = "complex" if limbs == 1 else "cmd"
-        tx = ComplexSlotTensor.pack(xs, limbs=limbs, ring=ring)
-        ty = ComplexSlotTensor.pack(ys, limbs=limbs, ring=ring)
-        out_r, out_i = convolve_rows_complex(tx.real, tx.imag, ty.real, ty.imag, limbs)
-        result = ComplexSlotTensor(out_r, out_i, ring)
+        tx = SlotTensor.pack(xs, limbs=limbs, ring=ring)
+        ty = SlotTensor.pack(ys, limbs=limbs, ring=ring)
+        result = SlotTensor(convolve_rows(tx.planes, ty.planes, limbs), ring)
         for j in range(m):
             expected = xs[j].convolve(ys[j])
             got = result.series_at(j)
@@ -402,9 +400,10 @@ class TestConvolveRowsComplex:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            convolve_rows_complex(
-                np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), np.zeros((2, 3, 4)),
-                np.zeros((2, 3, 5)), 2,
+            convolve_rows(
+                (np.zeros((2, 3, 4)), np.zeros((2, 3, 4))),
+                (np.zeros((2, 3, 4)), np.zeros((2, 3, 5))),
+                2,
             )
 
 
@@ -414,29 +413,23 @@ class TestConvolveRowsComplex:
 def _count_packs(monkeypatch):
     """Count every packed slot tensor with a call counter.
 
-    Slot arrays pack through the two tensor ``pack`` classmethods; a
-    resident context packs by filling a zero tensor with row writes
-    (``EvalContext._pack``), counted when it leaves a resident tensor.
+    Slot arrays pack through ``SlotTensor.pack``; a resident context
+    packs by filling a zero tensor with row writes (``EvalContext._pack``),
+    counted when it leaves a resident tensor.
     """
     counts = {"packs": 0}
-    real_pack = SlotTensor.pack.__func__
-    complex_pack = ComplexSlotTensor.pack.__func__
+    tensor_pack = SlotTensor.pack.__func__
     context_pack = EvalContext._pack
 
-    def counting_real(cls, *args, **kwargs):
+    def counting_tensor(cls, *args, **kwargs):
         counts["packs"] += 1
-        return real_pack(cls, *args, **kwargs)
-
-    def counting_complex(cls, *args, **kwargs):
-        counts["packs"] += 1
-        return complex_pack(cls, *args, **kwargs)
+        return tensor_pack(cls, *args, **kwargs)
 
     def counting_context(self, *args, **kwargs):
         context_pack(self, *args, **kwargs)
         counts["packs"] += int(self.resident)
 
-    monkeypatch.setattr(SlotTensor, "pack", classmethod(counting_real))
-    monkeypatch.setattr(ComplexSlotTensor, "pack", classmethod(counting_complex))
+    monkeypatch.setattr(SlotTensor, "pack", classmethod(counting_tensor))
     monkeypatch.setattr(EvalContext, "_pack", counting_context)
     return counts
 
@@ -632,9 +625,11 @@ class TestEvalContext:
             zs = [random_series_vector(3, 3, k, p, rng) for k, p in rings]
             context = evaluator.make_context(batch)
             context.update_inputs(zs)
-            expected = make_tensor(evaluator._prepare_batch_slots(zs), *context.ring)
+            expected = SlotTensor.pack(
+                evaluator._prepare_batch_slots(zs), limbs=context.ring[1], ring=context.ring[0]
+            )
             got = context._tensor
-            assert type(got) is type(expected)
+            assert got.ring == expected.ring
             if kind in ("float", "complex"):
                 assert any(np.signbit(p[p == 0.0]).any() for p in expected.planes)
             for mine, theirs in zip(got.planes, expected.planes):

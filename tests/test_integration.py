@@ -19,6 +19,29 @@ from repro.homotopy import NewtonOptions, PolynomialSystem, newton_power_series
 from repro.series import PowerSeries, random_md_series, random_fraction_series
 
 
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        """Every name in the ``__all__`` of every ``repro`` module exists."""
+        import importlib
+        import pkgutil
+
+        import repro
+
+        modules = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith("__main__")
+        ]
+        exporting = [module for module in modules if hasattr(module, "__all__")]
+        missing = [
+            f"{module.__name__}.{name}"
+            for module in exporting
+            for name in module.__all__
+            if not hasattr(module, name)
+        ]
+        assert exporting and not missing
+
+
 class TestMiniP1EndToEnd:
     """A scaled-down p1 (subset of monomials) through every execution mode."""
 

@@ -26,12 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core import ScheduleCache
-from repro.core.tensor import (
-    ComplexSlotTensor,
-    SlotTensor,
-    adopt_buffer,
-    tensor_nbytes,
-)
+from repro.core.tensor import SlotTensor, tensor_nbytes
 from repro.errors import ShardError
 from repro.gpusim import TimingModel
 from repro.homotopy import (
@@ -58,11 +53,11 @@ def _read_planes(segment_name: str, spec: dict, channel) -> None:
     """Child side of the round-trip: adopt the segment, ship the planes back."""
     segment = shared_memory.SharedMemory(name=segment_name)
     try:
-        tensor = adopt_buffer(segment.buf, spec)
-        if tensor.is_complex:
-            channel.put((tensor.real.tobytes(), tensor.imag.tobytes()))
+        tensor = SlotTensor.from_buffer(segment.buf, **spec)
+        if len(tensor.planes) == 2:
+            channel.put(tuple(plane.tobytes() for plane in tensor.planes))
         else:
-            channel.put((tensor.data.tobytes(), None))
+            channel.put((tensor.planes[0].tobytes(), None))
     finally:
         segment.close()
 
@@ -125,7 +120,7 @@ class TestSharedMemoryRoundTrip:
             child.join(timeout=30)
             assert child.exitcode == 0
             assert imag is None
-            assert data == tensor.data.tobytes()  # bitwise, limb by limb
+            assert data == tensor.planes[0].tobytes()  # bitwise, limb by limb
         finally:
             segment.close()
             segment.unlink()
@@ -139,7 +134,7 @@ class TestSharedMemoryRoundTrip:
                 random_complex_md_series(4, precision=limbs, rng=rng)
                 for _ in range(5)
             ]
-        tensor = ComplexSlotTensor.pack(slots, limbs=limbs)
+        tensor = SlotTensor.pack(slots, limbs=limbs, ring="cmd")
         segment = shared_memory.SharedMemory(create=True, size=tensor.nbytes)
         try:
             spec = tensor.export_buffer(segment.buf)
@@ -152,15 +147,15 @@ class TestSharedMemoryRoundTrip:
             real, imag = channel.get(timeout=120)
             child.join(timeout=30)
             assert child.exitcode == 0
-            assert real == tensor.real.tobytes()
-            assert imag == tensor.imag.tobytes()
+            assert real == tensor.planes[0].tobytes()
+            assert imag == tensor.planes[1].tobytes()
         finally:
             segment.close()
             segment.unlink()
 
     def test_plain_complex_ring_roundtrip_in_child(self, rng):
         slots = [random_complex_series(4, rng=rng) for _ in range(5)]
-        tensor = ComplexSlotTensor.pack(slots, limbs=1, ring="complex")
+        tensor = SlotTensor.pack(slots, limbs=1, ring="complex")
         segment = shared_memory.SharedMemory(create=True, size=tensor.nbytes)
         try:
             spec = tensor.export_buffer(segment.buf)
@@ -173,8 +168,8 @@ class TestSharedMemoryRoundTrip:
             child.start()
             real, imag = channel.get(timeout=120)
             child.join(timeout=30)
-            assert real == tensor.real.tobytes()
-            assert imag == tensor.imag.tobytes()
+            assert real == tensor.planes[0].tobytes()
+            assert imag == tensor.planes[1].tobytes()
         finally:
             segment.close()
             segment.unlink()
@@ -192,11 +187,11 @@ class TestSharedMemoryRoundTrip:
                 width=spec["width"],
                 ring=spec["ring"],
             )
-            assert np.array_equal(adopted.data, tensor.data)
+            assert np.array_equal(adopted.planes[0], tensor.planes[0])
             # A write through the adopted view lands in the segment itself.
-            adopted.data[0, 0, 0] = 42.0
+            adopted.planes[0][0, 0, 0] = 42.0
             twin = np.ndarray(
-                tensor.data.shape, dtype=np.float64, buffer=segment.buf
+                tensor.planes[0].shape, dtype=np.float64, buffer=segment.buf
             )
             assert twin[0, 0, 0] == 42.0
         finally:
@@ -208,9 +203,10 @@ class TestSharedMemoryRoundTrip:
             [random_md_series(5, precision=4, rng=rng) for _ in range(3)], limbs=4
         )
         assert tensor_nbytes("md", 4, 3, 6) == real.nbytes
-        cplx = ComplexSlotTensor.pack(
+        cplx = SlotTensor.pack(
             [random_complex_md_series(5, precision=2, rng=rng) for _ in range(3)],
             limbs=2,
+            ring="cmd",
         )
         assert tensor_nbytes("cmd", 2, 3, 6) == cplx.nbytes
 

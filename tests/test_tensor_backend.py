@@ -28,7 +28,6 @@ from repro.core import (
     TensorProgram,
     compile_tensor_program,
     convolve_rows,
-    convolve_rows_complex,
     infer_ring,
 )
 from repro.homotopy import (
@@ -38,7 +37,7 @@ from repro.homotopy import (
     TrackOptions,
     newton_power_series_batch,
 )
-from repro.homotopy.batch_linsolve import _flat, batch_lu_solve_tensor, series_inverse_rows
+from repro.homotopy.batch_linsolve import batch_lu_solve_tensor, series_inverse_rows
 from repro.md import MDArray, MultiDouble
 from repro.md.cvecops import cmd_add_rows, cmd_mul_rows
 from repro.md.vecops import md_add_rows, md_mul_rows
@@ -360,7 +359,7 @@ class TestConvolveRows:
         m, n = 5, 7
         x = np.stack([MDArray.random(n, limbs, nprng).data for _ in range(m)], axis=1)
         y = np.stack([MDArray.random(n, limbs, nprng).data for _ in range(m)], axis=1)
-        out = convolve_rows(x, y, limbs)
+        (out,) = convolve_rows((x,), (y,), limbs)
         for j in range(m):
             expected = convolve_vectorized(MDArray(x[:, j, :]), MDArray(y[:, j, :]))
             assert np.array_equal(out[:, j, :], expected.data)
@@ -375,7 +374,15 @@ class TestConvolveRows:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            convolve_rows(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), 2)
+            convolve_rows((np.zeros((2, 3, 4)),), (np.zeros((2, 3, 5)),), 2)
+
+    def test_bare_limb_arrays_rejected(self):
+        """Operands are tuples of planes: bare ``(limbs, m, n)`` arrays, whose
+        iteration yields limbs, raise instead of reading as planes even when
+        ``m`` equals ``limbs``."""
+        x = np.zeros((2, 2, 4))
+        with pytest.raises(ValueError):
+            convolve_rows(x, x, 2)
 
 
 # --------------------------------------------------------------------- #
@@ -453,8 +460,9 @@ def _operands(nprng, planes: int, limbs: int, rows: int, width: int, layout: str
     """``planes`` x-operands and as many y-operands of one layer.
 
     ``contiguous`` draws every row; ``flat`` tiles a few rows with
-    ``np.broadcast_to`` and collapses them with the solver's ``_flat``, the
-    way ``batch_lu_solve_tensor`` passes its factors and pivot rows;
+    ``np.broadcast_to`` and collapses them into contiguous rows, the way
+    ``convolve_rows`` reshapes the factors and pivot rows of
+    ``batch_lu_solve_tensor``;
     ``view`` passes non-contiguous views (a row-strided slice and a
     zero-stride broadcast) straight through.  The first row of every x
     starts with a negative zero, an infinity and a NaN (as many as fit).
@@ -474,7 +482,7 @@ def _operands(nprng, planes: int, limbs: int, rows: int, width: int, layout: str
             return draw(rows, special)
         if layout == "flat":
             tiled = np.broadcast_to(draw(1, special)[:, :, None, :], (limbs, 1, rows, width))
-            return _flat(tiled, limbs, width)
+            return np.ascontiguousarray(tiled).reshape(limbs, -1, width)
         if layout == "view":
             return draw(2 * rows, special)[:, ::2, :]
         raise ValueError(layout)
@@ -483,12 +491,6 @@ def _operands(nprng, planes: int, limbs: int, rows: int, width: int, layout: str
     if layout == "view":
         return xs, [np.broadcast_to(draw(1), (limbs, rows, width)) for _ in range(planes)]
     return xs, [layer(False) for _ in range(planes)]
-
-
-def _convolve(ring: str, xs, ys, limbs: int):
-    if ring == "real":
-        return (convolve_rows(xs[0], ys[0], limbs),)
-    return convolve_rows_complex(xs[0], xs[1], ys[0], ys[1], limbs)
 
 
 @tensor_module.quiet_fp
@@ -516,7 +518,7 @@ class TestConvolutionDriver:
         monkeypatch.setattr(tensor_module, "_CONVOLUTION_BUDGET", 1024)
         width = degree + 1
         xs, ys = _operands(nprng, 1 if ring == "real" else 2, limbs, _layer_rows(size, width), width, "contiguous")
-        _assert_bit_identical(_convolve(ring, xs, ys, limbs), _reference(ring, xs, ys, limbs))
+        _assert_bit_identical(convolve_rows(xs, ys, limbs), _reference(ring, xs, ys, limbs))
 
     @pytest.mark.parametrize("size", LAYER_SIZES)
     @pytest.mark.parametrize("degree", (0, 15))
@@ -524,7 +526,7 @@ class TestConvolutionDriver:
     def test_matches_per_pass_loop_at_the_module_budget(self, nprng, ring, degree, size):
         width = degree + 1
         xs, ys = _operands(nprng, 1 if ring == "real" else 2, 2, _layer_rows(size, width), width, "contiguous")
-        _assert_bit_identical(_convolve(ring, xs, ys, 2), _reference(ring, xs, ys, 2))
+        _assert_bit_identical(convolve_rows(xs, ys, 2), _reference(ring, xs, ys, 2))
 
     @pytest.mark.parametrize("layout", ("flat", "view"))
     @pytest.mark.parametrize("size", LAYER_SIZES)
@@ -533,13 +535,13 @@ class TestConvolutionDriver:
         monkeypatch.setattr(tensor_module, "_CONVOLUTION_BUDGET", 1024)
         width = 9
         xs, ys = _operands(nprng, 1 if ring == "real" else 2, 2, _layer_rows(size, width), width, layout)
-        _assert_bit_identical(_convolve(ring, xs, ys, 2), _reference(ring, xs, ys, 2))
+        _assert_bit_identical(convolve_rows(xs, ys, 2), _reference(ring, xs, ys, 2))
 
     @pytest.mark.parametrize("shape", [(2, 0, 5), (2, 3, 0)], ids=["no rows", "no columns"])
     def test_empty_layers(self, shape):
         x = np.zeros(shape)
-        assert convolve_rows(x, x, 2).shape == shape
-        assert [plane.shape for plane in convolve_rows_complex(x, x, x, x, 2)] == [shape, shape]
+        assert [plane.shape for plane in convolve_rows((x,), (x,), 2)] == [shape]
+        assert [plane.shape for plane in convolve_rows((x, x), (x, x), 2)] == [shape, shape]
 
     @pytest.mark.parametrize("size", LAYER_SIZES)
     def test_multiplies_per_layer(self, nprng, monkeypatch, size):
@@ -560,7 +562,7 @@ class TestConvolutionDriver:
         width = 16
         rows = _layer_rows(size, width)
         xs, ys = _operands(nprng, 1, 2, rows, width, "contiguous")
-        convolve_rows(xs[0], ys[0], 2)
+        convolve_rows((xs[0],), (ys[0],), 2)
         blocks = -(-rows // (tensor_module._CONVOLUTION_BUDGET // width))
         stacked = size in ("one row", "under")
         assert calls == {
@@ -583,31 +585,51 @@ def _planes(nprng, shape, infinity=None):
     return planes
 
 
-def _driver_runs(nprng, driver):
-    """``driver`` on two lanes, lane 0 holding an infinity, and on lane 1
-    alone; every result has its lanes on axis 1."""
+def _driver_runs(nprng, driver, ring):
+    """``driver`` in ``ring`` on two lanes, lane 0 holding an infinity in
+    its real plane, and on lane 1 alone; every result has its lanes on
+    axis 1."""
+    complex_ring = ring == "complex"
+
+    def alone(planes):
+        return tuple(plane[:, 1:] for plane in planes)
+
     if driver == "convolve_rows":
-        x, y = _planes(nprng, (2, 5), (0, 1)), _planes(nprng, (2, 5))
-        return (convolve_rows(x, y, 2),), (convolve_rows(x[:, 1:], y[:, 1:], 2),)
-    if driver == "convolve_rows_complex":
-        xr, xi, yr, yi = _planes(nprng, (2, 5), (0, 2)), *(_planes(nprng, (2, 5)) for _ in range(3))
-        alone = convolve_rows_complex(xr[:, 1:], xi[:, 1:], yr[:, 1:], yi[:, 1:], 2)
-        return convolve_rows_complex(xr, xi, yr, yi, 2), alone
+        if complex_ring:
+            xr, xi, yr, yi = _planes(nprng, (2, 5), (0, 2)), *(_planes(nprng, (2, 5)) for _ in range(3))
+            x, y = (xr, xi), (yr, yi)
+        else:
+            x, y = (_planes(nprng, (2, 5), (0, 1)),), (_planes(nprng, (2, 5)),)
+        return convolve_rows(x, y, 2), convolve_rows(alone(x), alone(y), 2)
     if driver == "series_inverse_rows":
-        c = _planes(nprng, (2, 5), (0, 2))
-        return (series_inverse_rows(c, 2),), (series_inverse_rows(c[:, 1:], 2),)
+        c = (_planes(nprng, (2, 5), (0, 2)),)
+        if complex_ring:
+            c += (_planes(nprng, (2, 5)),)
+        return series_inverse_rows(c, 2), series_inverse_rows(alone(c), 2)
     if driver == "batch_lu_solve_tensor":
         # an infinite elimination target, so the solver's own subtraction sees it
-        matrix, rhs = _planes(nprng, (2, 2, 2, 4), (0, 1, 1, 0)), _planes(nprng, (2, 2, 4))
-        matrix[0, :, 0, 0, 0] += np.copysign(8.0, matrix[0, :, 0, 0, 0])
-        alone = batch_lu_solve_tensor(matrix[:, 1:], rhs[:, 1:], 2)
-        return (batch_lu_solve_tensor(matrix, rhs, 2),), (alone,)
+        matrix, rhs = (_planes(nprng, (2, 2, 2, 4), (0, 1, 1, 0)),), (_planes(nprng, (2, 2, 4)),)
+        matrix[0][0, :, 0, 0, 0] += np.copysign(8.0, matrix[0][0, :, 0, 0, 0])
+        if complex_ring:
+            matrix, rhs = matrix + (_planes(nprng, (2, 2, 2, 4)),), rhs + (_planes(nprng, (2, 2, 4)),)
+        return batch_lu_solve_tensor(matrix, rhs, 2), batch_lu_solve_tensor(alone(matrix), alone(rhs), 2)
     if driver == "instance_norms":
-        planes = _planes(nprng, (2, 3, 4), (0, 1, 2))
-        planes[1, 0, 1, 2] = -np.inf  # collapses to inf + -inf
+        planes = (_planes(nprng, (2, 3, 4), (0, 1, 2)),)
+        planes[0][1, 0, 1, 2] = -np.inf  # collapses to inf + -inf
+        if complex_ring:
+            planes += (_planes(nprng, (2, 3, 4)),)
         norms = tensor_module.instance_norms
-        return (norms(planes)[None],), (norms(planes[:, 1:])[None],)
+        return (norms(planes)[None],), (norms(alone(planes))[None],)
     raise ValueError(driver)
+
+
+#: Every kernel driver in both rings; the ids of the real ring are the
+#: driver names.
+QUIET_DRIVERS = [
+    pytest.param(driver, ring, id=driver if ring == "real" else f"{driver}-complex")
+    for driver in ("convolve_rows", "series_inverse_rows", "batch_lu_solve_tensor", "instance_norms")
+    for ring in ("real", "complex")
+]
 
 
 def _result_limbs(results):
@@ -624,14 +646,11 @@ class TestQuietDrivers:
     silently as the scalar operators: with every warning an error, each
     finishes, and the finite lane comes out as it does alone."""
 
-    @pytest.mark.parametrize(
-        "driver",
-        ["convolve_rows", "convolve_rows_complex", "series_inverse_rows", "batch_lu_solve_tensor", "instance_norms"],
-    )
-    def test_a_non_finite_lane_is_silent_and_alone(self, nprng, driver):
+    @pytest.mark.parametrize("driver, ring", QUIET_DRIVERS)
+    def test_a_non_finite_lane_is_silent_and_alone(self, nprng, driver, ring):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            both, alone = _driver_runs(nprng, driver)
+            both, alone = _driver_runs(nprng, driver, ring)
         assert not np.isfinite(both[0][:, 0]).all()
         _assert_bit_identical([plane[:, 1:] for plane in both], alone)
 
@@ -687,7 +706,7 @@ class TestTensorProgram:
         polynomials = _mini_system("p1", 2, "md", 2, rng)
         evaluator = SystemEvaluator(polynomials, mode="vectorized", cache=ScheduleCache())
         program = compile_tensor_program(evaluator.fused)
-        bad = SlotTensor(np.zeros((2, 3, 3)), ring="md")
+        bad = SlotTensor((np.zeros((2, 3, 3)),), ring="md")
         with pytest.raises(ValueError):
             program.run(bad, batch=1)
         assert isinstance(program, TensorProgram)
