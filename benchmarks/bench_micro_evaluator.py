@@ -1,8 +1,8 @@
 """Micro-benchmarks of the full evaluator on laptop-scale problems.
 
-Measures the real host cost of the four execution modes (sequential
-reference, staged, thread-parallel, simulated GPU) on a scaled-down version
-of the paper's workload, plus the one-off cost of the data staging itself.
+Measures the real host cost of three execution modes (sequential
+reference, staged, simulated GPU) on a scaled-down version of the paper's
+workload, plus the one-off cost of the data staging itself.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def workload():
     return polynomial, z
 
 
-@pytest.mark.parametrize("mode", ("reference", "staged", "parallel", "gpu"))
+@pytest.mark.parametrize("mode", ("reference", "staged", "gpu"))
 def test_evaluator_modes(benchmark, workload, mode):
     polynomial, z = workload
     evaluator = PolynomialEvaluator(polynomial, mode=mode)

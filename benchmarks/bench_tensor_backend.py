@@ -1,8 +1,8 @@
 """Benchmarks of the tensorized execution backend (``mode="vectorized"``).
 
 Measures the throughput of the whole-layer NumPy multidouble sweeps of
-:mod:`repro.core.tensor` against the staged Python loop and the thread-pool
-parallel dispatch, over batch size, truncation degree and precision
+:mod:`repro.core.tensor` against the staged Python loop, over batch size,
+truncation degree and precision
 (2/4/8 limbs), on mini versions of the paper's three test systems.  The
 headline gate — vectorized vs. staged on a batched ``p1`` sweep (batch 8,
 double doubles) — is the acceptance number of the backend; results are
@@ -72,21 +72,21 @@ def _timed(evaluator, zs):
     return best, results
 
 
-def _compare(name, degree, precision, batch, modes=("staged", "vectorized"), thin_extra=1):
+def _compare(name, degree, precision, batch, thin_extra=1):
     """Min-of-N sweep times per mode plus the vectorized-vs-staged error."""
     polynomials, n, kind = _mini_system(name, degree, precision, thin_extra=thin_extra)
     zs = _inputs(n, degree, kind, precision, batch)
     cache = ScheduleCache()
     evaluators = {
-        mode: SystemEvaluator(polynomials, mode=mode, cache=cache) for mode in modes
+        mode: SystemEvaluator(polynomials, mode=mode, cache=cache)
+        for mode in ("staged", "vectorized")
     }
     times, results = {}, {}
     for mode, evaluator in evaluators.items():
         times[mode], results[mode] = _timed(evaluator, zs)
-    baseline_mode = "staged" if "staged" in results else modes[0]
     deviation = max(
         got.max_difference(expected)
-        for vec_row, base_row in zip(results["vectorized"], results[baseline_mode])
+        for vec_row, base_row in zip(results["vectorized"], results["staged"])
         for got, expected in zip(vec_row, base_row)
     )
     return {
@@ -97,18 +97,14 @@ def _compare(name, degree, precision, batch, modes=("staged", "vectorized"), thi
         "equations": len(polynomials),
         "monomials_per_equation": polynomials[0].n_monomials,
         "seconds": times,
-        "speedup_vs_staged": (times["staged"] / times["vectorized"])
-        if "staged" in times
-        else None,
+        "speedup_vs_staged": times["staged"] / times["vectorized"],
         "max_deviation_vs_staged": deviation,
     }
 
 
 def test_tensor_backend_sweeps():
     """The headline gate plus the batch/degree/precision/system sweeps."""
-    headline = _compare(
-        "p1", degree=8, precision=2, batch=8, modes=("staged", "parallel", "vectorized")
-    )
+    headline = _compare("p1", degree=8, precision=2, batch=8)
     sweeps = {
         "batch": [_compare("p1", 4, 2, batch) for batch in (1, 4, 8)],
         "degree": [_compare("p1", degree, 2, 4) for degree in (3, 6)],
@@ -127,12 +123,11 @@ def test_tensor_backend_sweeps():
     write_artifact("bench_tensor_backend", payload)
 
     lines = [
-        "tensorized backend vs staged/parallel sweeps "
+        "tensorized backend vs staged sweeps "
         f"(mini paper systems, min of {REPETITIONS})",
         f"  headline (p1, degree 8, 2 limbs, batch 8, "
         f"{headline['equations']} equations x {headline['monomials_per_equation']} monomials):",
         f"    staged     : {headline['seconds']['staged']:.3f} s",
-        f"    parallel   : {headline['seconds']['parallel']:.3f} s",
         f"    vectorized : {headline['seconds']['vectorized']:.3f} s "
         f"({headline['speedup_vs_staged']:.1f}x vs staged)",
         f"    max deviation vs staged: {headline['max_deviation_vs_staged']:.3e}",

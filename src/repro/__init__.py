@@ -20,12 +20,15 @@ The package is organised in layers (see DESIGN.md for the full inventory):
 ``repro.core``
     The paper's contribution: the data layout of the flat array ``A``, the
     data staging of convolution and addition jobs into layers, and the
-    :class:`PolynomialEvaluator` front end.
+    evaluators that run the staged schedule — :class:`SystemEvaluator` for
+    whole systems and batches, :class:`PolynomialEvaluator` as its
+    one-equation front end — in the reference, staged, gpu and vectorized
+    modes.
 ``repro.gpusim``
     The simulated GPU substrate: Table 1 device specs, the shared-memory
     capacity model, functional kernels and the calibrated timing model.
 ``repro.parallel``
-    Host-side multi-threaded execution of the layered schedule.
+    Process-sharded path fleets on shared-memory limb tensors.
 ``repro.obs``
     Fleet telemetry: spans, counters/gauges, Chrome/Perfetto trace export
     and the measured-vs-predicted timing ledger (default-off).

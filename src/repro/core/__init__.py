@@ -5,13 +5,16 @@ from .layout import DataLayout
 from .staging import ConvolutionStage, MonomialProducts, stage_convolutions
 from .addition_tree import AdditionStage, stage_additions
 from .schedule import JobSchedule, build_schedule, schedule_for_polynomial
-from .evaluator import PolynomialEvaluator, prepare_slots, collect_result
+from .evaluator import PolynomialEvaluator
 from .system import (
+    MODES,
     FusedSystemSchedule,
     ScheduleCache,
     SystemEvaluator,
+    collect_result,
     default_schedule_cache,
     fuse_schedules,
+    prepare_slots,
     system_structure_key,
 )
 from .tensor import (
@@ -42,6 +45,7 @@ __all__ = [
     "PolynomialEvaluator",
     "prepare_slots",
     "collect_result",
+    "MODES",
     "FusedSystemSchedule",
     "ScheduleCache",
     "SystemEvaluator",

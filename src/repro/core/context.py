@@ -24,7 +24,7 @@ device it would be a full host-to-device transfer per step.
   nothing is repacked.
 
 Every execution mode exposes the same interface, so Newton and the path
-tracker are mode-agnostic: ``staged``/``parallel``/``gpu``/``reference``
+tracker are mode-agnostic: ``staged``/``gpu``/``reference``
 contexts (and vectorized contexts over rings the tensor backend cannot
 carry, i.e. exact fractions) delegate each run to the evaluator's per-call
 path.  A ``gpu`` context additionally annotates each run with the resident

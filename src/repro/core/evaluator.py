@@ -1,30 +1,17 @@
-"""The user-facing evaluator: the paper's algorithm end to end.
+"""The user-facing evaluator of one polynomial: the paper's algorithm end to end.
 
 :class:`PolynomialEvaluator` takes a :class:`repro.circuits.Polynomial`,
 stages its jobs once (:func:`repro.core.schedule_for_polynomial`) and then
 evaluates the polynomial and its gradient at any input vector of power
-series, in one of four execution modes:
+series.  It is a one-equation :class:`repro.core.SystemEvaluator`, so it runs
+the schedule through the same code in the same modes
+(:data:`repro.core.system.MODES`): the sequential ``reference`` oracle, the
+host-side ``staged`` jobs (any coefficient ring, exact fractions included),
+the functional ``gpu`` simulator with its per-device timing model (real
+doubles and multidoubles only) and the tensorized ``vectorized`` backend.
 
-``reference``
-    The sequential baseline of :mod:`repro.circuits.reference` (no staging).
-``staged``
-    Executes the staged convolution/addition jobs on the host, slot by slot,
-    in layer order — the algorithm of the paper minus the GPU.  Works for any
-    coefficient ring (floats, complexes, multiple doubles, exact fractions).
-``parallel``
-    Same jobs, but the independent jobs of each layer are dispatched to a
-    thread pool (:mod:`repro.parallel`) — the host-side stand-in for "one
-    block per job".
-``gpu``
-    The functional GPU simulator (:mod:`repro.gpusim`): the data array is
-    laid out exactly as in the paper (one flat array per limb), the
-    convolution kernel runs the zero-insertion algorithm thread by thread,
-    and the timing model attaches predicted kernel/wall-clock times for the
-    selected device to the result metadata.  Real multiple-double (or plain
-    double) coefficients only.
-
-All modes return the same :class:`repro.circuits.EvaluationResult`; the test
-suite checks they agree with the reference to the working precision.
+Every mode returns one :class:`repro.circuits.EvaluationResult`; the test
+suite checks that they agree with the exact reference to working precision.
 """
 
 from __future__ import annotations
@@ -32,191 +19,45 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..circuits.polynomial import Polynomial
-from ..circuits.powers import PowerTable
-from ..circuits.reference import EvaluationResult, evaluate_reference
-from ..errors import StagingError
+from ..circuits.reference import EvaluationResult
 from ..series.series import PowerSeries
-from .jobs import apply_addition, apply_convolution, apply_scale
-from .schedule import JobSchedule, schedule_for_polynomial
+from .schedule import JobSchedule
+from .system import ScheduleCache, SystemEvaluator
 
-__all__ = ["PolynomialEvaluator", "prepare_slots", "collect_result"]
-
-_MODES = ("reference", "staged", "parallel", "gpu")
+__all__ = ["PolynomialEvaluator"]
 
 
-def prepare_slots(
-    polynomial: Polynomial,
-    schedule: JobSchedule,
-    z: Sequence[PowerSeries],
-    table: PowerTable | None = None,
-) -> list[PowerSeries]:
-    """Fill the input region of the data array (adjusted coefficients + z).
-
-    ``table`` lets callers share one :class:`PowerTable` across several
-    polynomials evaluated at the same input vector (the system evaluator
-    does this so common factors are convolved once per input, not once per
-    equation).
-    """
-    layout = schedule.layout
-    degree = layout.degree
-    zero_like = polynomial.constant.coefficients[0] * 0
-    zero_series = PowerSeries.constant(zero_like, degree)
-    slots: list[PowerSeries] = [zero_series.copy() for _ in range(layout.total_slots)]
-    slots[layout.constant_slot()] = polynomial.constant.copy()
-    if table is None:
-        table = PowerTable(z)
-    for k, monomial in enumerate(polynomial.monomials):
-        if monomial.is_multilinear:
-            adjusted = monomial.coefficient
-        else:
-            adjusted, _, _ = monomial.split_common_factor(z, table)
-        slots[layout.coefficient_slot(k)] = adjusted.copy()
-    for variable in range(layout.dimension):
-        slots[layout.variable_slot(variable)] = z[variable].copy()
-    return slots
-
-
-def collect_result(
-    polynomial: Polynomial,
-    schedule: JobSchedule,
-    slots: Sequence[PowerSeries],
-    metadata: dict,
-) -> EvaluationResult:
-    """Read the value and gradient back from the data array."""
-    layout = schedule.layout
-    zero_like = polynomial.constant.coefficients[0] * 0
-    value = slots[schedule.value_slot].copy()
-    gradient: list[PowerSeries] = []
-    for variable in range(layout.dimension):
-        slot = schedule.gradient_slot(variable)
-        if slot is None:
-            gradient.append(PowerSeries.constant(zero_like, layout.degree))
-        else:
-            gradient.append(slots[slot].copy())
-    return EvaluationResult(value=value, gradient=gradient, metadata=metadata)
-
-
-class PolynomialEvaluator:
-    """Evaluate a polynomial and its gradient at power series.
+class PolynomialEvaluator(SystemEvaluator):
+    """Evaluate one polynomial and its gradient at power series.
 
     Parameters
     ----------
     polynomial:
-        The polynomial (any coefficient ring).
+        The polynomial (any coefficient ring the selected mode supports).
     mode:
-        One of ``"reference"``, ``"staged"``, ``"parallel"``, ``"gpu"``.
+        One of :data:`repro.core.system.MODES`.
     device:
         A :class:`repro.gpusim.DeviceSpec` (or preset name such as
         ``"V100"``) used by the ``gpu`` mode's timing model.
-    workers:
-        Thread count for the ``parallel`` mode (defaults to the CPU count).
+
+    Each evaluator stages its polynomial into a private
+    :class:`ScheduleCache`, so building one always pays the staging, as a
+    standalone per-polynomial evaluator does; systems that should share
+    staging across constructions use :class:`SystemEvaluator` with the
+    process-wide cache.
     """
 
-    def __init__(self, polynomial: Polynomial, mode: str = "staged", device=None, workers: int | None = None):
-        if mode not in _MODES:
-            raise StagingError(f"unknown mode {mode!r}; choose from {_MODES}")
+    def __init__(self, polynomial: Polynomial, mode: str = "staged", device=None):
+        super().__init__([polynomial], mode=mode, device=device, cache=ScheduleCache())
         self.polynomial = polynomial
-        self.mode = mode
-        self.device = device
-        self.workers = workers
-        self.schedule: JobSchedule = schedule_for_polynomial(polynomial)
-        # The parallel mode's persistent thread pool, created on first use
-        # and reused for every later evaluation of this evaluator.
-        self._pool_executor = None
+        self.schedule: JobSchedule = self.fused.schedules[0]
 
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
     def evaluate(self, z: Sequence[PowerSeries]) -> EvaluationResult:
         """Evaluate ``p(z)`` and the full gradient at the series vector ``z``."""
-        self._check_inputs(z)
-        if self.mode == "reference":
-            return evaluate_reference(self.polynomial, z)
-        if self.mode == "staged":
-            return self._evaluate_staged(z, parallel=False)
-        if self.mode == "parallel":
-            return self._evaluate_staged(z, parallel=True)
-        return self._evaluate_gpu(z)
+        return self.evaluate_batch([z])[0][0]
 
     __call__ = evaluate
 
     def job_summary(self) -> dict:
         """Schedule statistics (job counts, launches, theoretical steps)."""
         return self.schedule.summary()
-
-    # ------------------------------------------------------------------ #
-    # shared plumbing
-    # ------------------------------------------------------------------ #
-    def _check_inputs(self, z: Sequence[PowerSeries]) -> None:
-        if len(z) != self.polynomial.dimension:
-            raise StagingError(
-                f"expected {self.polynomial.dimension} input series, got {len(z)}"
-            )
-        for i, series in enumerate(z):
-            if series.degree != self.polynomial.series_degree:
-                raise StagingError(
-                    f"input series {i} has degree {series.degree}, "
-                    f"expected {self.polynomial.series_degree}"
-                )
-
-    def _prepare_slots(self, z: Sequence[PowerSeries]) -> list[PowerSeries]:
-        """Fill the input region of the data array (adjusted coefficients + z)."""
-        return prepare_slots(self.polynomial, self.schedule, z)
-
-    def _collect(self, slots: list[PowerSeries], metadata: dict) -> EvaluationResult:
-        """Read the value and gradient back from the data array."""
-        return collect_result(self.polynomial, self.schedule, slots, metadata)
-
-    # ------------------------------------------------------------------ #
-    # staged / parallel execution on the host
-    # ------------------------------------------------------------------ #
-    def _evaluate_staged(self, z: Sequence[PowerSeries], parallel: bool) -> EvaluationResult:
-        slots = self._prepare_slots(z)
-        schedule = self.schedule
-        if parallel:
-            if self._pool_executor is None:
-                from ..parallel.pool import LayerParallelExecutor
-
-                self._pool_executor = LayerParallelExecutor(workers=self.workers)
-            executor = self._pool_executor
-            executor.run_schedule(schedule, slots)
-            metadata = {
-                "mode": "parallel",
-                "workers": executor.workers,
-                "launches": schedule.total_launches,
-            }
-            return self._collect(slots, metadata)
-
-        for layer in schedule.convolutions.layers():
-            for job in layer:
-                apply_convolution(slots, 0, job)
-        for scale in schedule.scale_jobs:
-            apply_scale(slots, 0, scale)
-        for layer in schedule.additions.layers():
-            for job in layer:
-                apply_addition(slots, 0, job)
-        metadata = {
-            "mode": "staged",
-            "convolution_jobs": schedule.convolution_job_count,
-            "addition_jobs": schedule.addition_job_count,
-            "launches": schedule.total_launches,
-        }
-        return self._collect(slots, metadata)
-
-    # ------------------------------------------------------------------ #
-    # simulated GPU execution
-    # ------------------------------------------------------------------ #
-    def _evaluate_gpu(self, z: Sequence[PowerSeries]) -> EvaluationResult:
-        from ..gpusim.executor import GPUSimulator
-
-        slots = self._prepare_slots(z)
-        simulator = GPUSimulator(device=self.device)
-        outcome = simulator.run(self.schedule, slots)
-        metadata = {
-            "mode": "gpu",
-            "device": simulator.device.name,
-            "timings": outcome.timings,
-            "precision_limbs": outcome.limbs,
-            "launches": self.schedule.total_launches,
-        }
-        return self._collect(outcome.slots, metadata)

@@ -13,17 +13,20 @@ mutually independent.  This module restores the width on three axes:
 * **fusion across instances** — :meth:`SystemEvaluator.evaluate_batch` sweeps
   ``B`` input vectors through the same fused schedule in one pass; the fused
   data array is replicated per instance (batch stride = ``total_slots``) and
-  each fused layer dispatches the jobs of *all* instances together (the
-  parallel mode hands them to the worker pool as one wide launch, the GPU
-  simulator accounts them as one launch of ``B``-times-as-many blocks);
+  each fused layer dispatches the jobs of *all* instances together (the GPU
+  simulator accounts them as one launch of ``B``-times-as-many blocks, the
+  vectorized mode runs them as a few whole-layer NumPy calls);
 * **amortised staging** — fused schedules are memoised in an LRU
   :class:`ScheduleCache` keyed on :meth:`repro.circuits.Polynomial.structure_key`,
   so the repeated system constructions of Newton/path-tracking clients pay
   the staging cost once per *structure*, not once per step.
 
-All modes return one :class:`repro.circuits.EvaluationResult` per equation
-(per instance); the test suite checks that every mode and every coefficient
-ring agrees with the scalar per-polynomial loop to working precision.
+:class:`SystemEvaluator` is the only evaluator that runs a schedule: the
+one-polynomial :class:`repro.core.PolynomialEvaluator` is a one-equation
+system.  Every mode of :data:`MODES` returns one
+:class:`repro.circuits.EvaluationResult` per equation (per instance); the
+test suite checks that every mode and every coefficient ring agrees with the
+exact reference oracle to working precision.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from ..circuits.reference import EvaluationResult, evaluate_reference
 from ..errors import StagingError
 from ..obs import get_telemetry
 from ..series.series import PowerSeries
-from .evaluator import collect_result, prepare_slots
 from .jobs import (
     AdditionJob,
     ConvolutionJob,
@@ -52,15 +54,22 @@ from .jobs import (
 from .schedule import JobSchedule, schedule_for_polynomial
 
 __all__ = [
+    "MODES",
+    "check_mode",
     "ScheduleCache",
     "FusedSystemSchedule",
     "SystemEvaluator",
     "fuse_schedules",
     "system_structure_key",
     "default_schedule_cache",
+    "prepare_slots",
+    "collect_result",
 ]
 
-_MODES = ("reference", "staged", "parallel", "gpu", "vectorized")
+#: The execution modes of :class:`SystemEvaluator` — the one list every
+#: mode-taking object (evaluators, Newton and tracking options, the service
+#: configuration) validates against.
+MODES = ("reference", "staged", "gpu", "vectorized")
 
 #: Process-wide telemetry registry; ``enabled`` is a plain attribute so the
 #: disabled hot path costs exactly one attribute check per call site.
@@ -68,6 +77,13 @@ _TELEMETRY = get_telemetry()
 
 #: Distinguishes "not cached" from a cached value of ``None``.
 _CACHE_MISS = object()
+
+
+def check_mode(mode) -> None:
+    """Raise :class:`repro.errors.StagingError` (a ``ValueError``) unless
+    ``mode`` is one of :data:`MODES`."""
+    if mode not in MODES:
+        raise StagingError(f"unknown mode {mode!r}; choose from {MODES}")
 
 
 # --------------------------------------------------------------------- #
@@ -79,8 +95,9 @@ class ScheduleCache:
     Schedules depend only on polynomial *structure*, so the cache key is the
     tuple of :meth:`repro.circuits.Polynomial.structure_key` values of the
     system's equations.  The cache is safe to share between evaluators *and*
-    between threads (the module-level default instance is visible to the
-    worker threads of the parallel mode).  Builds are serialised **per
+    between threads: the module-level default instance serves the solve
+    service's concurrent flush threads and the parent-side staging of the
+    sharded fleet runner.  Builds are serialised **per
     key**: a short map lock guards the entry table, and each missing key
     gets its own build lock, so one structure is staged at most once no
     matter how many threads race on it — while hits and builds of
@@ -349,7 +366,12 @@ class FusedSystemSchedule:
 
 
 def fuse_schedules(schedules: Sequence[JobSchedule]) -> FusedSystemSchedule:
-    """Fuse per-equation schedules into one system-wide schedule."""
+    """Fuse per-equation schedules into one system-wide schedule.
+
+    The equation at offset 0 contributes its own job objects (jobs are
+    frozen), so fusing a one-equation system copies nothing; every later
+    equation's jobs are rebuilt with their slots shifted by its offset.
+    """
     schedules = list(schedules)
     if not schedules:
         raise StagingError("cannot fuse an empty list of schedules")
@@ -370,18 +392,26 @@ def fuse_schedules(schedules: Sequence[JobSchedule]) -> FusedSystemSchedule:
         offsets.append(total)
         total += schedule.layout.total_slots
 
-    n_conv_layers = max(len(s.convolutions.layers()) for s in schedules)
-    n_add_layers = max(len(s.additions.layers()) for s in schedules)
-    convolution_layers: list[list[ConvolutionJob]] = [[] for _ in range(n_conv_layers)]
-    addition_layers: list[list[AdditionJob]] = [[] for _ in range(n_add_layers)]
+    equation_convolutions = [s.convolutions.layers() for s in schedules]
+    equation_additions = [s.additions.layers() for s in schedules]
+    convolution_layers: list[list[ConvolutionJob]] = [
+        [] for _ in range(max(map(len, equation_convolutions)))
+    ]
+    addition_layers: list[list[AdditionJob]] = [
+        [] for _ in range(max(map(len, equation_additions)))
+    ]
     scale_jobs: list[ScaleJob] = []
     value_slots: list[int] = []
     gradient_slots: list[dict[int, int]] = []
 
-    for equation, (offset, schedule) in enumerate(zip(offsets, schedules)):
-        for level, layer in enumerate(schedule.convolutions.layers()):
-            for job in layer:
-                convolution_layers[level].append(
+    for offset, schedule, convolutions, additions in zip(
+        offsets, schedules, equation_convolutions, equation_additions
+    ):
+        for level, layer in enumerate(convolutions):
+            convolution_layers[level].extend(
+                layer
+                if not offset
+                else [
                     ConvolutionJob(
                         input1=offset + job.input1,
                         input2=offset + job.input2,
@@ -390,26 +420,36 @@ def fuse_schedules(schedules: Sequence[JobSchedule]) -> FusedSystemSchedule:
                         monomial=job.monomial,
                         kind=job.kind,
                     )
-                )
-        for job in schedule.scale_jobs:
-            scale_jobs.append(
+                    for job in layer
+                ]
+            )
+        scale_jobs.extend(
+            schedule.scale_jobs
+            if not offset
+            else [
                 ScaleJob(
                     slot=offset + job.slot,
                     factor=job.factor,
                     monomial=job.monomial,
                     variable=job.variable,
                 )
-            )
-        for level, layer in enumerate(schedule.additions.layers()):
-            for job in layer:
-                addition_layers[level].append(
+                for job in schedule.scale_jobs
+            ]
+        )
+        for level, layer in enumerate(additions):
+            addition_layers[level].extend(
+                layer
+                if not offset
+                else [
                     AdditionJob(
                         source=offset + job.source,
                         target=offset + job.target,
                         layer=job.layer,
-                        group=f"eq{equation}:{job.group}",
+                        group=job.group,
                     )
-                )
+                    for job in layer
+                ]
+            )
         value_slots.append(offset + schedule.value_slot)
         gradient_slots.append(
             {
@@ -433,6 +473,61 @@ def fuse_schedules(schedules: Sequence[JobSchedule]) -> FusedSystemSchedule:
 
 
 # --------------------------------------------------------------------- #
+# the host-side data array of one equation
+# --------------------------------------------------------------------- #
+def prepare_slots(
+    polynomial: Polynomial,
+    schedule: JobSchedule,
+    z: Sequence[PowerSeries],
+    table: PowerTable | None = None,
+) -> list[PowerSeries]:
+    """Fill the input region of the data array (adjusted coefficients + z).
+
+    ``table`` lets callers share one :class:`PowerTable` across several
+    polynomials evaluated at the same input vector (the system evaluator
+    does this so common factors are convolved once per input, not once per
+    equation).
+    """
+    layout = schedule.layout
+    degree = layout.degree
+    zero_like = polynomial.constant.coefficients[0] * 0
+    zero_series = PowerSeries.constant(zero_like, degree)
+    slots: list[PowerSeries] = [zero_series.copy() for _ in range(layout.total_slots)]
+    slots[layout.constant_slot()] = polynomial.constant.copy()
+    if table is None:
+        table = PowerTable(z)
+    for k, monomial in enumerate(polynomial.monomials):
+        if monomial.is_multilinear:
+            adjusted = monomial.coefficient
+        else:
+            adjusted, _, _ = monomial.split_common_factor(z, table)
+        slots[layout.coefficient_slot(k)] = adjusted.copy()
+    for variable in range(layout.dimension):
+        slots[layout.variable_slot(variable)] = z[variable].copy()
+    return slots
+
+
+def collect_result(
+    polynomial: Polynomial,
+    schedule: JobSchedule,
+    slots: Sequence[PowerSeries],
+    metadata: dict,
+) -> EvaluationResult:
+    """Read the value and gradient back from the data array."""
+    layout = schedule.layout
+    zero_like = polynomial.constant.coefficients[0] * 0
+    value = slots[schedule.value_slot].copy()
+    gradient: list[PowerSeries] = []
+    for variable in range(layout.dimension):
+        slot = schedule.gradient_slot(variable)
+        if slot is None:
+            gradient.append(PowerSeries.constant(zero_like, layout.degree))
+        else:
+            gradient.append(slots[slot].copy())
+    return EvaluationResult(value=value, gradient=gradient, metadata=metadata)
+
+
+# --------------------------------------------------------------------- #
 # the system evaluator
 # --------------------------------------------------------------------- #
 class SystemEvaluator:
@@ -444,10 +539,13 @@ class SystemEvaluator:
         The system's equations; all must share dimension and truncation
         degree (any coefficient ring the selected mode supports).
     mode:
-        One of ``"reference"``, ``"staged"``, ``"parallel"``, ``"gpu"`` —
-        the four modes of :class:`repro.core.PolynomialEvaluator` executing
-        the *fused* schedule — or ``"vectorized"``, the tensorized backend
-        of :mod:`repro.core.tensor` that executes every fused layer as a
+        One of :data:`MODES`: ``"reference"`` (the sequential oracle of
+        :mod:`repro.circuits.reference`, no staging), ``"staged"`` (the
+        fused jobs on host slot arrays, layer by layer, in any coefficient
+        ring), ``"gpu"`` (the functional simulator of :mod:`repro.gpusim`
+        with its per-device timing model; real doubles and multidoubles
+        only) or ``"vectorized"``, the tensorized backend of
+        :mod:`repro.core.tensor` that executes every fused layer as a
         handful of whole-layer NumPy multidouble sweeps.  The vectorized
         mode covers doubles, :class:`repro.md.MultiDouble` of any
         precision, plain complexes and :class:`repro.md.ComplexMD`
@@ -456,8 +554,6 @@ class SystemEvaluator:
         staged path, which keeps its oracle role.
     device:
         Device spec or preset name for the ``gpu`` mode's timing model.
-    workers:
-        Thread count for the ``parallel`` mode.
     cache:
         A :class:`ScheduleCache`; defaults to the process-wide cache so
         structurally identical systems share their staging work.
@@ -468,11 +564,9 @@ class SystemEvaluator:
         polynomials: Sequence[Polynomial],
         mode: str = "staged",
         device=None,
-        workers: int | None = None,
         cache: ScheduleCache | None = None,
     ):
-        if mode not in _MODES:
-            raise StagingError(f"unknown mode {mode!r}; choose from {_MODES}")
+        check_mode(mode)
         polynomials = list(polynomials)
         if not polynomials:
             raise StagingError("a system evaluator needs at least one polynomial")
@@ -492,7 +586,6 @@ class SystemEvaluator:
         self.degree = degree
         self.mode = mode
         self.device = device
-        self.workers = workers
         self.cache = cache if cache is not None else default_schedule_cache()
         self._structure_key = system_structure_key(polynomials)
         self.fused: FusedSystemSchedule = self.cache.get(
@@ -503,21 +596,6 @@ class SystemEvaluator:
         # the first vectorized batch (None until then; a (kind, limbs) tuple
         # or the string "unsupported" afterwards).
         self._system_ring: object = None
-        # The parallel mode's persistent thread pool, created on first use
-        # and reused for every later sweep of this evaluator.
-        self._pool_executor = None
-
-    def _layer_executor(self):
-        """The evaluator-lifetime :class:`LayerParallelExecutor` (lazy).
-
-        Holding one executor per evaluator means the parallel mode pays its
-        thread-pool construction once, not once per ``evaluate_batch`` call.
-        """
-        if self._pool_executor is None:
-            from ..parallel.pool import LayerParallelExecutor
-
-            self._pool_executor = LayerParallelExecutor(workers=self.workers)
-        return self._pool_executor
 
     # ------------------------------------------------------------------ #
     # public API
@@ -539,8 +617,8 @@ class SystemEvaluator:
 
         Returns one list of per-equation results per input vector.  All jobs
         of one fused layer — across equations *and* instances — form one
-        launch, which is what the parallel dispatch and the GPU timing model
-        account.
+        launch, which is what the GPU timing model accounts and the
+        vectorized mode runs as one whole-layer call.
         """
         zs = [list(z) for z in zs]
         for z in zs:
@@ -572,7 +650,7 @@ class SystemEvaluator:
         elif mode == "vectorized":
             results = self._evaluate_vectorized(zs)
         else:
-            results = self._evaluate_staged(zs, parallel=(mode == "parallel"))
+            results = self._evaluate_staged(zs)
         if t0:
             tel.record_span(
                 "system.sweep", t0, _perf_counter_ns(), mode=mode, batch=len(zs)
@@ -634,9 +712,8 @@ class SystemEvaluator:
     ) -> list[list[EvaluationResult]]:
         """Read every (instance, equation) result back from the fused array.
 
-        Each equation's slots are a contiguous slice of the fused array, so
-        the readback itself is the one shared :func:`collect_result` rule —
-        the batched path cannot drift from the scalar evaluator's.
+        Each equation's slots are a contiguous slice of the fused array, read
+        back by :func:`collect_result`.
         """
         fused = self.fused
         stride = fused.total_slots
@@ -656,45 +733,26 @@ class SystemEvaluator:
             results.append(instance)
         return results
 
-    def _fused_layer_jobs(self, batch: int) -> Iterator[tuple[str, list[tuple[int, object]]]]:
-        """Yield ``(kind, [(base, job), ...])`` — one entry per wide launch."""
-        bases = [b * self.fused.total_slots for b in range(batch)]
-        for layer in self.fused.convolution_layers:
-            yield "convolution", [(base, job) for base in bases for job in layer]
-        if self.fused.scale_jobs:
-            yield "scale", [(base, job) for base in bases for job in self.fused.scale_jobs]
-        for layer in self.fused.addition_layers:
-            yield "addition", [(base, job) for base in bases for job in layer]
-
     # ------------------------------------------------------------------ #
-    # staged / parallel execution on the host
+    # staged execution on the host
     # ------------------------------------------------------------------ #
     def _evaluate_staged(
-        self, zs: Sequence[Sequence[PowerSeries]], parallel: bool
+        self, zs: Sequence[Sequence[PowerSeries]]
     ) -> list[list[EvaluationResult]]:
+        """Run every fused layer over every instance, job by job, in order."""
         batch = len(zs)
         all_slots = self._prepare_batch_slots(zs)
         fused = self.fused
-        if parallel:
-            executor = self._layer_executor()
-            executor.run_fused(self._fused_layer_jobs(batch), all_slots)
-            metadata = {
-                "mode": "parallel",
-                "workers": executor.workers,
-                "batch": batch,
-                "launches": fused.total_launches,
-            }
-            return self._collect_batch(all_slots, batch, metadata)
-
-        apply = {
-            "convolution": apply_convolution,
-            "scale": apply_scale,
-            "addition": apply_addition,
-        }
-        for kind, jobs in self._fused_layer_jobs(batch):
-            run_job = apply[kind]
-            for base, job in jobs:
-                run_job(all_slots, base, job)
+        bases = [b * fused.total_slots for b in range(batch)]
+        stages = (
+            [(apply_convolution, layer) for layer in fused.convolution_layers]
+            + [(apply_scale, fused.scale_jobs)]
+            + [(apply_addition, layer) for layer in fused.addition_layers]
+        )
+        for run_job, jobs in stages:
+            for base in bases:
+                for job in jobs:
+                    run_job(all_slots, base, job)
         metadata = {
             "mode": "staged",
             "batch": batch,

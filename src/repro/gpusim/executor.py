@@ -1,17 +1,19 @@
 """The GPU simulator: functional execution plus timing prediction.
 
 :class:`GPUSimulator` plays the role of the CUDA runtime in the paper's
-pipeline.  Given a :class:`repro.core.JobSchedule` and the host-side slot
-contents it
+pipeline.  Given a fused :class:`repro.core.FusedSystemSchedule` (one
+polynomial is a one-equation system) and the host-side slot contents of a
+batch of instances, :meth:`GPUSimulator.run_system`
 
 1. allocates the device data array (one flat array per limb, Section 5),
-2. transfers the inputs (constant, coefficients, input series),
+2. transfers the inputs (constants, coefficients, input series),
 3. launches the convolution kernels layer by layer, then the optional scale
    kernel, then the addition kernels level by level — one simulated block per
-   job, using the vectorised block implementations of
+   job and instance, using the vectorised block implementations of
    :mod:`repro.gpusim.kernels`,
 4. attaches the :class:`repro.gpusim.TimingReport` predicted by the analytic
-   model for the selected device.
+   model for the selected device, each fused layer being one launch of
+   ``batch`` times its jobs' blocks.
 
 The numerical results are bit-for-bit what the host ``staged`` mode produces
 (same error-free transformations in the same order), which the integration
@@ -52,54 +54,19 @@ class GPUSimulator:
         self.device = get_device(device)
 
     # ------------------------------------------------------------------ #
-    def run(self, schedule, slots: list[PowerSeries]) -> SimulationOutcome:
-        """Execute all staged jobs on the simulated device.
-
-        ``slots`` is the host-side data array (one :class:`PowerSeries` per
-        slot) with the input region already filled; the product region is
-        ignored (assumed zero).  Real coefficients only — plain floats or
-        :class:`repro.md.MultiDouble`; complex data is supported by the host
-        modes.
-        """
-        limbs = self._infer_limbs(slots)
-        degree = schedule.degree
-        check_block_fits(degree, limbs, self.device)
-
-        layout = schedule.layout
-        data = DeviceData(limbs, layout.total_slots, degree)
-        # Host-to-device transfer of the input region.
-        for slot in range(layout.forward_base):
-            data.load_series(slot, slots[slot].coefficients)
-
-        stride = degree + 1
-        for layer in schedule.convolutions.layers():
-            for job in layer:
-                offset1, offset2, offset_out = job.offsets(degree)
-                convolution_block(data, offset1, offset2, offset_out)
-        for scale in schedule.scale_jobs:
-            scale_block(data, scale.slot * stride, scale.factor)
-        for layer in schedule.additions.layers():
-            for job in layer:
-                offset_source, offset_target = job.offsets(degree)
-                addition_block(data, offset_source, offset_target)
-
-        timings = TimingModel(device=self.device, precision=limbs).predict(schedule)
-        out_slots = [
-            PowerSeries(data.read_series(slot)) for slot in range(layout.total_slots)
-        ]
-        return SimulationOutcome(slots=out_slots, timings=timings, limbs=limbs)
-
-    # ------------------------------------------------------------------ #
     def run_system(self, fused, slots: list[PowerSeries], batch: int = 1) -> SimulationOutcome:
         """Execute a fused system schedule for a whole batch of instances.
 
         ``fused`` is a :class:`repro.core.system.FusedSystemSchedule`;
         ``slots`` is the flat host-side slot array of all ``batch`` instances
         (batch stride = ``fused.total_slots``) with every input region
-        filled.  Each fused layer is accounted as **one** kernel launch of
-        ``batch * layer_size`` blocks — the wide launches the paper's
-        throughput tables are about — and executed block by block with the
-        same vectorised kernels as :meth:`run`.
+        filled; the product region is ignored (assumed zero).  Each fused
+        layer is accounted as **one** kernel launch of ``batch * layer_size``
+        blocks — the wide launches the paper's throughput tables are about —
+        and executed block by block with the vectorised kernels of
+        :mod:`repro.gpusim.kernels`.  Real coefficients only — plain floats
+        or :class:`repro.md.MultiDouble`; complex and exact data run in the
+        host modes.
         """
         if batch < 1:
             raise StagingError(f"batch must be >= 1, got {batch}")

@@ -34,6 +34,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from ..core.system import check_mode
 from ..md.precision import PRECISIONS
 from ..obs.config import ObsConfig, coerce_layer
 
@@ -85,8 +86,10 @@ class NewtonOptions:
             raise ValueError(
                 f"solver must be 'auto', 'batched' or 'scalar', got {self.solver!r}"
             )
-        if self.mode is not None and not isinstance(self.mode, str):
-            raise TypeError(f"mode must be None or a string, got {self.mode!r}")
+        if self.mode is not None:
+            if not isinstance(self.mode, str):
+                raise TypeError(f"mode must be None or a string, got {self.mode!r}")
+            check_mode(self.mode)
 
     def override(self, **overrides) -> "NewtonOptions":
         """A derived copy with the given fields replaced."""
@@ -307,6 +310,8 @@ class TrackOptions:
             raise ValueError(
                 f"scheduler must be 'adaptive' or 'lockstep', got {self.scheduler!r}"
             )
+        if self.mode is not None:
+            check_mode(self.mode)
         # Normalise mappings (and validate everything else) into the frozen,
         # picklable ObsConfig shape, so options objects stay hashable-ish and
         # spawn workers receive the exact same layer.

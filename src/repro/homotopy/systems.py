@@ -59,14 +59,13 @@ class PolynomialSystem:
         The equations; all must share dimension and truncation degree.
     mode:
         Execution mode of the underlying :class:`repro.core.SystemEvaluator`
-        (``"reference"``, ``"staged"``, ``"parallel"``, ``"gpu"`` or the
-        tensorized ``"vectorized"`` backend, which sweeps whole fused layers
-        as NumPy multidouble calls — real or complex, over paired limb
-        planes — and falls back to ``"staged"`` only for exact fraction
-        rings).
-    device, workers, cache:
-        Forwarded to the system evaluator (GPU timing device, thread count,
-        schedule cache; the default cache is process-wide).
+        (``"reference"``, ``"staged"``, ``"gpu"`` or the tensorized
+        ``"vectorized"`` backend, which sweeps whole fused layers as NumPy
+        multidouble calls — real or complex, over paired limb planes — and
+        falls back to ``"staged"`` only for exact fraction rings).
+    device, cache:
+        Forwarded to the system evaluator (GPU timing device, schedule
+        cache; the default cache is process-wide).
     """
 
     def __init__(
@@ -74,15 +73,12 @@ class PolynomialSystem:
         polynomials: Sequence[Polynomial],
         mode: str = "staged",
         device=None,
-        workers: int | None = None,
         cache: ScheduleCache | None = None,
     ):
         polynomials = list(polynomials)
         if not polynomials:
             raise StagingError("a system needs at least one polynomial")
-        self.evaluator = SystemEvaluator(
-            polynomials, mode=mode, device=device, workers=workers, cache=cache
-        )
+        self.evaluator = SystemEvaluator(polynomials, mode=mode, device=device, cache=cache)
         self.polynomials = polynomials
         self.dimension = self.evaluator.dimension
         self.degree = self.evaluator.degree
@@ -139,7 +135,7 @@ class PolynomialSystem:
     def with_mode(self, mode: str | None) -> "PolynomialSystem":
         """This system re-targeted at another execution mode.
 
-        Shares the polynomials, device, workers and schedule cache, so the
+        Shares the polynomials, device and schedule cache, so the
         switch costs one cache hit — this is what lets Newton and the path
         tracker steer structurally identical systems onto the vectorized
         backend without restaging anything.  ``None`` or the current mode
@@ -151,7 +147,6 @@ class PolynomialSystem:
             self.polynomials,
             mode=mode,
             device=self.evaluator.device,
-            workers=self.evaluator.workers,
             cache=self.evaluator.cache,
         )
 
@@ -176,13 +171,12 @@ class PolynomialSystem:
         """Apply a transformation to every equation (e.g. precision change).
 
         The transformed system inherits this system's execution configuration
-        (mode, device, workers, schedule cache) unless ``mode`` overrides it.
+        (mode, device, schedule cache) unless ``mode`` overrides it.
         """
         return PolynomialSystem(
             [func(p) for p in self.polynomials],
             mode=mode if mode is not None else self.mode,
             device=self.evaluator.device,
-            workers=self.evaluator.workers,
             cache=self.evaluator.cache,
         )
 

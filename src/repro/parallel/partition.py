@@ -1,10 +1,9 @@
-"""Partitioning of job layers across host workers.
+"""Near-even contiguous partitioning of a work list.
 
-One GPU block per job is the device-side mapping; on the host the analogous
-mapping assigns each worker thread a contiguous chunk of the jobs of the
-current layer.  Chunking keeps the scheduling overhead per layer at one task
-per worker instead of one task per job, which matters because a layer of the
-paper's polynomials can contain thousands of small jobs.
+:func:`chunk_evenly` splits a sequence into at most ``parts`` contiguous
+chunks whose sizes differ by at most one.  The sharded fleet runner
+(:func:`repro.parallel.partition_paths`) builds its shard plans on it, so
+every path lands in exactly one shard, in order.
 """
 
 from __future__ import annotations

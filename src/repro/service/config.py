@@ -29,15 +29,14 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from ..core.system import check_mode
+
 __all__ = [
     "ServiceConfig",
     "DEFAULT_SERVICE_CONFIG",
     "coerce_service_layer",
     "resolve_service_config",
 ]
-
-_MODES = ("vectorized", "staged", "parallel", "gpu", "reference")
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -65,7 +64,8 @@ class ServiceConfig:
         LRU bound on how many distinct system structures the resident
         context pool keeps warm.
     mode:
-        Execution mode requests are re-targeted to (``"vectorized"`` is the
+        Execution mode requests are re-targeted to, one of
+        :data:`repro.core.system.MODES` (``"vectorized"`` is the
         resident fast path; other modes still coalesce, but every sweep
         delegates to the per-call path and every lane solves with the
         scalar :func:`repro.homotopy.lu_solve`).
@@ -104,10 +104,8 @@ class ServiceConfig:
                 if value < minimum:
                     raise ValueError(f"{name} must be >= {minimum}, got {value}")
                 object.__setattr__(self, name, value)
-        if self.mode is not None and self.mode not in _MODES:
-            raise ValueError(
-                f"mode must be one of {_MODES}, got {self.mode!r}"
-            )
+        if self.mode is not None:
+            check_mode(self.mode)
 
     def merged_onto(self, base: "ServiceConfig") -> "ServiceConfig":
         """Return ``base`` with this layer's non-``None`` fields applied."""

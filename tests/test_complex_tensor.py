@@ -476,7 +476,7 @@ class TestEvalContext:
                 assert a.value.max_abs_error(b.value) == 0.0
 
     def test_context_interface_is_mode_agnostic(self, rng):
-        """staged/parallel/reference contexts expose the same interface and
+        """staged/reference contexts expose the same interface and
         produce the same results as their per-call paths."""
         polynomials = _mini_system("p1", 2, 2, rng)
         zs = [
@@ -484,7 +484,7 @@ class TestEvalContext:
             for _ in range(2)
         ]
         cache = ScheduleCache()
-        for mode in ("staged", "parallel", "reference"):
+        for mode in ("staged", "reference"):
             evaluator = SystemEvaluator(polynomials, mode=mode, cache=cache)
             context = evaluator.make_context(2)
             context.update_inputs(zs)

@@ -28,15 +28,6 @@ class TestModeEquivalence:
             staged = PolynomialEvaluator(p, mode="staged").evaluate(z)
             assert reference.max_difference(staged) == 0.0
 
-    def test_parallel_equals_staged_exactly(self, rng):
-        p = random_polynomial(5, 8, 3, degree=3, kind="fraction", rng=rng)
-        z = [random_fraction_series(3, rng) for _ in range(5)]
-        staged = PolynomialEvaluator(p, mode="staged").evaluate(z)
-        parallel = PolynomialEvaluator(p, mode="parallel", workers=4).evaluate(z)
-        assert staged.max_difference(parallel) == 0.0
-        assert parallel.metadata["mode"] == "parallel"
-        assert parallel.metadata["workers"] == 4
-
     @pytest.mark.parametrize("limbs", (2, 4))
     def test_gpu_mode_matches_reference_for_multidoubles(self, limbs, rng):
         p = random_polynomial(5, 6, 3, degree=4, kind="md", precision=limbs, rng=rng)
@@ -74,7 +65,7 @@ class TestGeneralExponents:
         p = random_polynomial(5, 6, 2, degree=3, kind="fraction", rng=rng, max_exponent=4)
         z = [random_fraction_series(3, rng) for _ in range(5)]
         reference = PolynomialEvaluator(p, mode="reference").evaluate(z)
-        for mode in ("staged", "parallel"):
+        for mode in ("staged", "vectorized"):
             other = PolynomialEvaluator(p, mode=mode).evaluate(z)
             assert reference.max_difference(other) == 0.0
 
@@ -94,11 +85,6 @@ class TestGeneralExponents:
 
 
 class TestValidationAndMetadata:
-    def test_unknown_mode(self, rng):
-        p = random_polynomial(3, 3, 2, degree=2, kind="float", rng=rng)
-        with pytest.raises(StagingError):
-            PolynomialEvaluator(p, mode="cuda")
-
     def test_wrong_input_count_and_degree(self, rng):
         p = random_polynomial(3, 3, 2, degree=2, kind="float", rng=rng)
         evaluator = PolynomialEvaluator(p, mode="staged")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import build_schedule
+from repro.core import build_schedule, fuse_schedules
 from repro.errors import DeviceCapacityError
 from repro.gpusim import (
     DeviceData,
@@ -159,7 +159,7 @@ class TestGPUSimulator:
         for v in range(3):
             slots[schedule.layout.variable_slot(v)] = random_md_series(3, 2, rng)
         simulator = GPUSimulator("P100")
-        outcome = simulator.run(schedule, slots)
+        outcome = simulator.run_system(fuse_schedules([schedule]), slots)
         assert outcome.limbs == 2
         assert outcome.timings.n_launches == schedule.total_launches
         assert outcome.timings.wall_clock_ms > 0
@@ -184,4 +184,4 @@ class TestGPUSimulator:
         schedule = build_schedule(2, [(0, 1)], degree=160)
         slots = [PowerSeries.constant(MultiDouble.zero(10), 160) for _ in range(schedule.layout.total_slots)]
         with pytest.raises(DeviceCapacityError):
-            GPUSimulator("V100").run(schedule, slots)
+            GPUSimulator("V100").run_system(fuse_schedules([schedule]), slots)

@@ -59,7 +59,7 @@ class TestMiniP1EndToEnd:
     def test_all_modes_agree(self, mini_p1):
         polynomial, z = mini_p1
         reference = PolynomialEvaluator(polynomial, mode="reference").evaluate(z)
-        for mode in ("staged", "parallel", "gpu"):
+        for mode in ("staged", "gpu"):
             result = PolynomialEvaluator(polynomial, mode=mode).evaluate(z)
             assert reference.max_difference(result) < 2.0 ** (-52 * 3 + 24)
 

@@ -1,4 +1,4 @@
-"""Tests for the host-side parallel executor."""
+"""Tests for the work partitioning behind the sharded fleet runner."""
 
 from __future__ import annotations
 
@@ -6,10 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.circuits.testpolys import random_polynomial
-from repro.core import PolynomialEvaluator, schedule_for_polynomial
-from repro.parallel import LayerParallelExecutor, chunk_evenly, partition_paths
-from repro.series import random_fraction_series
+from repro.parallel import chunk_evenly, partition_paths
 
 
 class TestChunkEvenly:
@@ -75,107 +72,3 @@ class TestChunkEvenly:
                 assert max(sizes) <= cap
         if cap is None:
             assert len(plans) <= workers
-
-
-class TestLayerParallelExecutor:
-    def test_default_worker_count_positive(self):
-        assert LayerParallelExecutor().workers >= 1
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            LayerParallelExecutor(workers=0)
-
-    @pytest.mark.parametrize("workers", (1, 2, 4))
-    def test_matches_sequential_execution(self, workers, rng):
-        p = random_polynomial(6, 10, 3, degree=3, kind="fraction", rng=rng)
-        z = [random_fraction_series(3, rng) for _ in range(6)]
-        sequential = PolynomialEvaluator(p, mode="staged").evaluate(z)
-        parallel = PolynomialEvaluator(p, mode="parallel", workers=workers).evaluate(z)
-        assert sequential.max_difference(parallel) == 0.0
-
-    def test_run_schedule_direct(self, rng):
-        p = random_polynomial(4, 5, 2, degree=2, kind="fraction", rng=rng, max_exponent=2)
-        z = [random_fraction_series(2, rng) for _ in range(4)]
-        evaluator = PolynomialEvaluator(p, mode="staged")
-        slots = evaluator._prepare_slots(z)
-        executor = LayerParallelExecutor(workers=2)
-        executor.run_schedule(evaluator.schedule, slots)
-        expected = PolynomialEvaluator(p, mode="reference").evaluate(z)
-        assert slots[evaluator.schedule.value_slot] == expected.value
-
-    def test_worker_exceptions_propagate(self):
-        schedule = schedule_for_polynomial(
-            random_polynomial(3, 3, 2, degree=1, kind="float")
-        )
-        executor = LayerParallelExecutor(workers=2)
-        # Slots of the wrong length make the convolution jobs fail inside the pool.
-        with pytest.raises(Exception):
-            executor.run_schedule(schedule, [None] * schedule.layout.total_slots)
-
-    def test_pool_is_reused_across_calls(self, rng):
-        """The regression the satellite fix targets: one pool, many calls."""
-        p = random_polynomial(4, 6, 2, degree=2, kind="fraction", rng=rng, max_exponent=2)
-        evaluator = PolynomialEvaluator(p, mode="staged")
-        executor = LayerParallelExecutor(workers=2)
-        assert not executor.pool_active
-        pools = set()
-        for _ in range(3):
-            z = [random_fraction_series(2, rng) for _ in range(4)]
-            slots = evaluator._prepare_slots(z)
-            executor.run_schedule(evaluator.schedule, slots)
-            assert executor.pool_active
-            pools.add(id(executor._pool))
-        assert len(pools) == 1, "the executor rebuilt its thread pool between calls"
-        executor.close()
-        assert not executor.pool_active
-
-    def test_close_is_idempotent_and_executor_stays_usable(self, rng):
-        p = random_polynomial(4, 5, 2, degree=2, kind="fraction", rng=rng, max_exponent=2)
-        z = [random_fraction_series(2, rng) for _ in range(4)]
-        evaluator = PolynomialEvaluator(p, mode="staged")
-        executor = LayerParallelExecutor(workers=2)
-        executor.close()  # closing an unopened pool is a no-op
-        slots = evaluator._prepare_slots(z)
-        executor.run_schedule(evaluator.schedule, slots)
-        executor.close()
-        executor.close()
-        # A closed executor transparently rebuilds its pool on the next call.
-        slots = evaluator._prepare_slots(z)
-        executor.run_schedule(evaluator.schedule, slots)
-        expected = PolynomialEvaluator(p, mode="reference").evaluate(z)
-        assert slots[evaluator.schedule.value_slot] == expected.value
-        executor.close()
-
-    def test_context_manager_closes_pool(self, rng):
-        p = random_polynomial(4, 5, 2, degree=2, kind="fraction", rng=rng, max_exponent=2)
-        z = [random_fraction_series(2, rng) for _ in range(4)]
-        evaluator = PolynomialEvaluator(p, mode="staged")
-        with LayerParallelExecutor(workers=2) as executor:
-            slots = evaluator._prepare_slots(z)
-            executor.run_schedule(evaluator.schedule, slots)
-            assert executor.pool_active
-        assert not executor.pool_active
-
-    def test_evaluator_reuses_one_executor(self, rng):
-        """The parallel mode holds one executor for the evaluator's lifetime."""
-        p = random_polynomial(4, 5, 2, degree=2, kind="fraction", rng=rng, max_exponent=2)
-        evaluator = PolynomialEvaluator(p, mode="parallel", workers=2)
-        z = [random_fraction_series(2, rng) for _ in range(4)]
-        evaluator.evaluate(z)
-        first = evaluator._pool_executor
-        evaluator.evaluate(z)
-        assert evaluator._pool_executor is first
-        assert first is not None
-
-    def test_system_evaluator_reuses_one_executor(self, rng):
-        """The system evaluator's parallel branch shares one executor too."""
-        from repro.core import SystemEvaluator
-
-        p = random_polynomial(4, 5, 2, degree=2, kind="fraction", rng=rng, max_exponent=2)
-        evaluator = SystemEvaluator([p], mode="parallel", workers=2)
-        z = [random_fraction_series(2, rng) for _ in range(4)]
-        evaluator.evaluate_batch([z, z])
-        first = evaluator._pool_executor
-        evaluator.evaluate_batch([z, z])
-        assert evaluator._pool_executor is first
-        assert first is not None

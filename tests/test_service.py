@@ -1178,6 +1178,10 @@ class TestHttp:
             pytest.param(
                 {"options": {"raise_on_failure": "yes"}}, None, id="raise-on-failure-not-a-bool"
             ),
+            pytest.param({"options": {"mode": "parallel"}}, None, id="options-mode-parallel"),
+            pytest.param({"options": {"mode": "cuda"}}, None, id="options-mode-unknown"),
+            pytest.param({"overrides": {"mode": "parallel"}}, None, id="override-mode-parallel"),
+            pytest.param({"overrides": {"mode": "cuda"}}, None, id="override-mode-unknown"),
         ],
     )
     def test_bad_requests_get_400_and_backpressure_429(self, changes, content_length):

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from repro.circuits.testpolys import random_polynomial
 from repro.core import (
+    MODES,
     PolynomialEvaluator,
     ScheduleCache,
     SystemEvaluator,
@@ -15,9 +17,9 @@ from repro.core import (
     schedule_for_polynomial,
 )
 from repro.errors import StagingError
-from repro.homotopy import PolynomialSystem
+from repro.homotopy import NewtonOptions, PolynomialSystem, TrackOptions
+from repro.service import ServiceConfig, resolve_service_config
 from repro.series import (
-    PowerSeries,
     random_complex_series,
     random_fraction_series,
     random_float_series,
@@ -25,7 +27,7 @@ from repro.series import (
     random_series_vector,
 )
 
-HOST_MODES = ("reference", "staged", "parallel")
+HOST_MODES = ("reference", "staged")
 ALL_MODES = HOST_MODES + ("gpu",)
 
 
@@ -273,9 +275,29 @@ class TestScheduleCache:
 
 
 class TestValidation:
-    def test_unknown_mode(self, rng):
-        with pytest.raises(StagingError):
-            SystemEvaluator(_make_system("float", rng), mode="cuda")
+    @pytest.mark.parametrize("mode", ("parallel", "cuda"))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda p, mode: SystemEvaluator([p], mode=mode), id="SystemEvaluator"),
+            pytest.param(
+                lambda p, mode: PolynomialEvaluator(p, mode=mode), id="PolynomialEvaluator"
+            ),
+            pytest.param(lambda p, mode: PolynomialSystem([p], mode=mode), id="PolynomialSystem"),
+            pytest.param(lambda p, mode: ServiceConfig(mode=mode), id="ServiceConfig"),
+            pytest.param(
+                lambda p, mode: resolve_service_config(environ={"REPRO_SERVICE_MODE": mode}),
+                id="REPRO_SERVICE_MODE",
+            ),
+            pytest.param(lambda p, mode: NewtonOptions(mode=mode), id="NewtonOptions"),
+            pytest.param(lambda p, mode: TrackOptions(mode=mode), id="TrackOptions"),
+        ],
+    )
+    def test_unknown_mode_fails_when_built(self, build, mode, rng):
+        """Every mode-taking object checks the one mode list on construction."""
+        p = random_polynomial(3, 3, 2, degree=2, kind="float", rng=rng)
+        with pytest.raises(ValueError, match=re.escape(f"choose from {MODES}")):
+            build(p, mode)
 
     def test_empty_system(self):
         with pytest.raises(StagingError):
@@ -299,32 +321,6 @@ class TestValidation:
             evaluator.evaluate_batch([[random_float_series(3, rng)] * 5])
 
 
-class _Poison:
-    """A coefficient that detonates inside the first convolution layer."""
-
-    def __mul__(self, other):
-        raise RuntimeError("worker exploded")
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        raise RuntimeError("worker exploded")
-
-    __radd__ = __add__
-
-
-class TestWorkerExceptionPropagation:
-    def test_poisoned_input_raises_through_fused_parallel_dispatch(self, rng):
-        polynomials = _make_system("float", rng, dimension=4, degree=2, equations=3)
-        z = [random_float_series(2, rng) for _ in range(4)]
-        z[0] = PowerSeries([_Poison(), 0.0, 0.0])
-        evaluator = SystemEvaluator(
-            polynomials, mode="parallel", workers=2, cache=ScheduleCache()
-        )
-        with pytest.raises(RuntimeError, match="worker exploded"):
-            evaluator.evaluate_batch([z, [random_float_series(2, rng) for _ in range(4)]])
-
-
 class TestPolynomialSystemIntegration:
     def test_system_evaluate_batch_matches_evaluate(self, rng):
         degree = 3
@@ -344,7 +340,7 @@ class TestPolynomialSystemIntegration:
 
     def test_complex_system_host_parity(self, rng):
         polynomials = _make_system("complex", rng, dimension=4)
-        system = PolynomialSystem(polynomials, mode="parallel", workers=2, cache=ScheduleCache())
+        system = PolynomialSystem(polynomials, mode="staged", cache=ScheduleCache())
         z = [random_complex_series(3, rng) for _ in range(4)]
         reference = PolynomialSystem(polynomials, mode="reference", cache=ScheduleCache())
         for got, expected in zip(system.evaluate(z), reference.evaluate(z)):
@@ -353,10 +349,10 @@ class TestPolynomialSystemIntegration:
     def test_map_inherits_execution_configuration(self, rng):
         cache = ScheduleCache()
         polynomials = _make_system("float", rng)
-        system = PolynomialSystem(polynomials, mode="parallel", workers=2, cache=cache)
+        system = PolynomialSystem(polynomials, mode="gpu", device="P100", cache=cache)
         mapped = system.map(lambda p: p.map_coefficients(lambda s: s.scale(2.0)))
-        assert mapped.mode == "parallel"
-        assert mapped.evaluator.workers == 2
+        assert mapped.mode == "gpu"
+        assert mapped.evaluator.device == "P100"
         assert mapped.evaluator.cache is cache
         overridden = system.map(lambda p: p, mode="staged")
         assert overridden.mode == "staged"
@@ -371,6 +367,6 @@ class TestPolynomialSystemIntegration:
             ).evaluate(z)
             for mode in ALL_MODES
         }
-        for mode in ("staged", "parallel", "gpu"):
+        for mode in ("staged", "gpu"):
             for got, expected in zip(results[mode], results["reference"]):
                 assert got.max_difference(expected) < 2.0 ** (-52 * 2 + 20)
