@@ -111,8 +111,8 @@ def test_batched_speedup_and_cache_hit_rate(workload):
                 f"batched system evaluator (mini-p1: {EQUATIONS} equations x "
                 f"{polynomials[0].n_monomials} monomials, degree {DEGREE}, doubles)",
                 f"  batch size                 : {BATCH}",
-                f"  scalar loop (staged)       : {scalar_s:.3f} s",
-                f"  batched sweep (warm cache) : {batched_s:.3f} s",
+                f"  scalar loop (staged)       : {scalar_s * 1e3:.2f} ms",
+                f"  batched sweep (warm cache) : {batched_s * 1e3:.2f} ms",
                 f"  speedup                    : {speedup:.2f} x",
                 f"  max deviation vs loop      : {deviation:.3e}",
                 f"  schedule cache             : hits={stats['hits']} misses={stats['misses']} "

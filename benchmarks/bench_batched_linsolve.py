@@ -4,15 +4,15 @@ PR 5 moved the evaluation sweeps of a batched Newton refinement onto the
 tensorized NumPy backend, which left the per-instance scalar
 :func:`repro.homotopy.lu_solve` as the dominant cost of every iteration.
 This benchmark gates its replacement: with ``solver="auto"`` the whole
-linear solve runs as batched eliminations on the packed limb tensors
-(:mod:`repro.homotopy.batch_linsolve`), and on the complex mini-``p1``
+linear solve runs as one batched lead-matrix solve on the packed limb
+tensors (:mod:`repro.homotopy.batch_linsolve`), and on the complex mini-``p1``
 workload the end-to-end Newton sweep must beat the PR 5 shape
 (``solver="scalar"``: vectorized evaluation, scalar solves) by at least
 **2x** while reproducing its solutions **bit for bit** at double-double
 precision.
 
 A batch-size sweep records how the advantage grows with width (the scalar
-solve cost is linear in the batch, the batched elimination is one set of
+solve cost is linear in the batch, the batched solve is one set of
 whole-tensor sweeps), and the GPU timing model's solve-launch prediction is
 recorded for the same dimensions.  Results are persisted as a text table and
 as machine-readable JSON under ``benchmarks/results/``.

@@ -40,12 +40,14 @@ class TimingReport:
     @property
     def convolution_ms(self) -> float:
         """Sum of all convolution kernel times (first row of Tables 3-7)."""
-        return sum(launch.kernel_ms for launch in self.launches if launch.stage == "convolution")
+        return sum((launch.kernel_ms for launch in self.launches if launch.stage == "convolution"), 0.0)
 
     @property
     def addition_ms(self) -> float:
         """Sum of all addition kernel times (second row)."""
-        return sum(launch.kernel_ms for launch in self.launches if launch.stage in ("addition", "scale"))
+        return sum(
+            (launch.kernel_ms for launch in self.launches if launch.stage in ("addition", "scale")), 0.0
+        )
 
     @property
     def sum_ms(self) -> float:
@@ -55,7 +57,7 @@ class TimingReport:
     @property
     def wall_clock_ms(self) -> float:
         """Kernel times plus launch overheads (fourth row)."""
-        return self.sum_ms + sum(launch.overhead_ms for launch in self.launches)
+        return self.sum_ms + sum((launch.overhead_ms for launch in self.launches), 0.0)
 
     @property
     def kernel_fraction(self) -> float:

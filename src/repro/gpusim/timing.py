@@ -387,51 +387,74 @@ class TimingModel:
         }
 
     def predict_solve(self, dimension: int, degree: int, batch: int = 1) -> TimingReport:
-        """Predicted launch sequence of one batched series linear solve.
+        """Predicted launch sequence of one batched lead-matrix series solve.
 
         Models :func:`repro.homotopy.batch_linsolve.batch_lu_solve_tensor`
-        eliminating ``batch`` packed ``dimension x dimension`` systems of
-        degree-``degree`` series at once, launch for launch:
+        solving ``batch`` packed ``n x n`` systems (``n = dimension``) of
+        degree-``degree`` series at once, launch for launch.  Every launch
+        works on scalars, one block per ring operation of all instances, so
+        each is priced as a degree-0 convolution launch (products and pivot
+        reciprocals) or addition launch (sums and subtractions):
 
-        * per elimination column ``c``: one convolution launch of ``batch``
-          blocks for the pivot-inverse recursion, and — while rows remain —
-          one convolution launch of ``r * batch`` blocks for the elimination
-          factors (``r = dimension - 1 - c`` rows below the pivot) plus one
-          convolution and one addition launch of ``r * (dimension - c + 1) *
-          batch`` blocks updating the trailing columns and the right-hand
-          side together;
-        * per back-substitution row ``r``: one convolution launch of
-          ``(dimension - 1 - r) * batch`` blocks forming all the row's
-          products at once, ``dimension - 1 - r`` sequential addition
-          launches of ``batch`` blocks subtracting them (the running
-          accumulator forces the serialisation), and one final
-          ``batch``-block convolution by the cached pivot inverse.
+        * **the lead matrix** ``A_0``, by elimination on ``[A_0 | I]`` (layer
+          ``c + 1``): per column ``c`` one reciprocal launch of ``batch``
+          blocks, and while ``r = n - 1 - c`` rows remain a factor launch of
+          ``r * batch`` blocks and an update pair, a product and an addition
+          launch of ``r * (r + n) * batch`` blocks each; then per
+          back-substitution row with ``l`` later rows (from the last) one
+          launch of ``l * n * batch`` products, ``l`` sequential addition
+          launches of ``n * batch`` blocks and one launch of ``n * batch``
+          blocks scaling by the pivot reciprocal;
+        * **per coefficient** ``k`` (layer ``n + k + 1``): for ``k >= 1`` one
+          launch of the ``n^2 k batch`` products ``A_i x_(k-i)``, one
+          addition launch per level of their pairwise tree (``n k`` terms per
+          row, halving, rounded up) and one subtraction launch of ``n *
+          batch`` blocks; then one launch of the ``n^2 batch`` products by
+          ``A_0^(-1)`` and the levels of its tree over ``n`` terms.
 
-        The column index is recorded as the launch ``layer``.  This is the
-        device-cost counterpart of the host-side batched solver: wide,
-        batch-proportional launches during elimination, but a long tail of
-        tiny serial launches in back substitution — the same launch-overhead
-        shape the paper reports for small systems.
+        The coefficients run in sequence — each needs every earlier one — so
+        a solve makes ``O(n^2 + d log(n d))`` launches.
         """
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
+        n = dimension
         report = TimingReport()
-        for column in range(dimension):
-            report.add(self.convolution_launch(batch, degree, layer=column + 1))
-            remaining = dimension - 1 - column
-            if remaining:
-                report.add(self.convolution_launch(remaining * batch, degree, layer=column + 1))
-                span = remaining * (dimension - column + 1) * batch
-                report.add(self.convolution_launch(span, degree, layer=column + 1))
-                report.add(self.addition_launch(span, degree, layer=column + 1))
-        for row in range(dimension - 1, -1, -1):
-            if row < dimension - 1:
-                report.add(self.convolution_launch((dimension - 1 - row) * batch, degree, layer=row + 1))
-            for _ in range(dimension - 1 - row):
-                report.add(self.addition_launch(batch, degree, layer=row + 1))
-            report.add(self.convolution_launch(batch, degree, layer=row + 1))
+
+        def products(blocks: int, layer: int) -> None:
+            report.add(self.convolution_launch(blocks, 0, layer=layer))
+
+        def sums(blocks: int, layer: int) -> None:
+            report.add(self.addition_launch(blocks, 0, layer=layer))
+
+        def tree(terms: int, layer: int) -> None:
+            while terms > 1:
+                sums(terms // 2 * n * batch, layer)
+                terms -= terms // 2
+
+        for column in range(n):
+            products(batch, column + 1)
+            rows = n - 1 - column
+            if rows:
+                products(rows * batch, column + 1)
+                products(rows * (rows + n) * batch, column + 1)
+                sums(rows * (rows + n) * batch, column + 1)
+        for row in range(n - 1, -1, -1):
+            later = n - 1 - row
+            if later:
+                products(later * n * batch, row + 1)
+            for _ in range(later):
+                sums(n * batch, row + 1)
+            products(n * batch, row + 1)
+        for k in range(degree + 1):
+            layer = n + k + 1
+            if k:
+                products(n * n * k * batch, layer)
+                tree(n * k, layer)
+                sums(n * batch, layer)
+            products(n * n * batch, layer)
+            tree(n, layer)
         return report
 
     def predict_from_launch_sizes(

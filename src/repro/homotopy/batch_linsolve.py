@@ -1,54 +1,49 @@
-"""Batched Gaussian elimination directly on packed limb tensors.
+"""The lead-matrix series solve, batched on packed limb tensors.
 
-Scalar :func:`repro.homotopy.lu_solve` eliminates one
-:class:`repro.series.PowerSeries` operation at a time — once the evaluation
-sweeps run on the tensorized NumPy backend, that Python-level solve is the
-dominant cost of a batched Newton step.  This module applies the
-same whole-array multidouble strategy to the solve itself: the matrices and
-right-hand sides of *all* batch instances live in one
+Scalar :func:`repro.homotopy.lu_solve` solves one system one ring
+operation at a time — once the evaluation sweeps run on the tensorized
+NumPy backend, that Python-level solve is the dominant cost of a batched
+Newton step.  This module runs the same algorithm on whole arrays: the
+matrices and right-hand sides of *all* batch instances live in one
 ``(limbs, batch, n, n, degree+1)`` limb tensor per plane — one plane for the
 real rings, the real and imaginary planes for the complex ones (the
-:mod:`repro.md.cvecops` layout) — and every elimination step runs as a
-handful of batched series convolutions (:func:`repro.core.tensor.convolve_rows`)
-and whole-array multiple-double sweeps — never a per-instance Python loop
-over ring operations.  Each driver is written once over tuples of planes:
-the ring's multiply, reciprocal and pivot magnitude come from the ring
-table of :mod:`repro.core.tensor`, and subtractions run plane by plane.
+:mod:`repro.md.cvecops` layout) — and every step is a handful of
+whole-array multiple-double row operations, never a per-instance Python
+loop.  The driver is written once over tuples of planes: the ring's
+multiply, reciprocal and pivot magnitude come from the ring table of
+:mod:`repro.core.tensor`, and additions and subtractions run plane by plane.
 
-The algorithm mirrors the scalar one operation for operation:
+The algorithm is the scalar one, operation for operation (see
+:mod:`repro.homotopy.linsolve`):
 
-* per-instance partial pivoting by constant-term magnitude, selected with one
-  ``np.argmax`` per column (first maximum wins, like Python's ``max``);
-* pivot series inverted once per column via the standard recursion
-  (``b_0 = 1/a_0``, ``b_k = -(1/a_0) * sum a_i b_{k-i}``) on whole batch
-  rows, with the reciprocal from :func:`repro.md.vecops.md_reciprocal_rows` /
-  :func:`repro.md.cvecops.cmd_reciprocal_rows`; the inverses are cached and
-  reused by back substitution (the scalar solver does the same);
-* the solve is bound by its count of Python-level row operations, not their
-  width, so independent products share one call: one multiply per inverse
-  coefficient, one convolution per back-substitution row, and one multiply
-  per convolution whose products fit the convolution budget of
-  :func:`repro.core.tensor.convolve_rows`.  A real 6x6 degree-15 solve of a
-  few instances makes 201 multiplies, 966 additions and 20 subtractions.
-  Row operations are elementwise, so stacking moves no bit; only the sums
-  run sequentially;
-* row updates and back substitution accumulate in exactly the scalar
-  operand order, so for multiple-double rings at **double-double** precision
-  the results are bit-identical to per-instance :func:`lu_solve` — the parity
-  the test suite asserts limb by limb.  Higher precisions and one-limb rings
-  agree to rounding (the vectorised renormalisation is faithful, not
-  bit-reproducing, beyond two limbs; plain-complex division uses the naive
-  formula where Python uses Smith's algorithm).  Complex rings can differ in
-  the last limb once a unit-circle entry is a pivot candidate: *selection*
-  compares ``|z|`` of collapsed doubles, not the scalar multidouble
-  ``sqrt``, so two candidates tied within one ulp may pick different rows,
-  and the reciprocal's ``|b|^2`` lands just above 1.0, where the sweep
-  renormalisation can round differently from the scalar one.
+* the lead matrix ``A_0`` of every instance is factored with partial
+  pivoting by constant-term magnitude, one ``np.argmax`` per column (first
+  maximum wins, like Python's ``max``), and ``A_0^{-1}`` is formed by
+  elimination on ``[A_0 | I]`` and back substitution;
+* then for every coefficient ``k`` the ``n^2 k`` products
+  ``A_i[row, j] * x_{k-i}[j]`` of all instances form in one ring multiply,
+  their sums over ``(j, i)`` run as a pairwise tree of one row addition per
+  level, one subtraction takes them from ``b_k``, and one multiply and one
+  tree apply ``A_0^{-1}``.  A real 6x6 degree-15 solve makes 52 multiplies,
+  135 additions, 35 subtractions and 6 divisions, whatever the batch;
+* row operations are elementwise, so stacking moves no bit, and the trees
+  and sequential sums follow the scalar order, so for multiple-double rings
+  at **double-double** precision the results are bit-identical to
+  per-instance :func:`lu_solve` — the parity the test suite asserts limb by
+  limb.  Higher precisions and one-limb rings agree to rounding (the
+  vectorised renormalisation is faithful, not bit-reproducing, beyond two
+  limbs; plain-complex division uses the naive formula where Python uses
+  Smith's algorithm).  Complex rings can differ in the last limb once a
+  unit-circle entry is a pivot candidate: *selection* compares ``|z|`` of
+  collapsed doubles, not the scalar multidouble ``sqrt``, so two candidates
+  tied within one ulp may pick different rows, and the reciprocal's
+  ``|b|^2`` lands just above 1.0, where the sweep renormalisation can round
+  differently from the scalar one.
 
-A singular instance raises :class:`repro.errors.SingularSystemError` naming
-every failing batch position (``exc.instances``); a non-square input is a
-usage error and raises :class:`ValueError`, exactly like the scalar solver.
-The solvers run with NumPy's floating-point warnings off
+Singular instances raise one :class:`repro.errors.SingularSystemError`
+naming every failing batch position (``exc.instances``); a non-square input
+is a usage error and raises :class:`ValueError`, exactly like the scalar
+solver.  The solver runs with NumPy's floating-point warnings off
 (:func:`repro.core.tensor.quiet_fp`): a diverged instance computes NaNs and
 infinities silently instead of failing its batch through a warning filter.
 """
@@ -60,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.tensor import _RING_OPS, SlotTensor, convolve_rows, infer_ring, quiet_fp
+from ..core.tensor import _RING_OPS, SlotTensor, infer_ring, quiet_fp
 from ..errors import SingularSystemError
 from ..md.vecops import md_add_rows, md_sub_rows
 from ..obs import get_telemetry
@@ -70,7 +65,6 @@ from .linsolve import lu_solve
 __all__ = [
     "batch_lu_solve",
     "batch_lu_solve_tensor",
-    "series_inverse_rows",
     "solve_packed",
 ]
 
@@ -104,46 +98,7 @@ def _predicted_solve_ms(
 
 
 # --------------------------------------------------------------------- #
-# batched series inversion
-# --------------------------------------------------------------------- #
-@quiet_fp
-def series_inverse_rows(c: Sequence[np.ndarray], limbs: int) -> tuple[np.ndarray, ...]:
-    """Invert many power series at once.
-
-    ``c`` is a tuple of ``(limbs, m, degree+1)`` limb planes (one real plane
-    or a ``(real, imag)`` pair) of series with invertible constant terms; the
-    result holds ``1 / c`` row by row in the same planes, computed with the
-    recursion of :meth:`repro.series.PowerSeries.inverse` in the exact
-    scalar accumulation order.  Coefficient ``k`` forms its ``k`` products
-    ``c_i * b_(k-i)`` in one multiply; only their sum runs in sequence.
-    """
-    ring = _RING_OPS[len(c)]
-    out = tuple(np.zeros_like(plane) for plane in c)
-    inv0 = ring.reciprocal(tuple(list(plane[:, :, 0]) for plane in c), limbs)
-    for plane, limb_list in zip(out, inv0):
-        for i in range(limbs):
-            plane[i, :, 0] = limb_list[i]
-    for k in range(1, c[0].shape[2]):
-        products = ring.mul(
-            tuple(list(plane[:, :, 1 : k + 1]) for plane in c),
-            tuple(list(plane[:, :, k - 1 :: -1]) for plane in out),
-            limbs,
-        )
-        acc = tuple([p[:, 0] for p in plane] for plane in products)
-        for j in range(1, k):
-            acc = tuple(
-                md_add_rows(total, [p[:, j] for p in plane], limbs)
-                for total, plane in zip(acc, products)
-            )
-        coeff = ring.mul(inv0, acc, limbs)
-        for plane, limb_list in zip(out, coeff):
-            for i in range(limbs):
-                plane[i, :, k] = -limb_list[i]
-    return out
-
-
-# --------------------------------------------------------------------- #
-# shared elimination helpers
+# shared helpers
 # --------------------------------------------------------------------- #
 def _check_shapes(matrix, rhs) -> tuple[int, int, int, int, int]:
     """The ``(limbs, batch, n, n, width)`` of plane tuples of a square system."""
@@ -174,10 +129,10 @@ def _check_shapes(matrix, rhs) -> tuple[int, int, int, int, int]:
     return limbs, batch, rows, columns, width
 
 
-def _singular(instances: Sequence[int], where: str = "") -> SingularSystemError:
+def _singular(instances: Sequence[int]) -> SingularSystemError:
     """The error naming every singular batch position in ``instances``."""
     error = SingularSystemError(
-        f"zero pivot{where} for batch instance(s) " + ", ".join(map(str, instances))
+        "zero pivot for batch instance(s) " + ", ".join(map(str, instances))
     )
     error.instances = list(instances)
     return error
@@ -203,6 +158,91 @@ def _swap_rows(a: np.ndarray, b: np.ndarray, column: int, pivot: np.ndarray) -> 
     b[:, moved, rows] = rhs_tmp
 
 
+def _tree_sum(terms: tuple, limbs: int) -> tuple[np.ndarray, ...]:
+    """Sum the last axis of the planes ``terms`` in the pairwise tree of
+    :func:`repro.homotopy.linsolve._tree_sum`: one row addition per level
+    and plane, pairs ``(0, 1), (2, 3), ...``, an odd last term carried."""
+    while terms[0].shape[-1] > 1:
+        count = terms[0].shape[-1]
+        paired = tuple(
+            np.stack(md_add_rows(list(plane[..., 0 : count - 1 : 2]), list(plane[..., 1::2]), limbs))
+            for plane in terms
+        )
+        if count % 2:
+            paired = tuple(np.concatenate([p, plane[..., -1:]], axis=-1) for p, plane in zip(paired, terms))
+        terms = paired
+    return tuple(plane[..., 0] for plane in terms)
+
+
+def _lead_inverse(lead: tuple, limbs: int) -> tuple[np.ndarray, ...]:
+    """``A_0^{-1}`` of every instance of the ``(limbs, batch, n, n)`` planes
+    ``lead``, in the operation order of the scalar solver's factorisation.
+
+    Raises one :class:`repro.errors.SingularSystemError` naming every
+    instance with a zero pivot in any column.
+    """
+    ring = _RING_OPS[len(lead)]
+    a = tuple(np.array(plane) for plane in lead)
+    b = tuple(np.zeros_like(plane) for plane in lead)
+    _, batch, n, _ = a[0].shape
+    b[0][0] = np.eye(n)
+    inverses, singular = [], set()
+    for column in range(n):
+        # One argmax per instance; the ring's magnitude of the collapsed
+        # limbs is exactly the scalar code's, and ties break to the first
+        # row in both stacks.
+        magnitudes = ring.magnitude(tuple(plane[:, :, column:, column] for plane in a))
+        relative = np.argmax(magnitudes, axis=1)
+        singular.update(np.nonzero(magnitudes[np.arange(batch), relative] == 0.0)[0].tolist())
+        for plane_a, plane_b in zip(a, b):
+            _swap_rows(plane_a, plane_b, column, relative + column)
+        inverse = ring.reciprocal(tuple(list(plane[:, :, column, column]) for plane in a), limbs)
+        inverses.append(tuple([limb[:, None] for limb in plane] for plane in inverse))
+        if column == n - 1:
+            continue
+        # a[row][k] -= factor * a[column][k] for every row and k > column,
+        # with the rows of b riding along as further columns.
+        factors = ring.mul(
+            tuple(list(plane[:, :, column + 1 :, column]) for plane in a), inverses[column], limbs
+        )
+        sources = tuple(
+            np.concatenate([plane_a[:, :, column, column + 1 :], plane_b[:, :, column]], axis=2)
+            for plane_a, plane_b in zip(a, b)
+        )
+        products = ring.mul(
+            tuple([limb[:, :, None] for limb in plane] for plane in factors),
+            tuple(list(source[:, :, None]) for source in sources),
+            limbs,
+        )
+        span = n - column - 1
+        for plane_a, plane_b, product in zip(a, b, products):
+            targets = np.concatenate([plane_a[:, :, column + 1 :, column + 1 :], plane_b[:, :, column + 1 :]], axis=3)
+            updated = np.stack(md_sub_rows(list(targets), product, limbs))
+            plane_a[:, :, column + 1 :, column + 1 :] = updated[..., :span]
+            plane_b[:, :, column + 1 :] = updated[..., span:]
+    if singular:
+        raise _singular(sorted(singular))
+    # Back substitution of all n columns: a row's products a[row][k] * x[k]
+    # form in one multiply, their subtraction stays sequential (increasing k).
+    x = tuple(np.zeros_like(plane) for plane in b)
+    for row in range(n - 1, -1, -1):
+        accumulator = tuple(list(plane[:, :, row]) for plane in b)
+        if row < n - 1:
+            products = ring.mul(
+                tuple(list(plane[:, :, row, row + 1 :, None]) for plane in a),
+                tuple(list(plane[:, :, row + 1 :]) for plane in x),
+                limbs,
+            )
+            for k in range(n - 1 - row):
+                accumulator = tuple(
+                    md_sub_rows(total, [limb[:, k] for limb in product], limbs)
+                    for total, product in zip(accumulator, products)
+                )
+        for plane, solved in zip(x, ring.mul(accumulator, inverses[row], limbs)):
+            plane[:, :, row] = np.stack(solved)
+    return x
+
+
 # --------------------------------------------------------------------- #
 # the batched solver
 # --------------------------------------------------------------------- #
@@ -210,7 +250,7 @@ def _swap_rows(a: np.ndarray, b: np.ndarray, column: int, pivot: np.ndarray) -> 
 def batch_lu_solve_tensor(
     matrix: Sequence[np.ndarray], rhs: Sequence[np.ndarray], limbs: int
 ) -> tuple[np.ndarray, ...]:
-    """Solve many series systems in one whole-tensor elimination.
+    """Solve many series systems in one whole-tensor lead-matrix solve.
 
     ``matrix`` is a tuple of ``(limbs, batch, n, n, degree+1)`` limb planes
     (instance ``b``, row ``i``, column ``j``) and ``rhs`` a tuple of
@@ -219,87 +259,27 @@ def batch_lu_solve_tensor(
     of planes of the shape of ``rhs`` holding the per-instance solutions.
     The inputs are not modified.
     """
-    a = tuple(np.array(plane, dtype=np.float64, order="C") for plane in matrix)
-    b = tuple(np.array(plane, dtype=np.float64, order="C") for plane in rhs)
+    a = tuple(np.asarray(plane, dtype=np.float64) for plane in matrix)
+    b = tuple(np.asarray(plane, dtype=np.float64) for plane in rhs)
     _, batch, n, _, width = _check_shapes(a, b)
-    magnitude = _RING_OPS[len(a)].magnitude
-    inverses = tuple(np.zeros((limbs, batch, n, width)) for _ in a)
-
-    for column in range(n):
-        # Partial pivoting on the constant coefficients, one argmax per
-        # instance; the ring's magnitude of the collapsed limbs is exactly
-        # the scalar code's, and ties break to the first row in both stacks.
-        magnitudes = magnitude(tuple(plane[:, :, column:, column, 0] for plane in a))
-        relative = np.argmax(magnitudes, axis=1)
-        singular = np.nonzero(magnitudes[np.arange(batch), relative] == 0.0)[0]
-        if singular.size:
-            raise _singular(singular.tolist(), f" in column {column}")
-        for plane_a, plane_b in zip(a, b):
-            _swap_rows(plane_a, plane_b, column, relative + column)
-
-        inverse = series_inverse_rows(
-            tuple(np.ascontiguousarray(plane[:, :, column, column]) for plane in a), limbs
-        )
-        for plane, block in zip(inverses, inverse):
-            plane[:, :, column] = block
-        remaining = n - column - 1
-        if not remaining:
-            continue
-        # factor[row] = a[row][column] * pivot_inverse, all rows at once
-        factors = convolve_rows(
-            tuple(plane[:, :, column + 1 :, column] for plane in a),
-            tuple(
-                np.broadcast_to(block[:, :, None], (limbs, batch, remaining, width))
-                for block in inverse
-            ),
-            limbs,
-        )
-        # a[row][k] -= factor[row] * a[column][k] for every row > column and
-        # every k >= column, with the rhs riding along as column n.
-        span = n - column
-        shape = (limbs, batch, remaining, span + 1, width)
-        sources = [
-            np.concatenate([plane_a[:, :, column, column:], plane_b[:, :, column, None]], axis=2)
-            for plane_a, plane_b in zip(a, b)
-        ]
-        products = convolve_rows(
-            tuple(np.broadcast_to(factor[:, :, :, None], shape) for factor in factors),
-            tuple(np.broadcast_to(source[:, :, None], shape) for source in sources),
-            limbs,
-        )
-        for plane_a, plane_b, product in zip(a, b, products):
-            targets = np.concatenate(
-                [plane_a[:, :, column + 1 :, column:], plane_b[:, :, column + 1 :, None]], axis=3
-            )
-            eliminated = np.stack(md_sub_rows(list(targets), list(product), limbs))
-            plane_a[:, :, column + 1 :, column:] = eliminated[:, :, :, :span]
-            plane_b[:, :, column + 1 :] = eliminated[:, :, :, span]
-
-    # Back substitution: the products a[row][k] * x[k] of one row form in one
-    # convolution, their subtraction from b[row] stays sequential (scalar
-    # order, increasing k); pivot inverses are reused from elimination.
-    x = tuple(np.zeros_like(plane) for plane in b)
-    for row in range(n - 1, -1, -1):
-        accumulator = tuple(list(plane[:, :, row]) for plane in b)
-        later = n - 1 - row
-        if later:
-            products = convolve_rows(
-                tuple(plane[:, :, row, row + 1 :] for plane in a),
-                tuple(plane[:, :, row + 1 :] for plane in x),
+    ring = _RING_OPS[len(a)]
+    inverse = tuple(list(plane) for plane in _lead_inverse(tuple(plane[..., 0] for plane in a), limbs))
+    x = tuple(np.zeros(plane.shape) for plane in b)
+    for k in range(width):
+        residual = tuple(list(plane[..., k]) for plane in b)
+        if k:
+            # products[row, j, i - 1] = A_i[row, j] * x_{k-i}[j], summed over
+            # (j, i) with j major.
+            products = ring.mul(
+                tuple(list(plane[..., 1 : k + 1]) for plane in a),
+                tuple(list(plane[:, :, None, :, k - 1 :: -1]) for plane in x),
                 limbs,
             )
-            for k in range(later):
-                accumulator = tuple(
-                    md_sub_rows(total, list(product[:, :, k]), limbs)
-                    for total, product in zip(accumulator, products)
-                )
-        solved = convolve_rows(
-            tuple(np.stack(total) for total in accumulator),
-            tuple(plane[:, :, row] for plane in inverses),
-            limbs,
-        )
-        for plane, block in zip(x, solved):
-            plane[:, :, row] = block
+            sums = _tree_sum(tuple(np.stack(p).reshape(limbs, batch, n, n * k) for p in products), limbs)
+            residual = tuple(md_sub_rows(r, list(total), limbs) for r, total in zip(residual, sums))
+        products = ring.mul(inverse, tuple([limb[:, None] for limb in r] for r in residual), limbs)
+        for plane, column in zip(x, _tree_sum(tuple(np.stack(p) for p in products), limbs)):
+            plane[..., k] = column
     return x
 
 
@@ -314,10 +294,10 @@ def solve_packed(matrix, rhs, limbs: int, active: Sequence[int] | None = None):
     gathers; the result is a tuple of planes of the shape of ``rhs``.
 
     ``active`` optionally restricts the solve to a subset of batch-axis
-    instances: only their systems are gathered and eliminated, the rest of
+    instances: only their systems are gathered and solved, the rest of
     the result stays exactly zero (shape-preserving, so callers can keep
     indexing by original instance).  Singular instances are reported by
-    their *original* batch positions.  Because every elimination sweep is
+    their *original* batch positions.  Because every row operation is
     elementwise per instance, an active instance's solution is bit-identical
     whether or not the others solve alongside it.
     """
@@ -360,7 +340,7 @@ def batch_lu_solve(
 
     Packs every instance's matrix and right-hand side into one limb tensor
     (ring inferred as in the tensorized evaluator, reals and complexes
-    promoting losslessly), runs the batched elimination, and scatters the
+    promoting losslessly), runs the batched solve, and scatters the
     solutions back — for tensor-resident rings at double-double precision the
     per-instance results are bit-identical to scalar :func:`lu_solve`.  Rings
     the tensor cannot carry (exact fractions) fall back to the scalar oracle

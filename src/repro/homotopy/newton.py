@@ -129,7 +129,7 @@ def refine_lanes(
     updates their inputs and sweeps them once.  Then:
 
     * a **resident** context reads the residual norms off the value rows,
-      solves every pending lane in one batched elimination
+      solves every pending lane in one batched lead-matrix solve
       (:func:`repro.homotopy.batch_linsolve.solve_packed`) and adds the
       corrections to the lanes' Newton state rows
       (:meth:`EvalContext.apply_corrections`) — unless
@@ -283,7 +283,7 @@ def newton_power_series_batch(
     resident across steps.  The instances are the lanes of one context and
     refine through :func:`refine_lanes`: the slot tensor packs once, and on
     a resident context all pending instances solve in one batched
-    elimination — bit-identical to per-instance :func:`lu_solve` at
+    lead-matrix solve — bit-identical to per-instance :func:`lu_solve` at
     double-double precision.
 
     All knobs travel in one :class:`repro.homotopy.options.NewtonOptions`

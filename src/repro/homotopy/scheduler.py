@@ -46,7 +46,7 @@ shape, and this module provides it:
 * **divergence, singularity and path-crossing detection** — residuals or
   solution values beyond :attr:`RetryPolicy.divergence_threshold` fail a path
   immediately, singular Newton systems drop only the offending instances from
-  the batched elimination (the rest of the fleet solves on), and optionally
+  the batched solve (the rest of the fleet solves on), and optionally
   converged paths that land on the same endpoint are flagged as crossings;
 * **precision escalation** — every failed path is collected and re-run as a
   fresh fleet at the next limb count of :attr:`RetryPolicy.precision_ladder`,

@@ -1,7 +1,7 @@
 """Tests for the batched tensor linear solver and the resident Newton path.
 
-The contract under test is the PR's headline: eliminating all batch
-instances at once on packed limb tensors must reproduce the scalar
+The contract under test: solving all batch instances at once on packed
+limb tensors must reproduce the scalar
 :func:`repro.homotopy.lu_solve` **bit for bit** at double-double precision
 (real and complex, pivot swaps included), detect singular instances
 per batch position, and let a resident Newton run never touch the scalar
@@ -34,11 +34,8 @@ from repro.homotopy import (
     matrix_vector_product,
     newton_power_series_batch,
 )
-from repro.homotopy.batch_linsolve import series_inverse_rows
 from repro.md import ComplexMD, MultiDouble, vecops
-from repro.md.cvecops import cmd_add_rows, cmd_mul_rows, cmd_reciprocal_rows
 from repro.md.renorm import renormalize
-from repro.md.vecops import md_add_rows, md_mul_rows, md_reciprocal_rows
 from repro.md.vrenorm import vec_renormalize_exact
 from repro.series import PowerSeries, random_series_vector
 
@@ -90,7 +87,7 @@ def _max_roundtrip_error(matrix, rhs, solution) -> float:
 
 
 # --------------------------------------------------------------------- #
-# scalar solver: hypothesis round trips and the inversion count
+# scalar solver: hypothesis round trips
 # --------------------------------------------------------------------- #
 class TestScalarRoundTrip:
     @SETTINGS
@@ -165,7 +162,7 @@ PARITY_CASES = [
 
 
 class TestBatchedParity:
-    """The batched eliminations must match the scalar solver bit for bit."""
+    """The batched solve must match the scalar solver bit for bit."""
 
     @pytest.mark.parametrize("kind, swap, shape", PARITY_CASES)
     def test_bit_identical_at_double_double(self, rng, kind, swap, shape):
@@ -218,6 +215,19 @@ class TestBatchedParity:
             batch_lu_solve([good_matrix, bad_matrix], [good_rhs, good_rhs])
         assert info.value.instances == [1]
 
+    def test_singular_instances_named_across_columns(self, rng):
+        """One error names every singular instance, whichever column of its
+        lead matrix has the zero pivot."""
+        n = 2
+        good_matrix, rhs = _random_system("md", n, DEGREE, rng)
+        zero = PowerSeries.zero(DEGREE, MultiDouble.from_float(0.0, 2))
+        one = PowerSeries.one(DEGREE, MultiDouble.from_float(1.0, 2))
+        column0 = [[zero, zero], [zero, zero]]
+        column1 = [[one, zero], [zero, zero]]
+        with pytest.raises(SingularSystemError) as info:
+            batch_lu_solve([good_matrix, column1, column0], [rhs] * 3)
+        assert info.value.instances == [1, 2]
+
     def test_fraction_ring_reports_singular_instances_by_position(self, rng):
         """The exact fallback solves every instance and names every singular
         position, masked or not, as the tensor path does."""
@@ -248,67 +258,8 @@ class TestBatchedParity:
 
 
 # --------------------------------------------------------------------- #
-# stacked products: parity with the per-product loops, and call counts
+# stacked products: call counts
 # --------------------------------------------------------------------- #
-def _loop_series_inverse_rows(c: np.ndarray, limbs: int) -> np.ndarray:
-    """The reference recursion: one multiply per product ``c_j * b_(k-j)``."""
-    limb_list = list(range(limbs))
-    out = np.zeros_like(c)
-    inv0 = md_reciprocal_rows([c[i, :, 0] for i in limb_list], limbs)
-    for i in limb_list:
-        out[i, :, 0] = inv0[i]
-    for k in range(1, c.shape[2]):
-        acc = md_mul_rows(
-            [c[i, :, 1] for i in limb_list], [out[i, :, k - 1] for i in limb_list], limbs
-        )
-        for j in range(2, k + 1):
-            term = md_mul_rows(
-                [c[i, :, j] for i in limb_list],
-                [out[i, :, k - j] for i in limb_list],
-                limbs,
-            )
-            acc = md_add_rows(acc, term, limbs)
-        coeff = md_mul_rows(inv0, acc, limbs)
-        for i in limb_list:
-            out[i, :, k] = -coeff[i]
-    return out
-
-
-def _loop_series_inverse_rows_complex(cr: np.ndarray, ci: np.ndarray, limbs: int):
-    """The complex reference recursion, one complex multiply per product."""
-    limb_list = list(range(limbs))
-    out_r = np.zeros_like(cr)
-    out_i = np.zeros_like(ci)
-    inv0_r, inv0_i = cmd_reciprocal_rows(
-        [cr[i, :, 0] for i in limb_list], [ci[i, :, 0] for i in limb_list], limbs
-    )
-    for i in limb_list:
-        out_r[i, :, 0] = inv0_r[i]
-        out_i[i, :, 0] = inv0_i[i]
-    for k in range(1, cr.shape[2]):
-        acc_r, acc_i = cmd_mul_rows(
-            [cr[i, :, 1] for i in limb_list],
-            [ci[i, :, 1] for i in limb_list],
-            [out_r[i, :, k - 1] for i in limb_list],
-            [out_i[i, :, k - 1] for i in limb_list],
-            limbs,
-        )
-        for j in range(2, k + 1):
-            term_r, term_i = cmd_mul_rows(
-                [cr[i, :, j] for i in limb_list],
-                [ci[i, :, j] for i in limb_list],
-                [out_r[i, :, k - j] for i in limb_list],
-                [out_i[i, :, k - j] for i in limb_list],
-                limbs,
-            )
-            acc_r, acc_i = cmd_add_rows(acc_r, acc_i, term_r, term_i, limbs)
-        coeff_r, coeff_i = cmd_mul_rows(inv0_r, inv0_i, acc_r, acc_i, limbs)
-        for i in limb_list:
-            out_r[i, :, k] = -coeff_r[i]
-            out_i[i, :, k] = -coeff_i[i]
-    return out_r, out_i
-
-
 def _limb_planes(nprng, shape, limbs: int) -> np.ndarray:
     """A random ``(limbs, *shape)`` tensor; limb ``i`` sits ~53 i bits below
     the leading one, and the constant coefficients stay away from zero."""
@@ -317,8 +268,6 @@ def _limb_planes(nprng, shape, limbs: int) -> np.ndarray:
     rest = [lead * nprng.uniform(-1.0, 1.0, shape) * 2.0 ** (-53 * i) for i in range(1, limbs)]
     return np.stack([lead, *rest])
 
-
-INVERSE_SHAPES = [(degree, batch) for degree in (0, 1, 2, 15) for batch in (1, 5)]
 
 #: The counted :mod:`repro.md.vecops` row kernels.
 ROW_KERNELS = ("md_mul_rows", "md_add_rows", "md_sub_rows", "md_div_rows")
@@ -347,25 +296,10 @@ def _count_row_kernels(monkeypatch) -> dict:
 
 
 class TestStackedProducts:
-    """The stacked inverse and back substitution replace per-product loops;
-    every row operation is elementwise, so the bits must not move."""
-
-    @pytest.mark.parametrize("limbs", [1, 2, 3, 4, 8])
-    def test_inverse_matches_per_product_loop(self, nprng, limbs):
-        for degree, batch in INVERSE_SHAPES:
-            c = _limb_planes(nprng, (batch, degree + 1), limbs)
-            (got,) = series_inverse_rows((c,), limbs)
-            np.testing.assert_array_equal(got, _loop_series_inverse_rows(c, limbs))
-
-    @pytest.mark.parametrize("limbs", [1, 2, 3, 4, 8])
-    def test_complex_inverse_matches_per_product_loop(self, nprng, limbs):
-        for degree, batch in INVERSE_SHAPES:
-            cr = _limb_planes(nprng, (batch, degree + 1), limbs)
-            ci = _limb_planes(nprng, (batch, degree + 1), limbs)
-            got = series_inverse_rows((cr, ci), limbs)
-            expected = _loop_series_inverse_rows_complex(cr, ci, limbs)
-            for mine, theirs in zip(got, expected):
-                np.testing.assert_array_equal(mine, theirs)
+    """Each series coefficient forms its products in one multiply and sums
+    them in a pairwise tree; every row operation is elementwise, so the
+    stacking moves no bit (the parity pins above) and the call count does
+    not grow with the batch."""
 
     @pytest.mark.parametrize(
         "ring, n, degree",
@@ -378,19 +312,22 @@ class TestStackedProducts:
         ],
     )
     def test_row_op_calls_follow_closed_forms(self, nprng, monkeypatch, ring, n, degree):
-        """One multiply per inverse coefficient, one convolution per
-        back-substitution row, and one multiply per convolution (every layer
-        here fits the convolution budget).  For dimension n and degree d the
-        real solve makes M = 2dn + (4n-3) multiplies, A = n d(d-1)/2 +
-        (d+1)(4n-3) additions, S = (n-1) + n(n-1)/2 subtractions and n
-        divisions; 201, 966, 20 and 6 at the newton shape, where one
-        multiply per convolution pass made 516, 966 and 20 multiplies,
-        additions and subtractions and the per-product loops 1,306, 1,126
-        and 20.  A complex multiply is four real multiplies, a subtraction
-        and an addition, a complex addition or subtraction two real ones,
-        and a complex reciprocal two complex divisions of 6 multiplies, 2
-        additions, 1 subtraction and 2 divisions each: 4M + 12n, 2A + M +
-        4n, 2S + M + 2n and 4n; 876, 2,157, 253 and 24 at the newton shape."""
+        """The lead matrix factors in ``4n - 3`` multiplies, ``(n-1) +
+        n(n-1)/2`` subtractions and ``n`` divisions (elimination on
+        ``[A_0 | I]``, back substitution of all columns at once).  Then
+        coefficient ``k`` makes one multiply, ``ceil(log2(n k))`` tree
+        additions and one subtraction for its products (``k >= 1``), and one
+        multiply and ``ceil(log2 n)`` additions to apply ``A_0^{-1}``.  So for
+        dimension n and degree d the real solve makes M = 4n - 2 + 2d
+        multiplies, A = sum_{k=1..d} ceil(log2(n k)) + (d+1) ceil(log2 n)
+        additions, S = (n-1) + n(n-1)/2 + d subtractions and n divisions:
+        52, 135, 35 and 6 at the newton shape, where Gaussian elimination
+        over the series ring made 201, 966, 20 and 6.  A complex multiply is
+        four real multiplies, a subtraction and an addition, a complex
+        addition or subtraction two real ones, and a complex reciprocal two
+        complex divisions of 6 multiplies, 2 additions, 1 subtraction and 2
+        divisions each: 4M + 12n, 2A + M + 4n, 2S + M + 2n and 4n; 280,
+        346, 134 and 24 at the newton shape."""
         calls = _count_row_kernels(monkeypatch)
         planes = 1 if ring == "real" else 2
         limbs, width = 2, degree + 1
@@ -399,10 +336,10 @@ class TestStackedProducts:
             matrix[0][0, :, i, i, 0] += 8.0 * np.sign(matrix[0][0, :, i, i, 0])
         rhs = [_limb_planes(nprng, (2, n, width), limbs) for _ in range(planes)]
         batch_lu_solve_tensor(tuple(matrix), tuple(rhs), limbs)
-        d, convolutions = degree, 4 * n - 3
-        m = 2 * d * n + convolutions
-        a = n * d * (d - 1) // 2 + (d + 1) * convolutions
-        s = (n - 1) + n * (n - 1) // 2
+        d = degree
+        m = 4 * n - 2 + 2 * d
+        a = sum((n * k - 1).bit_length() for k in range(1, d + 1)) + (d + 1) * (n - 1).bit_length()
+        s = (n - 1) + n * (n - 1) // 2 + d
         if ring == "real":
             expected = (m, a, s, n)
         else:
@@ -581,26 +518,43 @@ class TestResidentNewton:
 class TestSolveTiming:
     def test_predict_solve_launch_structure(self):
         model = TimingModel(device="V100", precision=2)
-        n = 4
-        report = model.predict_solve(n, degree=8, batch=16)
+        n, degree = 4, 8
+        report = model.predict_solve(n, degree=degree, batch=16)
         launches = report.launches
-        # Elimination: n pivot inversions, and per non-final column one
-        # factor launch plus a convolution/addition update pair.  Back
-        # substitution: per non-final row one convolution forming all its
-        # products, then one addition per product; n final multiplies.
+        # The lead matrix: per column a reciprocal, and while rows remain a
+        # factor launch and a product/addition update pair; per
+        # back-substitution row one product launch, one addition per later
+        # row and the pivot scaling.  Per coefficient k: the products
+        # A_i x_(k-i) (k >= 1), their tree over n k terms and the
+        # subtraction, then A_0^(-1)'s products and tree over n terms.
         convolutions = [x for x in launches if x.stage == "convolution"]
         additions = [x for x in launches if x.stage == "addition"]
-        assert len(convolutions) == n + 2 * (n - 1) + (n - 1) + n == 5 * n - 3
-        assert len(additions) == (n - 1) + n * (n - 1) // 2
-        # Elimination makes 4n - 3 launches; back substitution follows, row
-        # by row from the last (batch 16, so a row with r products
-        # convolves 16 r blocks at once).
+        levels = lambda terms: (terms - 1).bit_length()  # noqa: E731
+        assert len(convolutions) == (5 * n - 3) + 2 * degree + 1
+        assert len(additions) == (n - 1) + n * (n - 1) // 2 + sum(
+            levels(n * k) + 1 for k in range(1, degree + 1)
+        ) + (degree + 1) * levels(n)
+        assert all(x.waves >= 1 for x in launches)
         conv, add = "convolution", "addition"
-        assert [(x.stage, x.blocks) for x in launches[4 * n - 3 :]] == [
-            (conv, 16),
-            (conv, 16), (add, 16), (conv, 16),
-            (conv, 32), (add, 16), (add, 16), (conv, 16),
-            (conv, 48), (add, 16), (add, 16), (add, 16), (conv, 16),
+        factorisation = (5 * n - 3) + (n - 1) + n * (n - 1) // 2
+        assert [(x.stage, x.blocks, x.layer) for x in launches[:factorisation]] == [
+            (conv, 16, 1), (conv, 48, 1), (conv, 336, 1), (add, 336, 1),
+            (conv, 16, 2), (conv, 32, 2), (conv, 192, 2), (add, 192, 2),
+            (conv, 16, 3), (conv, 16, 3), (conv, 80, 3), (add, 80, 3),
+            (conv, 16, 4),
+            (conv, 64, 4),
+            (conv, 64, 3), (add, 64, 3), (conv, 64, 3),
+            (conv, 128, 2), (add, 64, 2), (add, 64, 2), (conv, 64, 2),
+            (conv, 192, 1), (add, 64, 1), (add, 64, 1), (add, 64, 1), (conv, 64, 1),
+        ]
+        # Coefficients 0, 1 and 2 follow (layers n + 1 ..): a tree over 4
+        # terms takes two levels, over 8 terms three.
+        assert [(x.stage, x.blocks, x.layer) for x in launches[factorisation : factorisation + 16]] == [
+            (conv, 256, 5), (add, 128, 5), (add, 64, 5),
+            (conv, 256, 6), (add, 128, 6), (add, 64, 6), (add, 64, 6),
+            (conv, 256, 6), (add, 128, 6), (add, 64, 6),
+            (conv, 512, 7), (add, 256, 7), (add, 128, 7), (add, 64, 7), (add, 64, 7),
+            (conv, 256, 7),
         ]
         assert report.sum_ms > 0.0
         assert report.wall_clock_ms > report.sum_ms  # launch overhead counted

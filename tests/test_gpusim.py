@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import build_schedule, fuse_schedules
+from repro.circuits import Polynomial
+from repro.core import PolynomialEvaluator, build_schedule, fuse_schedules
 from repro.errors import DeviceCapacityError
 from repro.gpusim import (
     DeviceData,
@@ -179,6 +180,19 @@ class TestGPUSimulator:
         report = GPUSimulator("V100").predict(schedule, precision=4)
         assert report.convolution_ms > 0
         assert report.wall_clock_ms > report.sum_ms
+
+    def test_report_aggregates_are_floats_without_launches(self):
+        """A constant-only polynomial launches nothing in ``gpu`` mode; its
+        report still sums to float zeros, as annotated."""
+        constant = PowerSeries.constant(MultiDouble.from_float(1.5, 2), 2)
+        polynomial = Polynomial(2, constant, [])
+        z = [PowerSeries.constant(MultiDouble.from_float(0.25, 2), 2) for _ in range(2)]
+        report = PolynomialEvaluator(polynomial, mode="gpu").evaluate(z).metadata["timings"]
+        assert report.launches == []
+        for name in ("convolution_ms", "addition_ms", "sum_ms", "wall_clock_ms"):
+            value = getattr(report, name)
+            assert type(value) is float
+            assert value.hex() == "0x0.0p+0"
 
     def test_shared_memory_violation_raises(self, rng):
         schedule = build_schedule(2, [(0, 1)], degree=160)

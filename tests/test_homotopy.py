@@ -10,7 +10,7 @@ import pytest
 
 from repro.circuits import parse_polynomial
 from repro.circuits.reference import EvaluationResult
-from repro.errors import ConvergenceError, SingularSystemError, StagingError
+from repro.errors import ConvergenceError, SingularSystemError, StagingError, TruncationError
 from repro.homotopy import (
     NewtonOptions,
     PolynomialSystem,
@@ -22,6 +22,7 @@ from repro.homotopy import (
     newton_power_series_batch,
     residual_norm,
 )
+from repro.homotopy import linsolve as linsolve_module
 from repro.homotopy.newton import refine_lanes
 from repro.md import MultiDouble
 from repro.series import PowerSeries, random_fraction_series
@@ -81,13 +82,21 @@ class TestLinearSolve:
         with pytest.raises(ValueError):
             lu_solve([[zero, zero]], [zero])
 
-    def test_pivot_inverted_once_per_column(self, rng, monkeypatch):
-        """Elimination and back substitution share one inverse per pivot.
+    def test_mixed_degrees_rejected(self):
+        one = PowerSeries.one(2, Fraction(1))
+        with pytest.raises(TruncationError):
+            lu_solve([[one]], [PowerSeries.one(3, Fraction(1))])
+        with pytest.raises(TruncationError):
+            lu_solve([[one, one], [one, PowerSeries.one(1, Fraction(1))]], [one, one])
 
-        An earlier version inverted every pivot series twice — once for the
-        row updates and once more during back substitution.  The inversion
-        is the expensive part of the solve (a full recursion over the
-        coefficients), so the count is pinned at exactly ``n``.
+    def test_lead_matrix_factored_once(self, rng, monkeypatch):
+        """Only the constant-term matrix is factored, once per solve, and no
+        series is inverted.
+
+        Gaussian elimination over the series ring inverted every pivot
+        series, a full recursion over the coefficients each; the lead-matrix
+        solve factors ``A_0`` once and reaches every coefficient through
+        ``A_0^{-1}``.
         """
         n, degree = 4, 3
         matrix = [[random_fraction_series(degree, rng) for _ in range(n)] for _ in range(n)]
@@ -95,16 +104,23 @@ class TestLinearSolve:
             if matrix[i][i].coefficients[0] == 0:
                 matrix[i][i].coefficients[0] = Fraction(2)
         rhs = [random_fraction_series(degree, rng) for _ in range(n)]
-        calls = {"count": 0}
-        original = PowerSeries.inverse
+        calls = {"inverse": 0, "lead": []}
+        original_inverse = PowerSeries.inverse
+        original_lead = linsolve_module._lead_inverse
 
-        def counting(self):
-            calls["count"] += 1
-            return original(self)
+        def counting_inverse(self):
+            calls["inverse"] += 1
+            return original_inverse(self)
 
-        monkeypatch.setattr(PowerSeries, "inverse", counting)
+        def counting_lead(lead):
+            calls["lead"].append(lead)
+            return original_lead(lead)
+
+        monkeypatch.setattr(PowerSeries, "inverse", counting_inverse)
+        monkeypatch.setattr(linsolve_module, "_lead_inverse", counting_lead)
         lu_solve(matrix, rhs)
-        assert calls["count"] == n
+        assert calls["inverse"] == 0
+        assert calls["lead"] == [[[entry.coefficients[0] for entry in row] for row in matrix]]
 
     def test_residual_norm(self):
         assert residual_norm([fseries([0, 0]), fseries([0, 0])]) == 0.0

@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -75,16 +76,15 @@ DEGREES = (0, 1, 3, 8)
 #: The construction's bound on ``kappa_inf(J_0)`` (see the module docstring).
 CONDITIONING = 4
 
+#: Modes whose evaluators take each ring (``gpu`` is real-only by design).
+REAL_MODES = MODES
+COMPLEX_MODES = tuple(mode for mode in MODES if mode != "gpu")
 
 
 def _iterations(degree: int) -> int:
     """From the root's constant terms every Newton step doubles the number
     of correct coefficients; one step more absorbs rounding."""
     return math.ceil(math.log2(degree + 1)) + 1
-
-#: Modes whose evaluators take each ring (``gpu`` is real-only by design).
-REAL_MODES = MODES
-COMPLEX_MODES = tuple(mode for mode in MODES if mode != "gpu")
 
 
 class _Gaussian:
@@ -249,13 +249,13 @@ def _exact_solution(polynomials, root, degree):
 
 def _case(ring: str, degree: int):
     """A seeded grid cell: its floating system, start and exact solution."""
-    limbs, complex_ring = RINGS[ring]
+    _, complex_ring = RINGS[ring]
     n = 1 + (list(RINGS).index(ring) + DEGREES.index(degree)) % 4
     equations, root = _system_data(ring, n, degree, f"{ring}-{degree}")
     exact_polynomials = _polynomials(equations, n, degree, _Gaussian._lift if complex_ring else Fraction)
     exact, kappa = _exact_solution(exact_polynomials, root, degree)
     assert kappa <= CONDITIONING
-    convert = lambda value: _to_ring(value, ring)  # noqa: E731
+    convert = partial(_to_ring, ring=ring)
     start = [PowerSeries.constant(convert(r), degree) for r in root]
     return _polynomials(equations, n, degree, convert), start, exact, exact_polynomials
 
@@ -312,7 +312,9 @@ def _double_root_system(ring: str, degree: int):
     at ``(2, 1/2)`` and a double one at ``(1, 1/4)``, where the lead matrix
     ``[[0, 0], [-1, 4]]`` is singular in its second column."""
     complex_ring = RINGS[ring][1]
-    convert = lambda value: _to_ring(_Gaussian(value) if complex_ring else Fraction(value), ring)  # noqa: E731
+
+    def convert(value):
+        return _to_ring(_Gaussian(value) if complex_ring else Fraction(value), ring)
 
     def series(*values):
         return PowerSeries([convert(v) for v in values] + [convert(0)] * (degree + 1 - len(values)))

@@ -37,7 +37,7 @@ from repro.homotopy import (
     TrackOptions,
     newton_power_series_batch,
 )
-from repro.homotopy.batch_linsolve import batch_lu_solve_tensor, series_inverse_rows
+from repro.homotopy.batch_linsolve import batch_lu_solve_tensor
 from repro.md import MDArray, MultiDouble
 from repro.md.cvecops import cmd_add_rows, cmd_mul_rows
 from repro.md.vecops import md_add_rows, md_mul_rows
@@ -461,8 +461,7 @@ def _operands(nprng, planes: int, limbs: int, rows: int, width: int, layout: str
 
     ``contiguous`` draws every row; ``flat`` tiles a few rows with
     ``np.broadcast_to`` and collapses them into contiguous rows, the way
-    ``convolve_rows`` reshapes the factors and pivot rows of
-    ``batch_lu_solve_tensor``;
+    ``convolve_rows`` reshapes broadcast operands;
     ``view`` passes non-contiguous views (a row-strided slice and a
     zero-stride broadcast) straight through.  The first row of every x
     starts with a negative zero, an infinity and a NaN (as many as fit).
@@ -601,11 +600,6 @@ def _driver_runs(nprng, driver, ring):
         else:
             x, y = (_planes(nprng, (2, 5), (0, 1)),), (_planes(nprng, (2, 5)),)
         return convolve_rows(x, y, 2), convolve_rows(alone(x), alone(y), 2)
-    if driver == "series_inverse_rows":
-        c = (_planes(nprng, (2, 5), (0, 2)),)
-        if complex_ring:
-            c += (_planes(nprng, (2, 5)),)
-        return series_inverse_rows(c, 2), series_inverse_rows(alone(c), 2)
     if driver == "batch_lu_solve_tensor":
         # an infinite elimination target, so the solver's own subtraction sees it
         matrix, rhs = (_planes(nprng, (2, 2, 2, 4), (0, 1, 1, 0)),), (_planes(nprng, (2, 2, 4)),)
@@ -627,7 +621,7 @@ def _driver_runs(nprng, driver, ring):
 #: driver names.
 QUIET_DRIVERS = [
     pytest.param(driver, ring, id=driver if ring == "real" else f"{driver}-complex")
-    for driver in ("convolve_rows", "series_inverse_rows", "batch_lu_solve_tensor", "instance_norms")
+    for driver in ("convolve_rows", "batch_lu_solve_tensor", "instance_norms")
     for ring in ("real", "complex")
 ]
 
