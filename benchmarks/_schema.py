@@ -17,7 +17,8 @@ payload in the same envelope via :func:`write_artifact`::
       "data": { ...benchmark-specific payload, unchanged... }
     }
 
-so downstream tooling (CI artifact diffing, EXPERIMENTS.md aggregation) can
+so downstream tooling (CI artifact diffing, aggregation of
+``benchmarks/results/``) can
 identify any result file without per-benchmark knowledge.  Artifacts written
 during a pytest session are registered in :data:`WRITTEN_ARTIFACTS`;
 ``benchmarks/conftest.py`` re-validates each one at session teardown, which

@@ -1,9 +1,9 @@
 """Table 3 — evaluating p1 at degree 152 in deca double precision on five GPUs.
 
-The absolute device times come from the calibrated analytic model (this
-machine has no CUDA device); the real work measured by pytest-benchmark is a
-functionally faithful simulation of a scaled-down p1 (a subset of monomials,
-lower degree, double-double precision) through the simulated GPU pipeline.
+The absolute device times come from the calibrated analytic model (no CUDA
+device is involved); the real work measured by pytest-benchmark is the
+``gpu`` mode on a scaled-down p1 (a subset of monomials, lower degree,
+double-double precision): the tensorized sweep, priced by that model.
 """
 
 from __future__ import annotations

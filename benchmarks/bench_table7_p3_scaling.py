@@ -35,7 +35,8 @@ def test_table7_report(benchmark):
         assert model[limbs][152]["addition"] > p1[limbs][152]["addition"]
     # Deca-double wall clock follows the paper's growth; the relative gap is
     # largest at tiny degrees where p3's two huge launches are dominated by
-    # per-block overheads the model treats only coarsely (see EXPERIMENTS.md).
+    # per-block overheads the model treats only coarsely (README, "Paper
+    # fidelity").
     for degree, row in TABLE7_P3_V100[10].items():
         assert 0.3 < model[10][degree]["wall clock"] / row["wall clock"] < 1.7
     assert model[10][152]["wall clock"] / TABLE7_P3_V100[10][152]["wall clock"] == pytest.approx(1.0, abs=0.25)

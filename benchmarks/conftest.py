@@ -4,7 +4,8 @@ Every ``bench_table*.py`` / ``bench_figure*.py`` module regenerates one table
 or figure of the paper's evaluation section.  Besides timing a representative
 piece of real work with pytest-benchmark, each module writes the regenerated
 (paper vs. model) table to ``benchmarks/results/<name>.txt`` so the output
-survives pytest's output capturing; EXPERIMENTS.md aggregates the same data.
+survives pytest's output capturing; README's "Paper fidelity" section
+summarises how far the model tracks the paper.
 
 Run with::
 

@@ -6,12 +6,13 @@ A Python reproduction of
     Power Series in Multiple Double Precision", IPDPS Workshops (PDSEC) 2021,
     arXiv:2101.10881.
 
-The package is organised in layers (see DESIGN.md for the full inventory):
+The package is organised in layers (README lists them, and its "Paper
+fidelity" section says where the model departs from the paper):
 
 ``repro.md``
     Multiple-double arithmetic: error-free transformations, renormalisation,
-    scalar and structure-of-arrays types, the precision registry and the
-    double-operation cost model.
+    the scalar types, the row kernels over separate limb arrays, the
+    precision registry and the double-operation cost model.
 ``repro.series``
     Truncated power series and the convolution algorithms of Section 2.
 ``repro.circuits``
@@ -26,7 +27,8 @@ The package is organised in layers (see DESIGN.md for the full inventory):
     modes.
 ``repro.gpusim``
     The simulated GPU substrate: Table 1 device specs, the shared-memory
-    capacity model, functional kernels and the calibrated timing model.
+    capacity model and the calibrated timing model that prices the ``gpu``
+    mode's launches.
 ``repro.parallel``
     Process-sharded path fleets on shared-memory limb tensors.
 ``repro.obs``
@@ -65,8 +67,8 @@ from .errors import (
     ServiceError,
     ServiceOverloadedError,
 )
-from .md import MultiDouble, MDArray, ComplexMD, ComplexMDArray, Precision, get_precision
-from .series import PowerSeries, MDSeries
+from .md import MultiDouble, ComplexMD, Precision, get_precision
+from .series import PowerSeries
 from .circuits import (
     Monomial,
     Polynomial,
@@ -127,13 +129,10 @@ __all__ = [
     "ServiceError",
     "ServiceOverloadedError",
     "MultiDouble",
-    "MDArray",
     "ComplexMD",
-    "ComplexMDArray",
     "Precision",
     "get_precision",
     "PowerSeries",
-    "MDSeries",
     "Monomial",
     "Polynomial",
     "EvaluationResult",

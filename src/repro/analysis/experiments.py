@@ -1,8 +1,8 @@
 """Drivers that regenerate every table and figure of the evaluation section.
 
 Each function returns plain dictionaries (no printing, no plotting) so the
-benchmark harness, the tests and the EXPERIMENTS.md generator can all share
-them.  The launch structure of the three test polynomials is computed once
+benchmark harness (whose outputs land in ``benchmarks/results/``) and the
+tests can share them.  The launch structure of the three test polynomials is computed once
 from the staging algorithm and cached; the timings come from the calibrated
 analytic model of :mod:`repro.gpusim.timing`.
 

@@ -1,8 +1,8 @@
 """Published numbers from the paper, used for comparison and calibration.
 
 Everything in this module is copied verbatim from the tables of
-arXiv:2101.10881v3 so that EXPERIMENTS.md and the benchmark harness can print
-paper-vs-model columns without the reader having to open the PDF.  Times are
+arXiv:2101.10881v3 so that the benchmark harness (``benchmarks/results/``)
+can print paper-vs-model columns without the reader having to open the PDF.  Times are
 in milliseconds.
 """
 

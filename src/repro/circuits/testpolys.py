@@ -8,7 +8,7 @@ Section 6.1 defines three test polynomials (Table 2):
   appears in exactly 64 monomials); 24,192 convolutions, 8,192 additions;
 * ``p3`` — 128 variables; all 8,128 products of two distinct variables;
   24,256 additions (the paper also lists 24,256 convolutions; the
-  ``N * (3*m - 3)`` formula gives 24,384 — see DESIGN.md).
+  ``N * (3*m - 3)`` formula gives 24,384 — see README, "Paper fidelity").
 
 The generators return full :class:`repro.circuits.Polynomial` objects with
 random series coefficients in a caller-chosen coefficient ring, or — for the

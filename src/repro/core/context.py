@@ -27,10 +27,11 @@ Every execution mode exposes the same interface, so Newton and the path
 tracker are mode-agnostic: ``staged``/``gpu``/``reference``
 contexts (and vectorized contexts over rings the tensor backend cannot
 carry, i.e. exact fractions) delegate each run to the evaluator's per-call
-path.  A ``gpu`` context additionally annotates each run with the resident
-transfer cost predicted by :meth:`repro.gpusim.TimingModel.transfer_ms` —
-the first run ships the whole input region, subsequent runs only the
-variable slots.
+path.  The per-call path of ``gpu`` is itself a one-shot tensor context
+(:meth:`EvalContext._one_shot`), priced by the timing model.  A ``gpu``
+context additionally annotates each run with the resident transfer cost
+predicted by :meth:`repro.gpusim.TimingModel.transfer_ms` — the first run
+ships the whole input region, subsequent runs only the variable slots.
 
 A context run is bit-identical to the corresponding per-call
 ``evaluate_batch``: the product region is re-zeroed before every sweep, so
@@ -165,6 +166,16 @@ class EvalContext:
         # count / series count, built lazily and only while telemetry is on.
         self._predicted_sweeps: dict[int, float | None] = {}
         self._timing_model = None
+
+    @classmethod
+    def _one_shot(cls, evaluator, zs) -> "EvalContext":
+        """A context packed with ``zs`` whose runs sweep the tensor whatever
+        the evaluator's mode: the per-call path of both the ``vectorized``
+        and the ``gpu`` mode, which therefore compute the same numbers."""
+        context = cls(evaluator, len(zs))
+        context._delegate_to = None
+        context.update_inputs(zs)
+        return context
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -7,8 +7,9 @@ series.  It is a one-equation :class:`repro.core.SystemEvaluator`, so it runs
 the schedule through the same code in the same modes
 (:data:`repro.core.system.MODES`): the sequential ``reference`` oracle, the
 host-side ``staged`` jobs (any coefficient ring, exact fractions included),
-the functional ``gpu`` simulator with its per-device timing model (real
-doubles and multidoubles only) and the tensorized ``vectorized`` backend.
+the ``gpu`` mode (the ``vectorized`` sweep priced by the per-device timing
+model; real doubles and multidoubles only) and the tensorized
+``vectorized`` backend.
 
 Every mode returns one :class:`repro.circuits.EvaluationResult`; the test
 suite checks that they agree with the exact reference to working precision.

@@ -87,11 +87,6 @@ class AdditionJob:
     layer: int
     group: str
 
-    def offsets(self, degree: int) -> tuple[int, int]:
-        """The paper's pair of flat offsets for truncation degree ``degree``."""
-        stride = degree + 1
-        return (self.source * stride, self.target * stride)
-
     def reads(self) -> tuple[int, ...]:
         return (self.source, self.target)
 
@@ -134,9 +129,6 @@ class ScaleJob:
     factor: int
     monomial: int
     variable: int
-
-    def offsets(self, degree: int) -> tuple[int]:
-        return (self.slot * (degree + 1),)
 
     def writes(self) -> int:
         return self.slot

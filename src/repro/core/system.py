@@ -13,9 +13,9 @@ mutually independent.  This module restores the width on three axes:
 * **fusion across instances** — :meth:`SystemEvaluator.evaluate_batch` sweeps
   ``B`` input vectors through the same fused schedule in one pass; the fused
   data array is replicated per instance (batch stride = ``total_slots``) and
-  each fused layer dispatches the jobs of *all* instances together (the GPU
-  simulator accounts them as one launch of ``B``-times-as-many blocks, the
-  vectorized mode runs them as a few whole-layer NumPy calls);
+  each fused layer dispatches the jobs of *all* instances together (the
+  vectorized and gpu modes run them as a few whole-layer NumPy calls, and
+  the gpu mode prices them as one launch of ``B``-times-as-many blocks);
 * **amortised staging** — fused schedules are memoised in an LRU
   :class:`ScheduleCache` keyed on :meth:`repro.circuits.Polynomial.structure_key`,
   so the repeated system constructions of Newton/path-tracking clients pay
@@ -35,7 +35,7 @@ import threading
 from collections import OrderedDict
 from time import perf_counter_ns as _perf_counter_ns
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from ..circuits.polynomial import Polynomial
 from ..circuits.powers import PowerTable
@@ -323,12 +323,6 @@ class FusedSystemSchedule:
         scale_launches = 1 if self.scale_jobs else 0
         return len(self.convolution_layers) + scale_launches + len(self.addition_layers)
 
-    def input_slots(self) -> Iterator[int]:
-        """Global indices of every equation's input region (read-only slots)."""
-        for offset, schedule in zip(self.offsets, self.schedules):
-            for slot in range(schedule.layout.forward_base):
-                yield offset + slot
-
     @property
     def input_slot_count(self) -> int:
         """Input-region slots per instance (constants + coefficients + variables).
@@ -542,9 +536,9 @@ class SystemEvaluator:
         One of :data:`MODES`: ``"reference"`` (the sequential oracle of
         :mod:`repro.circuits.reference`, no staging), ``"staged"`` (the
         fused jobs on host slot arrays, layer by layer, in any coefficient
-        ring), ``"gpu"`` (the functional simulator of :mod:`repro.gpusim`
-        with its per-device timing model; real doubles and multidoubles
-        only) or ``"vectorized"``, the tensorized backend of
+        ring), ``"gpu"`` (the ``vectorized`` sweep, priced by the
+        per-device timing model of :mod:`repro.gpusim`; real doubles and
+        multidoubles only) or ``"vectorized"``, the tensorized backend of
         :mod:`repro.core.tensor` that executes every fused layer as a
         handful of whole-layer NumPy multidouble sweeps.  The vectorized
         mode covers doubles, :class:`repro.md.MultiDouble` of any
@@ -799,9 +793,7 @@ class SystemEvaluator:
         """
         from .context import EvalContext
 
-        context = EvalContext(self, len(zs))
-        context.update_inputs(zs)
-        return context.run()
+        return EvalContext._one_shot(self, zs).run()
 
     def _collect_vectorized(
         self, tensor, batch: int, metadata: dict, values_only: bool = False
@@ -846,18 +838,45 @@ class SystemEvaluator:
     # simulated GPU execution
     # ------------------------------------------------------------------ #
     def _evaluate_gpu(self, zs: Sequence[Sequence[PowerSeries]]) -> list[list[EvaluationResult]]:
-        from ..gpusim.executor import GPUSimulator
+        """The vectorized sweep, priced by the device's timing model.
 
+        The numbers are those of :meth:`_evaluate_vectorized` — the same
+        one-shot tensor context, in the join of the system's and the inputs'
+        rings — so the mode computes exactly what the launches it prices
+        compute.  Only the real rings run here: complex, exact and oversized
+        integer coefficients raise :class:`StagingError`, and a block that
+        would not fit the device's shared memory raises
+        :class:`repro.errors.DeviceCapacityError`, both before anything is
+        packed.  Each fused layer is priced as one launch of ``batch`` times
+        its jobs' blocks.
+        """
+        from ..gpusim.executor import GPUSimulator
+        from ..gpusim.memory import check_block_fits
+        from .context import EvalContext
+        from .tensor import infer_ring, join_rings
+
+        system_ring = self._ring_of_system()
+        input_ring = infer_ring(series for z in zs for series in z)
+        ring = system_ring and input_ring and join_rings(system_ring, input_ring)
+        if not ring or ring[0] not in ("float", "md"):
+            raise StagingError(
+                "the gpu mode handles real coefficients only (float or MultiDouble); "
+                "use mode='staged' for complex or exact coefficients"
+            )
+        limbs = ring[1]
+        simulator = GPUSimulator(self.device)
+        check_block_fits(self.degree, limbs, simulator.device)
+        results = EvalContext._one_shot(self, zs).run()
         batch = len(zs)
-        all_slots = self._prepare_batch_slots(zs)
-        simulator = GPUSimulator(device=self.device)
-        outcome = simulator.run_system(self.fused, all_slots, batch=batch)
         metadata = {
             "mode": "gpu",
             "device": simulator.device.name,
             "batch": batch,
-            "timings": outcome.timings,
-            "precision_limbs": outcome.limbs,
+            "timings": simulator.predict(self.fused, precision=limbs, batch=batch),
+            "precision_limbs": limbs,
             "launches": self.fused.total_launches,
         }
-        return self._collect_batch(outcome.slots, batch, metadata)
+        for b, row in enumerate(results):
+            for equation, result in enumerate(row):
+                result.metadata = dict(metadata, instance=b, equation=equation)
+        return results

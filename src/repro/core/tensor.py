@@ -19,8 +19,9 @@ launch per layer" with the paper's structure-of-arrays data layout:
   interpreted per job at execution time;
 * :meth:`TensorProgram.run` executes each fused layer as a handful of
   whole-layer NumPy calls: a batched truncated convolution
-  (:func:`convolve_rows`, the many-triples generalisation of
-  :func:`repro.series.convolve_vectorized`), one vectorised scale pass, and
+  (:func:`convolve_rows`, Section 2's convolution of
+  :func:`repro.series.convolve_zero_insertion` over every triple of the
+  layer at once), one vectorised scale pass, and
   one renormalised addition per tree level — all built on
   :func:`repro.md.veft.vec_two_prod` / :func:`repro.md.vrenorm.vec_renormalize`
   through :mod:`repro.md.vecops`.  A convolution layer whose products fit
@@ -29,13 +30,14 @@ launch per layer" with the paper's structure-of-arrays data layout:
   temporaries stay in cache.  Either way the layer costs a few row
   operations, not a few per job.
 
-The backend is registered as the fifth execution mode (``"vectorized"``) of
-:class:`repro.core.SystemEvaluator`.  It covers every ring the vectorised
-multiple-double stack supports — plain doubles, :class:`MultiDouble` of any
-limb count, Python complexes and :class:`repro.md.ComplexMD`.  A packed
-tensor is a tuple of limb planes: one for the real rings, the real and
-imaginary planes for the complex ones (the split layout of
-:class:`repro.md.ComplexMDArray`).  Every driver — the sweep, the
+The backend runs the ``"vectorized"`` execution mode of
+:class:`repro.core.SystemEvaluator`, and the ``"gpu"`` mode, which prices
+the same sweep with the timing model of :mod:`repro.gpusim`.  It is the one
+vector multiple-double stack: it covers plain doubles, :class:`MultiDouble`
+of any limb count, Python complexes and :class:`repro.md.ComplexMD`.  A
+packed tensor is a tuple of limb planes: one for the real rings, the real
+and imaginary planes for the complex ones (the paper's split layout of
+complex data).  Every driver — the sweep, the
 convolution, :func:`instance_norms` and the batched solve of
 :mod:`repro.homotopy.batch_linsolve` — is written once over such tuples.
 Only multiplication, the reciprocal and the constant-term magnitude depend
@@ -260,9 +262,8 @@ class SlotTensor:
     ``planes[p][i, r, k]`` is limb ``i`` of coefficient ``k`` of slot row
     ``r`` in plane ``p``.  The real rings (``"float"``, ``"md"``) have one
     plane, the complex rings (``"complex"``, ``"cmd"``) a real and an
-    imaginary plane of one shape — the split storage of
-    :class:`repro.md.ComplexMDArray`, which is also the paper's coalesced
-    complex memory layout.  With batch stride ``total_slots``, row
+    imaginary plane of one shape — the paper's coalesced complex memory
+    layout.  With batch stride ``total_slots``, row
     ``b * total_slots + s`` is slot ``s`` of instance ``b`` — the same flat
     layout the staged sweep uses, transposed into the paper's
     one-array-per-limb memory shape.  Rows scatter back to floats,
@@ -795,9 +796,10 @@ def convolve_rows(
     convolution layer across all equations and batch instances.  The result
     is the tuple of planes of the truncated products, in that shape.
 
-    This is :func:`repro.series.convolve_vectorized` generalised from one
-    triple to a whole layer.  Pass ``j`` multiplies column ``j`` of every
-    ``x`` row into the leading ``n - j`` columns of the matching ``y`` row
+    This is the convolution of Section 2
+    (:func:`repro.series.convolve_zero_insertion`) over a whole layer of
+    triples, limb for limb the same.  Pass ``j`` multiplies column ``j`` of
+    every ``x`` row into the leading ``n - j`` columns of the matching ``y`` row
     and accumulates into the output tail, so each coefficient sums in
     increasing ``j``, the order of :func:`repro.series.convolve_direct`.  A
     layer of up to :data:`_CONVOLUTION_BUDGET` products makes one ring

@@ -1,4 +1,9 @@
-"""Simulated GPU substrate: devices, kernels, memory model, timing model."""
+"""Simulated GPU substrate: devices, memory model, timing model.
+
+The ``gpu`` evaluation mode computes with the tensorized sweep of
+:mod:`repro.core.tensor` and prices its launches with
+:class:`GPUSimulator`; this package holds no second arithmetic.
+"""
 
 from .device import DeviceSpec, TABLE1_DEVICES, get_device, DEFAULT_DEVICE
 from .memory import shared_memory_needed, max_degree_for_precision, check_block_fits
@@ -17,14 +22,7 @@ from .calibration import (
     calibration_degree,
 )
 from .timing import TimingModel, predict_schedule
-from .kernels import (
-    DeviceData,
-    convolution_block,
-    convolution_block_threaded,
-    addition_block,
-    scale_block,
-)
-from .executor import GPUSimulator, SimulationOutcome
+from .executor import GPUSimulator
 
 __all__ = [
     "DeviceSpec",
@@ -47,11 +45,5 @@ __all__ = [
     "calibration_degree",
     "TimingModel",
     "predict_schedule",
-    "DeviceData",
-    "convolution_block",
-    "convolution_block_threaded",
-    "addition_block",
-    "scale_block",
     "GPUSimulator",
-    "SimulationOutcome",
 ]

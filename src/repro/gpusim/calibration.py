@@ -6,13 +6,16 @@ turns its peak double-precision rate into useful multiple-double work.  That
 efficiency depends on the precision (higher precisions have more instruction-
 level parallelism per coefficient and amortise memory traffic better) but is
 assumed independent of the polynomial, the degree and the device — the single
-most important simplification of the model, documented in DESIGN.md.
+most important simplification of the model, documented in README's "Paper
+fidelity" section.
 
 The efficiencies are derived *programmatically* from one published column:
 the convolution-kernel times of ``p1`` at degree 152 on the V100 (Table 5 of
 the paper), reproduced verbatim in :data:`PAPER_V100_P1_CONVOLUTION_MS`.
 Every other table and figure is then predicted with these seven numbers held
-fixed; EXPERIMENTS.md reports how far that single-point calibration carries.
+fixed; README's "Paper fidelity" section reports how far that single-point
+calibration carries, and ``benchmarks/results/`` holds every regenerated
+table.
 """
 
 from __future__ import annotations

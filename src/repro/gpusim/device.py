@@ -2,8 +2,8 @@
 
 The experiments ran on five NVIDIA GPUs; this module records their published
 characteristics plus the memory figures the timing model needs.  A
-:class:`DeviceSpec` is a plain description — the functional simulator and the
-timing model consume it, nothing here talks to real hardware.
+:class:`DeviceSpec` is a plain description — the shared-memory capacity
+model and the timing model consume it, nothing here talks to real hardware.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class DeviceSpec:
     #: in operations per cycle.  For the Tesla-class devices this is close to
     #: the number of FP64 units per SM (32 on P100/V100); for the Kepler and
     #: the consumer Turing part it is a calibration constant fitted to the
-    #: cross-device ratios of Table 3 (see DESIGN.md and EXPERIMENTS.md).
+    #: cross-device ratios of Table 3 (see README, "Paper fidelity").
     double_units_per_mp: float = 32.0
     #: Clock actually sustained by double-precision kernels (GHz); defaults
     #: to the listed clock when zero.  The V100 lists a 1.91 GHz boost clock

@@ -1,9 +1,8 @@
 """Whole-array complex multiple-double arithmetic on split limb planes.
 
 The paper's complex kernels keep real and imaginary parts in *separate*
-arrays so consecutive threads keep touching consecutive memory — the same
-split that :class:`repro.md.ComplexMDArray` uses on the host.  The functions
-here lift that layout to the arbitrarily shaped limb components consumed by
+arrays so consecutive threads keep touching consecutive memory.  The
+functions here keep that layout on the arbitrarily shaped limb components of
 the tensorized execution backend (:mod:`repro.core.tensor`): every complex
 operand is a *pair* of limb-component sequences (``k`` NumPy arrays each,
 leading limb first), one for the real plane and one for the imaginary plane.

@@ -10,10 +10,9 @@ roughly ``52*k`` bits.
 The class is deliberately *simple and robust* rather than fast: every
 operation produces the exact (or nearly exact) result as a list of doubles
 and then renormalises it back to ``k`` limbs with
-:func:`repro.md.renorm.renormalize`.  The vectorised hot path used by the
-benchmarks lives in :mod:`repro.md.mdarray`; this scalar class is the
-reference implementation the vectorised code and all oracles are tested
-against.
+:func:`repro.md.renorm.renormalize`.  The vectorised hot path lives in the
+row kernels of :mod:`repro.md.vecops`; this scalar class is the reference
+implementation the vectorised code and all oracles are tested against.
 
 Examples
 --------

@@ -3,10 +3,9 @@
 These are the elementwise counterparts of :mod:`repro.md.eft`: every function
 accepts arrays (or scalars, thanks to NumPy broadcasting) and applies the
 error-free transformation to each element independently.  They are the
-building blocks of :class:`repro.md.MDArray`, the structure-of-arrays
-multiple-double type that mirrors the GPU data layout described in the paper
-(one contiguous array per limb, so consecutive threads touch consecutive
-memory locations).
+building blocks of the row kernels of :mod:`repro.md.vecops`, which keep
+the GPU data layout described in the paper (one contiguous array per limb,
+so consecutive threads touch consecutive memory locations).
 
 All operations are branch-free, which keeps them trivially vectorisable — the
 same property the CUDA kernels rely on to avoid thread divergence.

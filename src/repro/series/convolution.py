@@ -1,6 +1,6 @@
 """Convolution algorithms for truncated power series (Section 2 of the paper).
 
-Three formulations of the same product are provided:
+Two formulations of the same product are provided:
 
 * :func:`convolve_direct` — the sequential formula
   ``z_k = sum_{i=0..k} x_i y_{k-i}``; each output coefficient performs a
@@ -10,27 +10,23 @@ Three formulations of the same product are provided:
   paper: zeros are inserted in front of the second operand so that every
   "thread" (output coefficient) executes exactly ``d + 1`` multiply-add
   steps on different data.  The function literally follows the six pseudo-code
-  statements of Section 2 and is the algorithm the functional GPU simulator
-  executes per block;
-* :func:`convolve_vectorized` — a NumPy/:class:`repro.md.MDArray`
-  formulation that multiplies whole coefficient slices at once (the host-side
-  hot path used by the micro-benchmarks).
+  statements of Section 2, one block's work, and is the oracle of the
+  row-batched :func:`repro.core.convolve_rows` that the ``vectorized`` and
+  ``gpu`` modes run.
 
-All three produce identical results; the test suite checks them against each
-other and against an exact :class:`fractions.Fraction` oracle.
+Both produce identical results; the test suite checks them against each
+other, against :func:`repro.core.convolve_rows` limb for limb and against an
+exact :class:`fractions.Fraction` oracle.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..md.mdarray import MDArray
-
 __all__ = [
     "convolve_direct",
     "convolve_zero_insertion",
     "add_coefficients",
-    "convolve_vectorized",
     "convolution_operation_count",
     "addition_operation_count",
 ]
@@ -90,36 +86,6 @@ def add_coefficients(x: Sequence, y: Sequence) -> list:
     if len(x) != len(y):
         raise ValueError("operands must be truncated at the same degree")
     return [a + b for a, b in zip(x, y)]
-
-
-def convolve_vectorized(x: MDArray, y: MDArray) -> MDArray:
-    """Convolution of two multiple-double coefficient arrays.
-
-    Organised by input shift instead of output coefficient: pass ``j`` adds
-    ``x_j * y_{0..d-j}`` into the output tail ``out_{j..d}`` with one
-    vectorised multiple-double multiplication and one vectorised addition.
-    Every renormalisation therefore works on whole limb rows; the
-    accumulation order per output coefficient (increasing ``j``) matches
-    :func:`convolve_direct`, which the Fraction-oracle parity tests rely on.
-
-    Unlike :func:`convolve_direct`, the operands may be truncated at
-    *different* degrees: the shorter operand counts as zero-extended and the
-    result is truncated at ``max(degree(x), degree(y))`` — the same
-    coefficients :func:`convolve_direct` produces on the zero-padded
-    operands.  The precisions must still agree.
-    """
-    if x.limbs != y.limbs:
-        raise ValueError("operands must share precision")
-    n = max(x.size, y.size)
-    out = MDArray.zeros(n, x.limbs)
-    for j in range(x.size):
-        width = min(y.size, n - j)
-        if width <= 0:
-            break
-        products = MDArray(y.data[:, :width]) * x[j]
-        tail = MDArray(out.data[:, j : j + width]) + products
-        out.data[:, j : j + width] = tail.data
-    return out
 
 
 def convolution_operation_count(degree: int) -> tuple[int, int]:

@@ -1,13 +1,12 @@
-"""Tests for complex multiple doubles (scalar and array)."""
+"""Tests for complex multiple doubles."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.md import ComplexMD, ComplexMDArray, MDArray, MultiDouble
+from repro.md import ComplexMD, MultiDouble
 
 
 class TestComplexMDScalar:
@@ -109,55 +108,3 @@ class TestComplexMDScalar:
         rhs = (a.norm_squared() * b.norm_squared()).to_fraction()
         scale = max(abs(rhs), 1)
         assert abs(lhs - rhs) / scale < 2 ** (-52 * 10 + 16)
-
-
-class TestComplexMDArray:
-    def test_zeros_and_shape(self):
-        a = ComplexMDArray.zeros(4, 3)
-        assert a.size == 4
-        assert a.limbs == 3
-        assert len(a) == 4
-
-    def test_from_complex_values(self):
-        values = [1 + 1j, 2 - 3j, -0.5 + 0.25j]
-        a = ComplexMDArray.from_complex_values(values, 2)
-        assert np.allclose(a.to_complex(), values)
-
-    def test_random_unit_circle(self, nprng):
-        a = ComplexMDArray.random_unit_circle(50, 2, nprng)
-        moduli = np.abs(a.to_complex())
-        assert np.allclose(moduli, 1.0, atol=1e-12)
-
-    def test_elementwise_arithmetic(self, nprng):
-        a = ComplexMDArray.random_unit_circle(10, 4, nprng)
-        b = ComplexMDArray.random_unit_circle(10, 4, nprng)
-        total = a + b
-        product = a * b
-        assert np.allclose(total.to_complex(), a.to_complex() + b.to_complex(), atol=1e-13)
-        assert np.allclose(product.to_complex(), a.to_complex() * b.to_complex(), atol=1e-13)
-        assert np.allclose((a - b).to_complex(), a.to_complex() - b.to_complex(), atol=1e-13)
-        assert np.allclose((-a).to_complex(), -a.to_complex(), atol=1e-15)
-
-    def test_get_and_set_item(self, nprng):
-        a = ComplexMDArray.zeros(3, 2)
-        a[1] = 2 + 5j
-        assert a[1].to_complex() == 2 + 5j
-        a[0] = ComplexMD(1.0, -1.0, precision=2)
-        assert a[0].to_complex() == 1 - 1j
-
-    def test_from_scalars_roundtrip(self, rng):
-        scalars = [ComplexMD(MultiDouble.random(3, rng), MultiDouble.random(3, rng)) for _ in range(5)]
-        array = ComplexMDArray.from_scalars(scalars)
-        back = array.to_scalars()
-        assert all(x == y for x, y in zip(scalars, back))
-
-    def test_mismatched_parts_rejected(self):
-        with pytest.raises(ValueError):
-            ComplexMDArray(MDArray.zeros(3, 2), MDArray.zeros(4, 2))
-
-    def test_allclose_and_copy(self, nprng):
-        a = ComplexMDArray.random_unit_circle(6, 2, nprng)
-        b = a.copy()
-        assert a.allclose(b)
-        b.real.data[0, 0] += 1e-3
-        assert not a.allclose(b)

@@ -1,4 +1,4 @@
-"""Tests for the three convolution formulations of Section 2."""
+"""Tests for the two convolution formulations of Section 2."""
 
 from __future__ import annotations
 
@@ -6,14 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from repro.md import MDArray, MultiDouble
 from repro.series import (
-    MDSeries,
     add_coefficients,
     addition_operation_count,
     convolution_operation_count,
     convolve_direct,
-    convolve_vectorized,
     convolve_zero_insertion,
     random_fraction_series,
     random_md_series,
@@ -59,56 +56,6 @@ class TestAddition:
         assert add_coefficients([1, 2, 3], [4, 5, 6]) == [5, 7, 9]
         with pytest.raises(ValueError):
             add_coefficients([1], [1, 2])
-
-
-class TestVectorizedConvolution:
-    @pytest.mark.parametrize("limbs", (1, 2, 4))
-    def test_matches_scalar(self, limbs, nprng, rng):
-        degree = 9
-        x = MDArray.random(degree + 1, limbs, nprng)
-        y = MDArray.random(degree + 1, limbs, nprng)
-        vec = convolve_vectorized(x, y)
-        scalar = convolve_direct(x.to_multidoubles(), y.to_multidoubles())
-        for k in range(degree + 1):
-            diff = abs((vec[k] - scalar[k]).to_fraction())
-            assert diff < Fraction(2) ** (-52 * limbs + 10)
-
-    def test_precision_mismatch_rejected(self, nprng):
-        with pytest.raises(ValueError):
-            convolve_vectorized(MDArray.random(3, 2, nprng), MDArray.random(3, 4, nprng))
-
-    @pytest.mark.parametrize("sizes", ((3, 7), (7, 3), (1, 5), (6, 6)))
-    def test_mixed_degrees_match_zero_padded_direct(self, sizes, nprng):
-        """Operands of different truncation degrees: zero-extend the shorter.
-
-        The result is truncated at the larger degree and must match
-        ``convolve_direct`` on the explicitly zero-padded operands, which is
-        the semantics the docstring promises.
-        """
-        nx, ny = sizes
-        limbs = 2
-        x = MDArray.random(nx, limbs, nprng)
-        y = MDArray.random(ny, limbs, nprng)
-        vec = convolve_vectorized(x, y)
-        n = max(nx, ny)
-        assert vec.size == n
-
-        def padded(arr):
-            out = [MultiDouble.zero(limbs)] * n
-            values = arr.to_multidoubles()
-            return values + out[len(values):]
-
-        scalar = convolve_direct(padded(x), padded(y))
-        for k in range(n):
-            diff = abs((vec[k] - scalar[k]).to_fraction())
-            assert diff < Fraction(2) ** (-52 * limbs + 10)
-
-    def test_mdseries_multiplication(self, nprng):
-        a = MDSeries.random(6, 3, nprng)
-        b = MDSeries.random(6, 3, nprng)
-        product = a * b
-        expected = a.to_power_series() * b.to_power_series()
-        assert product.to_power_series().max_abs_error(expected) < 1e-40
 
 
 class TestOperationCounts:

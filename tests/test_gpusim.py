@@ -1,29 +1,28 @@
-"""Tests for the simulated GPU substrate: devices, memory, kernels, executor."""
+"""Tests for the simulated GPU substrate: devices, memory, the gpu mode."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import pytest
 
 from repro.circuits import Polynomial
-from repro.core import PolynomialEvaluator, build_schedule, fuse_schedules
+from repro.core import (
+    EvalContext,
+    PolynomialEvaluator,
+    ScheduleCache,
+    SystemEvaluator,
+    build_schedule,
+)
 from repro.errors import DeviceCapacityError
 from repro.gpusim import (
-    DeviceData,
     GPUSimulator,
     TABLE1_DEVICES,
-    addition_block,
     check_block_fits,
-    convolution_block,
-    convolution_block_threaded,
     get_device,
     max_degree_for_precision,
-    scale_block,
     shared_memory_needed,
 )
 from repro.md import MultiDouble
-from repro.series import PowerSeries, convolve_direct, random_md_series
+from repro.series import PowerSeries, random_md_series
 
 
 class TestDeviceRegistry:
@@ -84,96 +83,23 @@ class TestSharedMemoryModel:
             check_block_fits(192, 8)
 
 
-class TestKernels:
-    def test_device_data_roundtrip(self, rng):
-        data = DeviceData(limbs=3, total_slots=4, degree=2)
-        series = random_md_series(2, 3, rng)
-        data.load_series(1, series.coefficients)
-        back = data.read_series(1)
-        assert all((a - b).to_float() == 0.0 for a, b in zip(series.coefficients, back))
-
-    def test_convolution_block_matches_host(self, rng):
-        degree, limbs = 4, 2
-        x = random_md_series(degree, limbs, rng)
-        y = random_md_series(degree, limbs, rng)
-        data = DeviceData(limbs, total_slots=3, degree=degree)
-        data.load_series(0, x.coefficients)
-        data.load_series(1, y.coefficients)
-        convolution_block(data, 0, degree + 1, 2 * (degree + 1))
-        result = data.read_series(2)
-        expected = convolve_direct(x.coefficients, y.coefficients)
-        for got, exact in zip(result, expected):
-            assert abs((got - exact).to_fraction()) < Fraction(2) ** (-90)
-
-    def test_in_place_convolution(self, rng):
-        degree, limbs = 3, 2
-        x = random_md_series(degree, limbs, rng)
-        y = random_md_series(degree, limbs, rng)
-        data = DeviceData(limbs, total_slots=2, degree=degree)
-        data.load_series(0, x.coefficients)
-        data.load_series(1, y.coefficients)
-        convolution_block(data, 0, degree + 1, 0)  # x := x * y
-        expected = convolve_direct(x.coefficients, y.coefficients)
-        for got, exact in zip(data.read_series(0), expected):
-            assert abs((got - exact).to_fraction()) < Fraction(2) ** (-90)
-
-    def test_addition_and_scale_blocks(self, rng):
-        degree, limbs = 3, 2
-        x = random_md_series(degree, limbs, rng)
-        y = random_md_series(degree, limbs, rng)
-        data = DeviceData(limbs, total_slots=2, degree=degree)
-        data.load_series(0, x.coefficients)
-        data.load_series(1, y.coefficients)
-        addition_block(data, 0, degree + 1)
-        for got, a, b in zip(data.read_series(1), x.coefficients, y.coefficients):
-            assert abs((got - (a + b)).to_fraction()) < Fraction(2) ** (-95)
-        scale_block(data, 0, 3)
-        for got, a in zip(data.read_series(0), x.coefficients):
-            assert abs((got - a * 3).to_fraction()) < Fraction(2) ** (-95)
-
-    def test_threaded_kernel_matches_vectorised(self, rng):
-        degree, limbs = 5, 3
-        x = random_md_series(degree, limbs, rng)
-        y = random_md_series(degree, limbs, rng)
-        threaded = convolution_block_threaded(x.coefficients, y.coefficients, limbs)
-        expected = convolve_direct(x.coefficients, y.coefficients)
-        for got, exact in zip(threaded, expected):
-            assert abs((got - exact).to_fraction()) < Fraction(2) ** (-52 * limbs + 12)
-
-    def test_threaded_kernel_accepts_floats(self):
-        result = convolution_block_threaded([1.0, 2.0], [3.0, 4.0], 2)
-        assert [r.to_float() for r in result] == [3.0, 10.0]
-
-    def test_threaded_kernel_validates_lengths(self):
-        with pytest.raises(ValueError):
-            convolution_block_threaded([1.0, 2.0], [1.0], 2)
-
-
 class TestGPUSimulator:
     def test_run_produces_timings_and_values(self, rng):
-        schedule = build_schedule(3, [(0, 1, 2), (0, 2)], degree=3)
-        # Build host slots: a0, a1, a2, z1..z3 then zero products.
-        slots = [PowerSeries.constant(MultiDouble.zero(2), 3) for _ in range(schedule.layout.total_slots)]
-        slots[0] = random_md_series(3, 2, rng)
-        slots[1] = random_md_series(3, 2, rng)
-        slots[2] = random_md_series(3, 2, rng)
-        for v in range(3):
-            slots[schedule.layout.variable_slot(v)] = random_md_series(3, 2, rng)
-        simulator = GPUSimulator("P100")
-        outcome = simulator.run_system(fuse_schedules([schedule]), slots)
-        assert outcome.limbs == 2
-        assert outcome.timings.n_launches == schedule.total_launches
-        assert outcome.timings.wall_clock_ms > 0
-        # The value slot contains a1*z1*z2*z3 + a2*z1*z3 + a0.
-        expected = (
-            slots[1] * slots[schedule.layout.variable_slot(0)]
-            * slots[schedule.layout.variable_slot(1)]
-            * slots[schedule.layout.variable_slot(2)]
-            + slots[2] * slots[schedule.layout.variable_slot(0)] * slots[schedule.layout.variable_slot(2)]
-            + slots[0]
+        degree = 3
+        constant, a1, a2 = (random_md_series(degree, 2, rng) for _ in range(3))
+        polynomial = Polynomial.from_supports(3, constant, [(0, 1, 2), (0, 2)], [a1, a2])
+        z = [random_md_series(degree, 2, rng) for _ in range(3)]
+        evaluator = SystemEvaluator(
+            [polynomial], mode="gpu", device="P100", cache=ScheduleCache()
         )
-        value = outcome.slots[schedule.value_slot]
-        assert value.max_abs_error(expected) < 1e-25
+        (result,) = evaluator.evaluate(z)
+        timings = result.metadata["timings"]
+        assert result.metadata["precision_limbs"] == 2
+        assert timings.n_launches == result.metadata["launches"] == evaluator.fused.total_launches
+        assert timings.wall_clock_ms > 0
+        # The value is a1*z1*z2*z3 + a2*z1*z3 + a0.
+        expected = a1 * z[0] * z[1] * z[2] + a2 * z[0] * z[2] + constant
+        assert result.value.max_abs_error(expected) < 1e-25
 
     def test_predict_without_execution(self):
         schedule = build_schedule(4, [(0, 1, 2, 3)] * 5, degree=8)
@@ -194,8 +120,19 @@ class TestGPUSimulator:
             assert type(value) is float
             assert value.hex() == "0x0.0p+0"
 
-    def test_shared_memory_violation_raises(self, rng):
-        schedule = build_schedule(2, [(0, 1)], degree=160)
-        slots = [PowerSeries.constant(MultiDouble.zero(10), 160) for _ in range(schedule.layout.total_slots)]
+    def test_shared_memory_violation_raises(self, rng, monkeypatch):
+        """Degree 160 in deca doubles exceeds one block's shared memory; the
+        gpu mode refuses it before packing anything."""
+        degree = 160
+        polynomial = Polynomial.from_supports(
+            2, random_md_series(degree, 10, rng), [(0, 1)], [random_md_series(degree, 10, rng)]
+        )
+        z = [random_md_series(degree, 10, rng) for _ in range(2)]
+
+        def pack(*args, **kwargs):
+            raise AssertionError("packed before the capacity check")
+
+        monkeypatch.setattr(EvalContext, "_pack", pack)
+        evaluator = SystemEvaluator([polynomial], mode="gpu", device="V100", cache=ScheduleCache())
         with pytest.raises(DeviceCapacityError):
-            GPUSimulator("V100").run_system(fuse_schedules([schedule]), slots)
+            evaluator.evaluate(z)

@@ -60,7 +60,7 @@ class TestTable2:
         n, m, N, cnv, add = TABLE2_JOBS["p3"]
         assert (structure.dimension, structure.max_variables, structure.n_monomials) == (n, m, N)
         assert structure.addition_jobs == add == 24256
-        # Known discrepancy (documented in DESIGN.md): the formula N*(3m-3)
+        # Known discrepancy (README, "Paper fidelity"): the formula N*(3m-3)
         # gives 24,384 convolutions while the paper reports 24,256.
         assert structure.convolution_jobs == 24384
         assert structure.convolution_jobs - cnv == 128
@@ -88,7 +88,7 @@ class TestLaunchSizes:
         structure = launch_structure("p2")
         assert sum(structure.addition_launches) == 8192
         # The paper's text mentions 7 launches; the pairing tree that exactly
-        # reproduces the p1 launch sizes needs 8 (documented in DESIGN.md).
+        # reproduces the p1 launch sizes needs 8 (README, "Paper fidelity").
         assert len(structure.addition_launches) in (7, 8)
 
     def test_p3_launch_structure(self):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
+import warnings
 
 import pytest
 
@@ -17,7 +19,9 @@ from repro.core import (
     schedule_for_polynomial,
 )
 from repro.errors import StagingError
+from repro.gpusim import GPUSimulator
 from repro.homotopy import NewtonOptions, PolynomialSystem, TrackOptions
+from repro.md import MultiDouble
 from repro.service import ServiceConfig, resolve_service_config
 from repro.series import (
     random_complex_series,
@@ -98,6 +102,63 @@ class TestBatchedParity:
     def test_empty_batch(self, rng):
         polynomials = _make_system("float", rng)
         assert SystemEvaluator(polynomials, cache=ScheduleCache()).evaluate_batch([]) == []
+
+
+def _limbs(results) -> list:
+    """Every value and gradient coefficient as the hex strings of its limbs."""
+
+    def series(s):
+        return [
+            tuple(float(limb).hex() for limb in getattr(c, "limbs", (c,)))
+            for c in s.coefficients
+        ]
+
+    return [
+        [(series(r.value), [series(g) for g in r.gradient]) for r in row] for row in results
+    ]
+
+
+class TestGpuMode:
+    """The gpu mode computes what the vectorized sweep whose launches it
+    prices computes, in the same ring, as silently at the edges."""
+
+    @pytest.mark.parametrize("value", (math.inf, 1e308), ids=("infinite", "overflowing"))
+    @pytest.mark.parametrize("kind,precision", (("float", 1), ("md", 2), ("md", 4)))
+    def test_non_finite_inputs_follow_vectorized(self, kind, precision, value, rng):
+        polynomials = _make_system(kind, rng, precision=precision)
+        zs = _make_inputs(kind, rng, precision=precision)
+        zs[1][2].coefficients[0] = (
+            value if kind == "float" else MultiDouble((value,) + (0.0,) * (precision - 1), precision)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            gpu, vectorized = (
+                SystemEvaluator(polynomials, mode=mode, cache=ScheduleCache()).evaluate_batch(zs)
+                for mode in ("gpu", "vectorized")
+            )
+        assert _limbs(gpu) == _limbs(vectorized)
+
+    def test_mixed_rings_compute_in_their_join(self, rng):
+        """A float-coefficient system at double-double inputs runs in double
+        doubles, and is priced at two limbs."""
+        polynomials = _make_system("float", rng)
+        zs = _make_inputs("md", rng, precision=2)
+        results = {
+            mode: SystemEvaluator(
+                polynomials, mode=mode, device="P100", cache=ScheduleCache()
+            ).evaluate_batch(zs)
+            for mode in ("reference", "staged", "gpu")
+        }
+        fused = SystemEvaluator(polynomials, cache=ScheduleCache()).fused
+        predicted = GPUSimulator("P100").predict(fused, precision=2, batch=len(zs))
+        for mode in ("staged", "gpu"):
+            for got_row, expected_row in zip(results[mode], results["reference"]):
+                for got, expected in zip(got_row, expected_row):
+                    assert got.max_difference(expected) < 2.0 ** (-52 * 2 + 20)
+        for row in results["gpu"]:
+            for result in row:
+                assert result.metadata["precision_limbs"] == 2
+                assert result.metadata["timings"] == predicted
 
 
 class TestFusedSchedule:

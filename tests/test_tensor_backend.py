@@ -38,10 +38,15 @@ from repro.homotopy import (
     newton_power_series_batch,
 )
 from repro.homotopy.batch_linsolve import batch_lu_solve_tensor
-from repro.md import MDArray, MultiDouble
+from repro.md import MultiDouble
 from repro.md.cvecops import cmd_add_rows, cmd_mul_rows
 from repro.md.vecops import md_add_rows, md_mul_rows
-from repro.series import PowerSeries, convolve_vectorized, random_series_vector
+from repro.series import (
+    PowerSeries,
+    convolve_zero_insertion,
+    random_md_series,
+    random_series_vector,
+)
 
 SETTINGS = settings(
     max_examples=25,
@@ -351,26 +356,29 @@ class TestSlotTensorRoundTrip:
 # the batched convolution kernel
 # --------------------------------------------------------------------- #
 class TestConvolveRows:
-    @pytest.mark.parametrize("limbs", (1, 2, 3, 4))
-    def test_many_triples_match_convolve_vectorized(self, limbs, nprng):
-        """One whole-layer sweep equals per-pair convolve_vectorized calls and
-        the scalar PowerSeries.convolve on MultiDouble coefficients, limb for
-        limb — the equality the batched common factor relies on."""
-        m, n = 5, 7
-        x = np.stack([MDArray.random(n, limbs, nprng).data for _ in range(m)], axis=1)
-        y = np.stack([MDArray.random(n, limbs, nprng).data for _ in range(m)], axis=1)
-        (out,) = convolve_rows((x,), (y,), limbs)
-        for j in range(m):
-            expected = convolve_vectorized(MDArray(x[:, j, :]), MDArray(y[:, j, :]))
-            assert np.array_equal(out[:, j, :], expected.data)
-            xs, ys = (
-                PowerSeries([MultiDouble(tuple(a[:, j, k]), limbs) for k in range(n)])
-                for a in (x, y)
+    @pytest.mark.parametrize("degree", (0, 1, 5, 15))
+    @pytest.mark.parametrize("limbs", (1, 2, 3, 4, 8))
+    def test_many_triples_match_section2_kernel(self, limbs, degree, rng):
+        """Every row of one whole-layer sweep equals Section 2's zero-insertion
+        kernel and the scalar PowerSeries.convolve on MultiDouble
+        coefficients, limb for limb — the equality the gpu and vectorized
+        modes and the batched common factor rely on."""
+        m = 5
+        xs, ys = (
+            [random_md_series(degree, limbs, rng) for _ in range(m)] for _ in range(2)
+        )
+
+        def planes(series):
+            return np.array(
+                [[[c.limbs[i] for c in s.coefficients] for s in series] for i in range(limbs)]
             )
-            scalar = xs.convolve(ys)
-            assert [tuple(out[:, j, k]) for k in range(n)] == [
-                c.limbs for c in scalar.coefficients
-            ]
+
+        (out,) = convolve_rows((planes(xs),), (planes(ys),), limbs)
+        for j, (x, y) in enumerate(zip(xs, ys)):
+            rows = [tuple(out[:, j, k]) for k in range(degree + 1)]
+            kernel = convolve_zero_insertion(x.coefficients, y.coefficients)
+            assert rows == [c.limbs for c in kernel]
+            assert rows == [c.limbs for c in x.convolve(y).coefficients]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
