@@ -16,7 +16,7 @@ from .options import (
     TrackOptions,
 )
 from .newton import NewtonStep, NewtonResult, newton_power_series, newton_power_series_batch
-from .pathtrack import PathPoint, PathTrackResult, TaylorPathTracker, align_path_points
+from .pathtrack import PathPoint, PathTrackResult, align_path_points
 from .scheduler import PathScheduler, PathStatus, TrackManyReport, track_paths
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "newton_power_series_batch",
     "PathPoint",
     "PathTrackResult",
-    "TaylorPathTracker",
     "align_path_points",
     "PathScheduler",
     "PathStatus",

@@ -15,15 +15,15 @@ frozen dataclasses plus one umbrella:
 * :class:`RetryPolicy` — what happens when a path fails (precision-escalation
   ladder, rejection budget, divergence ceiling, path-crossing detection);
 * :class:`TrackOptions` — the single object the public tracking API takes,
-  composing the three above with the tracker-level knobs (series degree,
-  execution mode, scheduler flavour).
+  composing the three above and :class:`ShardOptions` with the tracker-level
+  knobs (series degree, execution mode, telemetry).
 
 The layering is *defaults → options object → per-call overrides*: every class
 is immutable, :meth:`TrackOptions.override` produces a derived copy from flat
 keyword overrides (nested fields are addressable either with an options
 sub-object, a dict merged into the current sub-object, or one of the flat
 aliases like ``step=0.25`` / ``newton_iterations=6``).  The Newton functions
-and :class:`repro.homotopy.TaylorPathTracker` take these objects only.
+and :func:`repro.homotopy.track_paths` take these objects only.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 _SOLVERS = ("auto", "batched", "scalar")
-_SCHEDULERS = ("adaptive", "lockstep")
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,10 @@ class StepControl:
     the step, shrinks it by ``shrink`` and re-predicts from the last accepted
     point; a step that would fall below ``min`` declares the path failed
     (and hands it to the :class:`RetryPolicy`).  ``grow = 1.0`` disables
-    growth, which makes healthy paths reproduce the fixed-step lockstep grid
-    bit for bit — the parity the test suite asserts.
+    growth; with ``RetryPolicy(precision_ladder=(), max_rejections=0)`` on
+    top, every path steps on the one fixed grid of ``initial`` and fails at
+    its first rejected point — the fixed-grid tracker, which the test suite
+    holds bit for bit to a plain Newton-and-advance loop.
     """
 
     initial: float = 0.1
@@ -277,12 +278,6 @@ class TrackOptions:
             precision_ladder=(4, 8),
         )
 
-    ``scheduler`` selects the tracking engine: ``"adaptive"`` (the masked
-    many-path scheduler of :mod:`repro.homotopy.scheduler` — per-path steps,
-    divergence detection, precision escalation) or ``"lockstep"`` (the fixed
-    shared grid of :meth:`repro.homotopy.TaylorPathTracker.track_many`, no
-    retries).
-
     ``telemetry`` is a per-call override layered onto the process-wide
     :mod:`repro.obs` configuration for the duration of the call: ``None``
     inherits it unchanged, ``True``/``False`` flips recording on or off, and
@@ -294,7 +289,6 @@ class TrackOptions:
 
     degree: int = 8
     mode: str | None = None
-    scheduler: str = "adaptive"
     newton: NewtonOptions = field(
         default_factory=lambda: NewtonOptions(max_iterations=6, tolerance=1.0e-10)
     )
@@ -306,10 +300,6 @@ class TrackOptions:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("the tracker needs degree >= 1 to advance")
-        if self.scheduler not in _SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be 'adaptive' or 'lockstep', got {self.scheduler!r}"
-            )
         if self.mode is not None:
             check_mode(self.mode)
         # Normalise mappings (and validate everything else) into the frozen,

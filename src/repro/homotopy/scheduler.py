@@ -1,17 +1,15 @@
-"""The adaptive masked many-path scheduler with precision-escalation retries.
+"""The path tracker: an adaptive masked many-path scheduler with retries.
 
-:meth:`repro.homotopy.TaylorPathTracker.track_many` steps every path across
-one fixed parameter grid in lockstep: a single hard path shrinks the batch
-(one repack per dropout) or fails outright, and there is no way back once a
-refinement misses the tolerance.  The production workload of the paper —
-thousands to millions of independent solution paths — needs the opposite
-shape, and this module provides it:
+The production workload of the paper is thousands to millions of
+independent solution paths; this module tracks them, and a single path is a
+fleet of one.  It is the package's only tracker:
 
 * **per-path adaptive steps** — every path carries its own step size ``h``,
   grown when Newton converges fast (few iterations) and shrunk when a trial
   point is rejected, under the :class:`repro.homotopy.options.StepControl`
-  policy.  ``grow = 1.0`` disables growth and makes healthy paths reproduce
-  the lockstep grid bit for bit;
+  policy.  ``grow = 1.0`` with an empty precision ladder and
+  ``max_rejections = 0`` is the fixed-grid tracker: every path steps on one
+  grid of the initial step and fails at its first rejected point;
 * **resident Newton state** — on a resident context every path's iterate,
   accepted series and next trial input stay limb rows: Newton corrects the
   context's state rows in place, and the predictor evaluates each accepted
@@ -334,14 +332,16 @@ class PathScheduler:
     ----------
     system_builder:
         Callable ``(t0, degree) -> PolynomialSystem`` returning the local
-        system whose series variable is the offset ``s = t - t0`` — the same
-        contract as :class:`repro.homotopy.TaylorPathTracker`.
+        system whose series variable is the offset ``s = t - t0``.  Every
+        local system must share the first one's monomial structure: the
+        fleet rebinds one resident context, and a structure change raises
+        :class:`repro.errors.StagingError`.
     options:
         A :class:`repro.homotopy.options.TrackOptions`; keyword overrides
         are layered on top via :meth:`TrackOptions.make`.
     """
 
-    #: Hard bound on scheduler rounds per fleet, mirroring the tracker's guard.
+    #: Hard bound on scheduler rounds per fleet.
     _ROUND_GUARD = 10_000
 
     def __init__(
@@ -376,7 +376,11 @@ class PathScheduler:
         packs exactly once, straight into shared memory.  Retry-ladder
         fleets run at higher limb counts than the buffer was sized for and
         always allocate locally.
+
+        Raises :class:`ValueError` unless ``t_start <= t_end`` are both
+        finite.
         """
+        _check_t_range(t_start, t_end)
         tel = _TELEMETRY
         with tel.overridden(self.options.telemetry):
             t0 = tel.enabled and _perf_counter_ns()
@@ -694,11 +698,12 @@ def track_paths(
             precision_ladder=(4, 8),
         )
 
-    With ``options.scheduler == "adaptive"`` (the default) the
-    :class:`PathScheduler` runs the masked resident fleet with per-path
-    steps and the precision-escalation retry ladder; ``"lockstep"`` runs the
-    plain fixed-grid :meth:`repro.homotopy.TaylorPathTracker.track_many`
-    (no retries) and wraps its results in the same report shape.
+    The :class:`PathScheduler` runs the masked resident fleet with per-path
+    steps and the precision-escalation retry ladder, in this process or —
+    with ``options.shard`` — across worker processes
+    (:class:`repro.parallel.shard.ShardedFleetRunner`).  A fixed step grid
+    is the configuration ``step={"grow": 1.0}`` with
+    ``retry=RetryPolicy(precision_ladder=(), max_rejections=0)``.
     """
     options = TrackOptions.make(options, **overrides)
     tel = _TELEMETRY
@@ -712,28 +717,7 @@ def track_paths(
 def _dispatch_track(
     system_family, starts, options: TrackOptions, t_start: float, t_end: float
 ) -> TrackManyReport:
-    """Route a resolved options object to its tracking engine."""
-    if options.scheduler == "lockstep":
-        from .pathtrack import TaylorPathTracker
-
-        tracker = TaylorPathTracker(system_family, options=options)
-        results = tracker.track_many(starts, t_start, t_end)
-        report = TrackManyReport(results=results)
-        for index, result in enumerate(results):
-            last = result.points[-1] if result.points else None
-            report.statuses.append(
-                PathStatus(
-                    index=index,
-                    converged=result.success,
-                    reason=None if result.success else "newton",
-                    steps=len(result.points),
-                    rejections=0,
-                    retries=0,
-                    limbs=None,
-                    residual=last.residual if last else math.inf,
-                )
-            )
-        return report
+    """Route a resolved options object to the sharded or the inline runner."""
     workers = options.shard.resolve_workers()
     if workers > 0 and len(starts) > 0:
         from ..parallel.shard import ShardedFleetRunner
@@ -741,3 +725,17 @@ def _dispatch_track(
         runner = ShardedFleetRunner(system_family, options)
         return runner.track(starts, t_start, t_end)
     return PathScheduler(system_family, options).track(starts, t_start, t_end)
+
+
+def _check_t_range(t_start: float, t_end: float) -> None:
+    """Raise :class:`ValueError` unless ``t_start <= t_end`` are both finite.
+
+    A path steps forward from ``t_start`` until it reaches ``t_end``; a
+    reversed range would end at its first point, and a NaN or infinite end
+    is never reached.  ``t_start == t_end`` is a one-point track.
+    """
+    if not (math.isfinite(t_start) and math.isfinite(t_end) and t_start <= t_end):
+        raise ValueError(
+            f"a track needs finite t_start <= t_end, got t_start={t_start!r}, "
+            f"t_end={t_end!r}"
+        )

@@ -230,8 +230,9 @@ class ShardedFleetRunner:
         t_start: float = 0.0,
         t_end: float = 1.0,
     ):
-        from ..homotopy.scheduler import TrackManyReport
+        from ..homotopy.scheduler import TrackManyReport, _check_t_range
 
+        _check_t_range(t_start, t_end)
         starts = [list(start) for start in start_values]
         if not starts:
             return TrackManyReport()

@@ -46,10 +46,9 @@ from repro.gpusim.timing import TimingModel
 from repro.homotopy import (
     NewtonOptions,
     PolynomialSystem,
-    TaylorPathTracker,
-    TrackOptions,
     newton_power_series,
     newton_power_series_batch,
+    track_paths,
 )
 from repro.md import ComplexMD, MultiDouble
 from repro.series import PowerSeries, random_series_vector
@@ -739,9 +738,6 @@ class TestResidentNewton:
         assert [s.residual for s in first.steps] == [s.residual for s in second.steps]
 
 
-_VECTORIZED_TRACK = TrackOptions().override(degree=4, step=0.25, mode="vectorized")
-
-
 class TestResidentTracking:
     def _builder(self, cache):
         from repro.circuits import Polynomial
@@ -755,58 +751,71 @@ class TestResidentTracking:
 
         return builder
 
-    def test_track_many_packs_once_across_steps(self, rng, monkeypatch):
+    def test_fleet_packs_once_across_steps(self, fixed_grid, monkeypatch):
         """One resident context (and one pack) carries the whole track: the
         per-step systems differ only in coefficients and are rebound."""
         counts = _count_packs(monkeypatch)
-        cache = ScheduleCache()
-        tracker = TaylorPathTracker(self._builder(cache), options=_VECTORIZED_TRACK)
-        results = tracker.track_many([[0.0], [0.0]])
-        assert all(r.success for r in results)
+        options = fixed_grid(degree=4, step=0.25, mode="vectorized")
+        report = track_paths(self._builder(ScheduleCache()), [[0.0], [0.0]], options=options)
+        assert report.n_converged == 2
+        assert report.fleets[0]["packs"] == 1
         assert counts["packs"] == 1
-        assert all(abs(r.final_values[0] - 1.0) < 1e-10 for r in results)
+        assert all(abs(r.final_values[0] - 1.0) < 1e-10 for r in report.results)
 
-    def test_track_scalar_packs_once_across_steps(self, rng, monkeypatch):
+    def test_track_scalar_packs_once_across_steps(self, fixed_grid, monkeypatch):
         counts = _count_packs(monkeypatch)
-        cache = ScheduleCache()
-        tracker = TaylorPathTracker(self._builder(cache), options=_VECTORIZED_TRACK)
-        result = tracker.track([0.0])
+        options = fixed_grid(degree=4, step=0.25, mode="vectorized")
+        report = track_paths(self._builder(ScheduleCache()), [[0.0]], options=options)
+        (result,) = report.results
         assert result.success
+        assert report.fleets[0]["packs"] == 1
         assert counts["packs"] == 1
         assert abs(result.final_values[0] - 1.0) < 1e-10
 
-    def test_structure_varying_builder_gets_fresh_contexts(self, rng, monkeypatch):
-        """A homotopy builder may change the monomial structure along the
-        path; the Newton drivers then build a fresh context per structure
-        instead of crashing on rebind."""
+    @staticmethod
+    def _structure_varying_builder(cache):
         from repro.circuits import Polynomial
-
-        counts = _count_packs(monkeypatch)
-        cache = ScheduleCache()
+        from repro.circuits.monomial import Monomial
 
         def builder(t0, degree):
             # p(x) = x - t0 - s for t < 0.5; afterwards the same path with
             # an extra (numerically zero) x^2 monomial — different structure.
             constant = PowerSeries([-t0, -1.0] + [0.0] * (degree - 1))
-            supports = [(0,)] if t0 < 0.5 else [(0,), (0,)]
-            coefficients = [PowerSeries.one(degree)] + (
-                [PowerSeries.zero(degree)] if t0 >= 0.5 else []
-            )
-            monomials = []
-            from repro.circuits.monomial import Monomial
-
-            for support, coefficient in zip(supports, coefficients):
-                exponents = {0: 2} if len(monomials) == 1 else {0: 1}
-                monomials.append(Monomial.make(coefficient, exponents))
+            monomials = [Monomial.make(PowerSeries.one(degree), {0: 1})]
+            if t0 >= 0.5:
+                monomials.append(Monomial.make(PowerSeries.zero(degree), {0: 2}))
             return PolynomialSystem(
                 [Polynomial(1, constant, monomials)], mode="staged", cache=cache
             )
 
-        tracker = TaylorPathTracker(builder, options=_VECTORIZED_TRACK)
-        result = tracker.track([0.0])
-        assert result.success
-        assert abs(result.final_values[0] - 1.0) < 1e-10
-        assert counts["packs"] == 2  # one per structure, not one per step
+        return builder
+
+    @pytest.mark.parametrize("mode", ["staged", "vectorized"])
+    def test_structure_varying_builder_raises_staging_error(self, mode, fixed_grid):
+        """A fleet rebinds one context along the path, so a builder whose
+        monomial structure changes mid-path is refused with StagingError."""
+        from repro.errors import StagingError
+
+        builder = self._structure_varying_builder(ScheduleCache())
+        options = fixed_grid(degree=4, step=0.25, mode=mode)
+        with pytest.raises(StagingError, match="structurally identical"):
+            track_paths(builder, [[0.0]], options=options)
+
+    def test_newton_gets_a_fresh_context_per_structure(self, monkeypatch):
+        """A Newton caller may hand over the context of a system with another
+        monomial structure; the driver builds a fresh context for it instead
+        of failing the rebind."""
+        counts = _count_packs(monkeypatch)
+        builder = self._structure_varying_builder(ScheduleCache())
+        options = NewtonOptions(max_iterations=6, tolerance=1.0e-10)
+        context = None
+        for t0 in (0.0, 0.25, 0.75):
+            system = builder(t0, 4).with_mode("vectorized")
+            context = context or system.make_context(1)
+            start = [PowerSeries.constant(t0, 4)]
+            result = newton_power_series(system, start, context=context, options=options)
+            assert result.converged
+        assert counts["packs"] == 2  # one per structure, not one per system
 
     def test_rebind_rejects_different_structure(self, rng):
         a = SystemEvaluator(

@@ -10,17 +10,18 @@ import pytest
 
 from repro.circuits import parse_polynomial
 from repro.circuits.reference import EvaluationResult
+from repro.core import MODES
 from repro.errors import ConvergenceError, SingularSystemError, StagingError, TruncationError
 from repro.homotopy import (
     NewtonOptions,
     PolynomialSystem,
-    TaylorPathTracker,
-    TrackOptions,
+    lift_value,
     lu_solve,
     matrix_vector_product,
     newton_power_series,
     newton_power_series_batch,
     residual_norm,
+    track_paths,
 )
 from repro.homotopy import linsolve as linsolve_module
 from repro.homotopy.newton import refine_lanes
@@ -28,9 +29,13 @@ from repro.md import MultiDouble
 from repro.series import PowerSeries, random_fraction_series
 
 
-def _tracker(builder, **overrides) -> TaylorPathTracker:
-    """A tracker whose options layer ``overrides`` onto the defaults."""
-    return TaylorPathTracker(builder, options=TrackOptions().override(**overrides))
+def sqrt_family(t0: float, degree: int) -> PolynomialSystem:
+    """x^2 - (1 + t) = 0 around ``t0``: the branches ±sqrt(1 + t)."""
+    p = parse_polynomial("x1^2", degree=degree, kind="float")
+    p.constant.coefficients[0] = -(1.0 + t0)
+    if degree >= 1:
+        p.constant.coefficients[1] = -1.0
+    return PolynomialSystem([p])
 
 
 def fseries(values):
@@ -450,19 +455,37 @@ class TestNonFiniteNorms:
             assert math.isnan(result.final_residual)
             assert all(math.isnan(step.residual) for step in result.steps)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_finite_start_fails_its_lane_alone(self, mode):
+        """From 1e200, NaN or an infinity, in float and in double doubles,
+        the lane ends unconverged and non-singular with a NaN residual; its
+        batch mate converges as it does alone, and nothing warns."""
+        degree = 3
+        options = NewtonOptions(mode=mode, max_iterations=8, tolerance=1.0e-10)
+        float_system = sqrt_family(0.0, degree)
+        rings = {
+            "float": (float_system, float),
+            "dd": (float_system.with_precision(2), lambda value: lift_value(value, 2)),
+        }
+        for ring, (system, lift) in rings.items():
+            for start in (1.0e200, math.nan, math.inf, -math.inf):
+                starts = [[PowerSeries.constant(lift(value), degree)] for value in (start, 1.25)]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    bad, good = newton_power_series_batch(system, starts, options=options)
+                case = (ring, start)
+                assert not bad.converged and not bad.singular, case
+                assert math.isnan(bad.final_residual), case
+                assert good.converged, case
+
 
 class TestPathTracker:
-    @staticmethod
-    def _builder(t0: float, degree: int) -> PolynomialSystem:
-        p = parse_polynomial("x1^2", degree=degree, kind="float")
-        p.constant.coefficients[0] = -(1.0 + t0)
-        if degree >= 1:
-            p.constant.coefficients[1] = -1.0
-        return PolynomialSystem([p])
+    """The fixed-grid tracker: :func:`track_paths` with no step growth, no
+    precision ladder and no rejections."""
 
-    def test_tracks_sqrt_path(self):
-        tracker = _tracker(self._builder, degree=6, step=0.25)
-        result = tracker.track([1.0], 0.0, 1.0)
+    def test_tracks_sqrt_path(self, fixed_grid):
+        report = track_paths(sqrt_family, [[1.0]], options=fixed_grid(degree=6, step=0.25))
+        (result,) = report.results
         assert result.success
         assert result.final_values[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)
         assert len(result.points) == 5  # t = 0, .25, .5, .75, 1.0
@@ -470,49 +493,47 @@ class TestPathTracker:
             assert point.values[0] == pytest.approx(math.sqrt(1.0 + point.t), abs=1e-8)
             assert point.residual <= 1e-10
 
-    def test_invalid_parameters(self):
+    def test_invalid_parameters(self, fixed_grid):
         with pytest.raises(ValueError):
-            _tracker(self._builder, degree=0)
+            track_paths(sqrt_family, [[1.0]], options=fixed_grid(), degree=0)
         with pytest.raises(ValueError):
-            _tracker(self._builder, step=0.0)
+            track_paths(sqrt_family, [[1.0]], options=fixed_grid(), step=0.0)
 
-    def test_partial_range(self):
-        tracker = _tracker(self._builder, degree=5, step=0.5)
-        result = tracker.track([1.0], 0.0, 0.5)
+    def test_partial_range(self, fixed_grid):
+        options = fixed_grid(degree=5, step=0.5)
+        (result,) = track_paths(sqrt_family, [[1.0]], options=options, t_end=0.5).results
         assert result.success
         assert result.final_values[0] == pytest.approx(math.sqrt(1.5), abs=1e-9)
 
-    def test_track_many_matches_single_path(self):
-        tracker = _tracker(self._builder, degree=6, step=0.25)
-        single = tracker.track([1.0], 0.0, 1.0)
-        many = tracker.track_many([[1.0], [-1.0]], 0.0, 1.0)
+    def test_fleet_matches_single_path(self, fixed_grid):
+        options = fixed_grid(degree=6, step=0.25)
+        (single,) = track_paths(sqrt_family, [[1.0]], options=options).results
+        many = track_paths(sqrt_family, [[1.0], [-1.0]], options=options).results
         assert all(result.success for result in many)
-        # Path 0 is the same sqrt branch as the scalar tracker...
+        # Path 0 is the same sqrt branch as the one-path fleet...
         assert len(many[0].points) == len(single.points)
         for mine, theirs in zip(many[0].points, single.points):
             assert mine.t == theirs.t
             assert mine.values == theirs.values
             assert mine.newton_iterations == theirs.newton_iterations
-        # ...and path 1 follows the negative branch in lockstep.
+        # ...and path 1 follows the negative branch on the same grid.
         assert many[1].final_values[0] == pytest.approx(-math.sqrt(2.0), abs=1e-9)
         for point in many[1].points:
             assert point.values[0] == pytest.approx(-math.sqrt(1.0 + point.t), abs=1e-8)
 
-    def test_no_drift_micro_step(self):
+    def test_no_drift_micro_step(self, fixed_grid):
         """Step 0.1 over [0, 1] gives exactly the 11 grid points.
 
         Accumulating ``t += h`` in doubles lands at 0.9999999999999999 after
         ten steps; without snapping onto ``t_end`` the tracker used to emit a
         spurious twelfth micro-step at that off-grid parameter value.
         """
-        tracker = _tracker(self._builder, degree=6, step=0.1)
-        result = tracker.track([1.0], 0.0, 1.0)
-        assert result.success
-        assert len(result.points) == 11
-        assert result.points[-1].t == 1.0
-        many = tracker.track_many([[1.0]], 0.0, 1.0)
-        assert len(many[0].points) == 11
-        assert many[0].points[-1].t == 1.0
+        options = fixed_grid(degree=6, step=0.1)
+        for starts in ([[1.0]], [[1.0], [-1.0]]):
+            for result in track_paths(sqrt_family, starts, options=options).results:
+                assert result.success
+                assert len(result.points) == 11
+                assert result.points[-1].t == 1.0
 
     @staticmethod
     def _fraction_builder(t0: float, degree: int) -> PolynomialSystem:
@@ -523,7 +544,7 @@ class TestPathTracker:
             p.constant.coefficients[1] = Fraction(-1)
         return PolynomialSystem([p])
 
-    def test_fraction_ring_stays_exact(self):
+    def test_fraction_ring_stays_exact(self, fixed_grid):
         """Advancing the series keeps Fraction coefficients exact.
 
         ``_promote_step`` used to lift the step into the ring as
@@ -531,8 +552,8 @@ class TestPathTracker:
         whole track then silently ran in doubles.  The linear path
         x = 1 + t over [0, 1] must stay rational and exact at every point.
         """
-        tracker = _tracker(self._fraction_builder, degree=3, step=0.25)
-        result = tracker.track([Fraction(1)], 0.0, 1.0)
+        options = fixed_grid(degree=3, step=0.25)
+        (result,) = track_paths(self._fraction_builder, [[Fraction(1)]], options=options).results
         assert result.success
         assert len(result.points) == 5
         for point in result.points:
@@ -541,12 +562,12 @@ class TestPathTracker:
             assert value == Fraction(1) + Fraction(point.t)
         assert result.final_values[0] == Fraction(2)
 
-    def test_track_many_drops_failing_paths(self):
-        tracker = _tracker(
-            self._builder, degree=6, step=0.25, newton_iterations=6, tolerance=1e-10
-        )
+    def test_fleet_drops_failing_paths(self, fixed_grid):
+        options = fixed_grid(degree=6, step=0.25, newton_iterations=6, tolerance=1e-10)
         # A start far from any solution branch fails; the good path survives.
-        results = tracker.track_many([[1.0], [250.0]], 0.0, 1.0)
-        assert results[0].success
-        assert not results[1].success
-        assert results[0].final_values[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+        report = track_paths(sqrt_family, [[1.0], [250.0]], options=options)
+        good, bad = report.results
+        assert good.success
+        assert not bad.success
+        assert report.failed_indices == [1]
+        assert good.final_values[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)

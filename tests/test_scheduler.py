@@ -3,8 +3,9 @@
 The contracts under test are the tracker redesign's headline guarantees:
 
 * healthy paths run by the adaptive scheduler (growth disabled) reproduce
-  the lockstep tracker **bit for bit**, while the surviving fleet packs its
-  slot tensor exactly **once** — masking replaces repacking;
+  a plain fixed-grid Newton-and-advance loop **bit for bit**, while the
+  surviving fleet packs its slot tensor exactly **once** — masking replaces
+  repacking;
 * paths that fail at the working precision escalate up the configured
   precision ladder as one fresh lifted fleet per rung, without touching the
   bits of the paths that already finished;
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import parse_polynomial
+from repro.core import MODES
 from repro.errors import StagingError
 from repro.homotopy import (
     DEFAULT_TRACK_OPTIONS,
@@ -29,7 +31,6 @@ from repro.homotopy import (
     PolynomialSystem,
     RetryPolicy,
     StepControl,
-    TaylorPathTracker,
     TrackOptions,
     align_path_points,
     batch_lu_solve,
@@ -38,6 +39,7 @@ from repro.homotopy import (
     newton_power_series_batch,
     track_paths,
 )
+from repro.homotopy.pathtrack import PathPoint, _advance, _promote_step
 from repro.md import ComplexMD, MultiDouble
 from repro.series import PowerSeries
 
@@ -62,6 +64,34 @@ def sqrt_family(t0: float, degree: int) -> PolynomialSystem:
     if degree >= 1:
         p.constant.coefficients[1] = -1.0
     return PolynomialSystem([p])
+
+
+def dd_sqrt_family(t0: float, degree: int) -> PolynomialSystem:
+    """The double-double copy of :func:`sqrt_family`."""
+    return sqrt_family(t0, degree).with_precision(2)
+
+
+def _lockstep(builder, start, options: TrackOptions, t_end: float = 1.0):
+    """One path on the fixed grid, as a plain loop: the oracle of the fleet.
+
+    Refine the constant series at ``t`` with Newton, record the point,
+    advance along the refined series by the step; a refinement that misses
+    the tolerance ends the path.  Returns ``(points, success)``.
+    """
+    points, values, t = [], list(start), 0.0
+    while True:
+        system = builder(t, options.degree).with_mode(options.mode)
+        initial = [PowerSeries.constant(v, options.degree) for v in values]
+        newton = newton_power_series(system, initial, options=options.newton)
+        if not newton.converged:
+            return points, False
+        constants = tuple(series.constant_term() for series in newton.solution)
+        points.append(PathPoint(t, constants, newton.final_residual, newton.iterations))
+        if t >= t_end:
+            return points, True
+        h = min(options.step.initial, t_end - t)
+        values = [series.evaluate(_promote_step(series, h)) for series in newton.solution]
+        t = _advance(t, h, t_end)
 
 
 #: Stiffness of the hard branch of the retry family: the residual of the
@@ -117,7 +147,6 @@ class TestTrackOptions:
         assert options.newton.max_iterations == 6
         assert options.newton.tolerance == 1.0e-10
         assert options.mode is None
-        assert options.scheduler == "adaptive"
 
     def test_flat_aliases_route_to_nested_fields(self):
         options = TrackOptions().override(
@@ -159,8 +188,11 @@ class TestTrackOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrackOptions(degree=0)
-        with pytest.raises(ValueError):
-            TrackOptions(scheduler="chaotic")
+        # One tracker: the engine switch is an unknown option.
+        with pytest.raises(TypeError):
+            TrackOptions(scheduler="adaptive")
+        with pytest.raises(TypeError, match="scheduler"):
+            TrackOptions().override(scheduler="adaptive")
         with pytest.raises(ValueError):
             NewtonOptions(solver="gpu")
         for bad in (2.5, True, "8"):
@@ -205,30 +237,8 @@ class TestTrackOptions:
 # the deprecated keyword shims
 # --------------------------------------------------------------------- #
 class TestDeprecationShims:
-    """The per-keyword shims are gone: the Newton functions and the tracker
-    take ``options=`` only, so each of the 13 removed keywords is an unknown
-    keyword now, and the options-only forms never warn."""
-
-    def test_tracker_rejects_mixed_styles(self):
-        removed = {
-            "degree": 6,
-            "step": 0.25,
-            "newton_iterations": 4,
-            "tolerance": 1e-10,
-            "mode": "staged",
-        }
-        for keyword, value in removed.items():
-            with pytest.raises(TypeError, match=keyword):
-                TaylorPathTracker(sqrt_family, options=TrackOptions(), **{keyword: value})
-        # The old positional degree fails at the call, not at the first step.
-        with pytest.raises(TypeError):
-            TaylorPathTracker(sqrt_family, 6)
-
-    def test_tracker_options_only_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            TaylorPathTracker(sqrt_family, options=TrackOptions())
-            TaylorPathTracker(sqrt_family)
+    """The per-keyword shims are gone: the Newton functions take
+    ``options=`` only, so each removed keyword is an unknown keyword now."""
 
     def test_newton_rejects_mixed_styles(self):
         degree = 4
@@ -255,31 +265,27 @@ class TestDeprecationShims:
 # the adaptive scheduler
 # --------------------------------------------------------------------- #
 class TestAdaptiveScheduler:
-    def test_matches_lockstep_bit_for_bit_with_one_pack(self):
-        """Growth disabled, the fleet replays the lockstep grid exactly.
+    def test_matches_lockstep_bit_for_bit_with_one_pack(self, fixed_grid):
+        """On the fixed grid the fleet replays the lockstep loop exactly.
 
-        The run must also stay masked-resident: one fleet, one slot-tensor
-        pack for the whole track — converged paths are masked out, never
-        repacked away.
+        The reference is that loop written out per path: refine at t,
+        advance along the refined series by the step, repeat.  The run must
+        also stay masked-resident: one fleet, one slot-tensor pack for the
+        whole track — converged paths are masked out, never repacked away.
         """
         starts = [[1.0], [-1.0], [1.0]]
-        options = TrackOptions().override(
-            degree=6, mode="vectorized", step={"initial": 0.25, "grow": 1.0}
-        )
+        options = fixed_grid(degree=6, mode="vectorized", step=0.25)
         report = track_paths(sqrt_family, starts, options=options)
-        tracker = TaylorPathTracker(
-            sqrt_family, options=options.override(scheduler="lockstep")
-        )
-        lockstep = tracker.track_many(starts, 0.0, 1.0)
 
         assert report.n_converged == 3
         assert len(report.fleets) == 1
         assert report.fleets[0]["packs"] == 1
         assert report.fleets[0]["resident"]
-        for adaptive, reference in zip(report.results, lockstep):
-            assert adaptive.success == reference.success
-            assert [_point_bits(p) for p in adaptive.points] == [
-                _point_bits(p) for p in reference.points
+        for result, start in zip(report.results, starts):
+            points, success = _lockstep(sqrt_family, start, options)
+            assert result.success == success
+            assert [_point_bits(p) + (p.newton_iterations,) for p in result.points] == [
+                _point_bits(p) + (p.newton_iterations,) for p in points
             ]
 
     def test_step_growth_shortens_the_track(self):
@@ -340,22 +346,25 @@ class TestAdaptiveScheduler:
         assert status.reason == "diverged"
 
     @pytest.mark.parametrize("ladder", [(), (4,)], ids=["no-ladder", "qd-ladder"])
-    @pytest.mark.parametrize("mode", ["vectorized", "staged"])
-    def test_nan_iterate_fails_as_diverged(self, mode, ladder):
-        """From x = 1e200, x^2 overflows and every Newton residual is NaN.
-        ``NaN > tolerance`` is False, so the scheduler used to accept the
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nan_iterate_fails_as_diverged(self, mode, ladder, fixed_grid):
+        """From 1e200, NaN or an infinity, in float and in double doubles,
+        the Newton residuals are not finite and the path fails as
+        ``"diverged"``; its fleet mate converges, and nothing warns.
+        ``NaN > tolerance`` is False, so the scheduler used to accept such a
         point and report the path converged at a NaN endpoint; with a
         quad-double rung the staged solver then raised ZeroDivisionError."""
-        options = TrackOptions().override(
-            degree=6, mode=mode, retry={"precision_ladder": ladder}
-        )
-        with np.errstate(all="ignore"):
-            report = track_paths(sqrt_family, [[1.0e200], [1.0]], options=options)
-        bad, good = report.statuses
-        assert not bad.converged
-        assert bad.reason == "diverged"
-        assert good.converged
-        assert report.failed_indices == [0]
+        options = fixed_grid(degree=6, mode=mode, retry={"precision_ladder": ladder})
+        for family in (sqrt_family, dd_sqrt_family):
+            for start in (1.0e200, math.nan, math.inf, -math.inf):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    report = track_paths(family, [[start], [1.0]], options=options)
+                bad, good = report.statuses
+                case = (family.__name__, start)
+                assert not bad.converged and bad.reason == "diverged", case
+                assert good.converged, case
+                assert report.failed_indices == [0], case
 
     @pytest.mark.parametrize("mode", ["vectorized", "staged"])
     def test_singular_path_fails_alone(self, mode):
@@ -381,6 +390,31 @@ class TestAdaptiveScheduler:
         assert report.n_paths == 0
         assert report.fleets == []
         assert report.summary()["paths"] == 0
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    @pytest.mark.parametrize(
+        "t_start, t_end",
+        [(1.0, 0.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)],
+        ids=["reversed", "nan-end", "nan-start", "inf-end"],
+    )
+    def test_t_range_no_tracker_can_follow_raises(self, t_start, t_end, shards, monkeypatch):
+        """No path can step from ``t_start`` forward to a ``t_end`` below it,
+        at NaN or at infinity, nor from a NaN start: the range is refused
+        before any fleet or worker starts."""
+
+        def started(*args, **kwargs):
+            raise AssertionError("a fleet started")
+
+        monkeypatch.setattr(PathScheduler, "_run_fleet", started)
+        monkeypatch.setattr("repro.parallel.shard.ShardedFleetRunner._prepare", started)
+        with pytest.raises(ValueError, match="t_start <= t_end"):
+            track_paths(sqrt_family, [[1.0]], t_start=t_start, t_end=t_end, shards=shards)
+
+    def test_equal_ends_give_a_one_point_track(self):
+        report = track_paths(sqrt_family, [[1.0]], t_start=0.5, t_end=0.5)
+        (status,) = report.statuses
+        assert status.converged and status.steps == 1
+        assert report.results[0].points[0].t == 0.5
 
     def test_crossing_detection_flags_the_later_duplicate(self):
         # Both starts land on the same branch: a path crossing by construction.
@@ -418,6 +452,27 @@ class TestAdaptiveScheduler:
         report = PathScheduler(sqrt_family, degree=6, step=0.5).track([[1.0]])
         assert report.statuses[0].converged
         assert report.statuses[0].steps == 3  # t = 0, 0.5, 1.0
+
+
+    def test_fixed_grid_reports_like_any_fleet(self, fixed_grid):
+        """The fixed grid is a scheduler configuration: ``track_paths``
+        returns the engine's report, one resident fleet with no rejections
+        or retries."""
+        starts = [[1.0], [-1.0]]
+        options = fixed_grid(degree=6, step=0.25)
+        report = track_paths(sqrt_family, starts, options=options)
+        direct = PathScheduler(sqrt_family, options).track(starts)
+        assert report.n_paths == 2
+        assert report.n_converged == 2
+        assert [f["paths"] for f in report.fleets] == [2]
+        assert report.statuses == direct.statuses
+        for status in report.statuses:
+            assert status.steps == 5
+            assert status.retries == 0 and status.rejections == 0
+        for wrapped, engine in zip(report.results, direct.results):
+            assert [_point_bits(p) for p in wrapped.points] == [
+                _point_bits(p) for p in engine.points
+            ]
 
 
 # --------------------------------------------------------------------- #
@@ -523,43 +578,6 @@ class TestRetryLadder:
         lifted = lift_value(3.0 + 4.0j, 2)
         assert isinstance(lifted, ComplexMD)
         assert lifted.to_complex() == 3.0 + 4.0j
-
-
-# --------------------------------------------------------------------- #
-# the lockstep engine behind the same facade
-# --------------------------------------------------------------------- #
-class TestLockstepFacade:
-    def test_lockstep_scheduler_wraps_track_many(self):
-        starts = [[1.0], [-1.0]]
-        options = TrackOptions().override(degree=6, step=0.25, scheduler="lockstep")
-        report = track_paths(sqrt_family, starts, options=options)
-        reference = TaylorPathTracker(
-            sqrt_family, options=options
-        ).track_many(starts, 0.0, 1.0)
-        assert report.n_paths == 2
-        assert report.n_converged == 2
-        assert report.fleets == []  # no resident fleet bookkeeping here
-        for status in report.statuses:
-            assert status.retries == 0 and status.rejections == 0
-        for wrapped, direct in zip(report.results, reference):
-            assert [_point_bits(p) for p in wrapped.points] == [
-                _point_bits(p) for p in direct.points
-            ]
-
-    @pytest.mark.parametrize("mode", ["vectorized", "staged"])
-    def test_nan_iterate_fails_the_path(self, mode):
-        """The lockstep tracker (no retries, so no ladder) fails a path whose
-        Newton residual is NaN (from x = 1e200) instead of accepting it; its
-        fleet mate finishes."""
-        options = TrackOptions().override(degree=6, mode=mode, scheduler="lockstep")
-        tracker = TaylorPathTracker(sqrt_family, options=options)
-        with np.errstate(all="ignore"):
-            single = tracker.track([1.0e200])
-            bad, good = tracker.track_many([[1.0e200], [1.0]])
-            report = track_paths(sqrt_family, [[1.0e200]], options=options)
-        assert not single.success
-        assert not bad.success and good.success
-        assert not report.statuses[0].converged
 
 
 # --------------------------------------------------------------------- #

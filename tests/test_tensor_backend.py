@@ -33,9 +33,8 @@ from repro.core import (
 from repro.homotopy import (
     NewtonOptions,
     PolynomialSystem,
-    TaylorPathTracker,
-    TrackOptions,
     newton_power_series_batch,
+    track_paths,
 )
 from repro.homotopy.batch_linsolve import batch_lu_solve_tensor
 from repro.md import MultiDouble
@@ -821,7 +820,7 @@ class TestHomotopyWiring:
             for sa, sb in zip(a.solution, b.solution):
                 assert sa.max_abs_error(sb) < _tolerance(2)
 
-    def test_track_many_vectorized_matches_staged(self, rng):
+    def test_track_paths_vectorized_matches_staged(self, fixed_grid):
         from repro.circuits import Polynomial
 
         cache = ScheduleCache()
@@ -835,11 +834,9 @@ class TestHomotopyWiring:
             return PolynomialSystem([polynomial], mode="staged", cache=cache)
 
         starts = [[0.0], [0.0]]
-        options = TrackOptions().override(degree=4, step=0.25)
-        staged = TaylorPathTracker(builder, options=options).track_many(starts)
-        vectorized = TaylorPathTracker(
-            builder, options=options.override(mode="vectorized")
-        ).track_many(starts)
+        options = fixed_grid(degree=4, step=0.25)
+        staged = track_paths(builder, starts, options=options).results
+        vectorized = track_paths(builder, starts, options=options.override(mode="vectorized")).results
         for a, b in zip(staged, vectorized):
             assert a.success and b.success
             assert len(a.points) == len(b.points)
