@@ -581,6 +581,32 @@ class TestRetryLadder:
 
 
 # --------------------------------------------------------------------- #
+# the lockstep (fixed-grid) configuration behind the same facade
+# --------------------------------------------------------------------- #
+class TestLockstepFacade:
+    @pytest.mark.parametrize("mode", ["vectorized", "staged"])
+    def test_nan_iterate_fails_the_path(self, mode, fixed_grid):
+        """The fixed grid (no retries, so no ladder) fails a path whose
+        Newton residual is NaN (from x = 1e200) instead of accepting it, alone
+        and in a fleet, through ``track_paths`` and the engine alike; its
+        fleet mate finishes."""
+        options = fixed_grid(degree=6, mode=mode)
+        with np.errstate(all="ignore"):
+            single = track_paths(sqrt_family, [[1.0e200]], options=options)
+            fleet = track_paths(sqrt_family, [[1.0e200], [1.0]], options=options)
+            direct = PathScheduler(sqrt_family, options).track([[1.0e200], [1.0]])
+        assert not single.results[0].success
+        assert not single.statuses[0].converged
+        bad, good = fleet.results
+        assert not bad.success and good.success
+        assert fleet.failed_indices == [0]
+        # The failed lane's residual is NaN, so compare the outcomes only.
+        assert [(s.converged, s.reason, s.steps) for s in direct.statuses] == [
+            (s.converged, s.reason, s.steps) for s in fleet.statuses
+        ]
+
+
+# --------------------------------------------------------------------- #
 # masked residency of the evaluation context
 # --------------------------------------------------------------------- #
 class TestMaskedContext:
