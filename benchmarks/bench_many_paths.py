@@ -96,11 +96,6 @@ class RetryFamily:
         return PolynomialSystem([poly])
 
 
-def family(precision: int) -> RetryFamily:
-    """The retry family at ``precision`` limbs (``bench_obs_overhead`` imports it)."""
-    return RetryFamily(precision)
-
-
 def _starts(paths: int, hard_fraction: float):
     """Hard starts interleaved through the batch (every ``1/fraction``-th)."""
     stride = max(1, round(1.0 / hard_fraction)) if hard_fraction > 0 else paths + 1

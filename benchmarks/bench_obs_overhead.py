@@ -26,7 +26,7 @@ import os
 import time
 
 from _schema import RESULTS_DIR, write_artifact
-from bench_many_paths import BASE_LIMBS, HARD_FRACTION, _options, _starts, family
+from bench_many_paths import BASE_LIMBS, HARD_FRACTION, RetryFamily, _options, _starts
 from conftest import emit
 from repro import track_paths
 from repro.obs import get_telemetry
@@ -42,7 +42,7 @@ MAX_OVERHEAD = float(os.environ.get("BENCH_OBS_MAX_OVERHEAD", "0.02"))
 def _run(starts, telemetry: bool):
     begin = time.perf_counter()
     report = track_paths(
-        family(BASE_LIMBS), starts, options=_options(), telemetry=telemetry
+        RetryFamily(BASE_LIMBS), starts, options=_options(), telemetry=telemetry
     )
     return time.perf_counter() - begin, report
 

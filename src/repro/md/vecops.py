@@ -15,6 +15,14 @@ transformations (:mod:`repro.md.veft`) and VecSum distillation
 (:mod:`repro.md.vrenorm`); with ``limbs == 1`` they collapse to plain
 double arithmetic (the error terms of an EFT round away in one-limb
 renormalisation), which keeps the float ring on the fast path.
+
+Double doubles renormalise the term lists of add, sub, mul and scale with two
+VecSum sweeps (``_DD_PASSES``), every other limb count with ``limbs + 2``.
+On the dd kernels' inputs the third and fourth sweep move no bit (pinned in
+``tests/test_veft_vrenorm.py``), and without them a dd add costs 44 double
+operations instead of 85 and a multiply 135 instead of 212, against QD's 20
+and 32 (:data:`repro.md.opcounts.PAPER_OPCOUNTS`).  Quad doubles keep six:
+on the path-tracking fleet's data an add needs four and a multiply five.
 """
 
 from __future__ import annotations
@@ -36,9 +44,18 @@ __all__ = [
 ]
 
 
+#: VecSum sweeps for the double-double term lists of add, sub, mul and scale
+_DD_PASSES = 2
+
+
 def _broadcast(components: Sequence[np.ndarray], shape) -> list[np.ndarray]:
     """Broadcast every limb component to the common result shape (if not already)."""
     return [c if np.shape(c) == shape else np.broadcast_to(c, shape) for c in components]
+
+
+def _renormalize(terms: list[np.ndarray], limbs: int) -> list[np.ndarray]:
+    """:func:`vec_renormalize` with the kernels' sweep count."""
+    return vec_renormalize(terms, limbs, _DD_PASSES if limbs == 2 else None)
 
 
 def md_add_rows(
@@ -48,7 +65,7 @@ def md_add_rows(
     if limbs == 1:
         return [np.asarray(a[0], dtype=np.float64) + b[0]]
     shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
-    return vec_renormalize(_broadcast(a, shape) + _broadcast(b, shape), limbs)
+    return _renormalize(_broadcast(a, shape) + _broadcast(b, shape), limbs)
 
 
 def md_sub_rows(
@@ -65,7 +82,7 @@ def md_sub_rows(
         return [np.asarray(a[0], dtype=np.float64) - b[0]]
     negated = [-np.asarray(row, dtype=np.float64) for row in b]
     shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
-    return vec_renormalize(_broadcast(a, shape) + _broadcast(negated, shape), limbs)
+    return _renormalize(_broadcast(a, shape) + _broadcast(negated, shape), limbs)
 
 
 def md_mul_rows(
@@ -76,7 +93,10 @@ def md_mul_rows(
     Exact partial products are kept for the significant diagonals
     (``i + j < limbs`` via :func:`repro.md.veft.vec_two_prod`, the
     ``i + j == limbs`` diagonal as a plain product); deeper diagonals fall
-    below the ulp of the last limb.
+    below the ulp of the last limb.  At dd that is seven terms: three exact
+    products (17 double operations each) and one plain one, then two VecSum
+    sweeps of six two-sums each, the tail fold and one closing two-sum, 135
+    double operations in all (212 with ``limbs + 2`` = 4 sweeps).
     """
     if limbs == 1:
         return [np.asarray(a[0], dtype=np.float64) * b[0]]
@@ -90,7 +110,7 @@ def md_mul_rows(
             elif i + j == limbs:
                 terms.append(np.asarray(a[i], dtype=np.float64) * b[j])
     shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
-    return vec_renormalize(_broadcast(terms, shape), limbs)
+    return _renormalize(_broadcast(terms, shape), limbs)
 
 
 def md_div_rows(
@@ -180,4 +200,4 @@ def md_scale_rows(
         terms.append(p)
         terms.append(e)
     shape = np.broadcast_shapes(np.shape(a[0]), np.shape(factor))
-    return vec_renormalize(_broadcast(terms, shape), limbs)
+    return _renormalize(_broadcast(terms, shape), limbs)

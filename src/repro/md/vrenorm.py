@@ -12,9 +12,17 @@ two-sums that concentrate the mass of the sum in the leading components
 without ever losing a bit), and returns the leading ``k`` components.
 
 Every sweep is error-free, so the only approximation is the truncation to the
-first ``k`` components at the very end; with ``k + 2`` sweeps (the default)
-the discarded tail is far below the ulp of the last kept limb, which the test
-suite verifies against the scalar oracle.
+first ``k`` components at the very end; with ``k + 2`` sweeps, the default for
+arbitrary term lists, the discarded tail is far below the ulp of the last kept
+limb, which the test suite verifies against the scalar oracle.
+
+The double-double kernels of :mod:`repro.md.vecops` run two sweeps.  Ogita,
+Rump and Oishi ("Accurate Sum and Dot Product", 2005) show that ``K - 1``
+sweeps already give ``K``-fold accuracy, and the kernels' term lists (four
+terms for an add, seven for a multiply) come from two renormalised operands:
+on them the third and fourth sweep move no bit, neither on any benchmark
+workload nor on the seeded corpora of ``tests/test_veft_vrenorm.py``, which
+pin it.
 """
 
 from __future__ import annotations
@@ -68,9 +76,11 @@ def vec_renormalize(
     limbs:
         Number of output limbs ``k``.
     passes:
-        Number of distillation sweeps.  ``None`` selects ``limbs + 2``, which
-        is sufficient for faithful ``k``-fold results in practice (and is
-        validated against the scalar implementation in the test suite).
+        Number of distillation sweeps.  ``None`` selects ``limbs + 2``, the
+        default for arbitrary term lists, which is sufficient for faithful
+        ``k``-fold results in practice (and is validated against the scalar
+        implementation in the test suite).  The double-double row kernels
+        pass 2 (see the module docstring).
 
     Returns
     -------
@@ -99,13 +109,14 @@ def vec_renormalize(
         pad = [np.zeros(shape, dtype=np.float64) for _ in range(limbs - len(work))]
         return work + pad
     # Fold the discarded tail into the last kept limb so no mass is lost when
-    # the tail still carries anything representable at this precision.
+    # the tail still carries anything representable at this precision (a
+    # rounded addition: the error of a two-sum here would be discarded too).
     if len(work) > limbs:
         tail = work[limbs]
         for extra in work[limbs + 1 :]:
             tail = tail + extra
         head = work[:limbs]
-        head[limbs - 1], carry = _two_sum(head[limbs - 1], tail)
+        head[limbs - 1] = head[limbs - 1] + tail
         # One final mini-sweep keeps the limbs ordered by magnitude.
         _sweep(head)
         return head
