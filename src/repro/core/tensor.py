@@ -23,8 +23,9 @@ launch per layer" with the paper's structure-of-arrays data layout:
   :func:`repro.series.convolve_zero_insertion` over every triple of the
   layer at once), one vectorised scale pass, and
   one renormalised addition per tree level — all built on
-  :func:`repro.md.veft.vec_two_prod` / :func:`repro.md.vrenorm.vec_renormalize`
-  through :mod:`repro.md.vecops`.  A convolution layer whose products fit
+  :func:`repro.md.veft.vec_two_prod` and VecSum sweeps through
+  :mod:`repro.md.vecops` (at quad doubles the fixed sequences of
+  :mod:`repro.md.qd`).  A convolution layer whose products fit
   a budget of elements forms them all with one multiple-double multiply; a
   larger one multiplies pass by pass over row blocks of that budget, so its
   temporaries stay in cache.  Either way the layer costs a few row

@@ -28,17 +28,19 @@ The algorithm is the scalar one, operation for operation (see
   135 additions, 35 subtractions and 6 divisions, whatever the batch;
 * row operations are elementwise, so stacking moves no bit, and the trees
   and sequential sums follow the scalar order, so for multiple-double rings
-  at **double-double** precision the results are bit-identical to
-  per-instance :func:`lu_solve` — the parity the test suite asserts limb by
-  limb.  Higher precisions and one-limb rings agree to rounding (the
-  vectorised renormalisation is faithful, not bit-reproducing, beyond two
-  limbs; plain-complex division uses the naive formula where Python uses
-  Smith's algorithm).  Complex rings can differ in the last limb once a
+  at **double-double** precision, and in the real ring at **quad-double**
+  precision (whose add and multiply are one fixed sequence in both solvers,
+  :mod:`repro.md.qd`), the results are bit-identical to per-instance
+  :func:`lu_solve` — the parity the test suite asserts limb by limb.  Other
+  precisions and one-limb rings agree to rounding (the vectorised
+  renormalisation of 3, 5, 8 and 10 limbs is faithful, not bit-reproducing;
+  plain-complex division uses the naive formula where Python uses Smith's
+  algorithm).  Complex rings can differ in the last limb once a
   unit-circle entry is a pivot candidate: *selection* compares ``|z|`` of
   collapsed doubles, not the scalar multidouble ``sqrt``, so two candidates
-  tied within one ulp may pick different rows, and the reciprocal's
-  ``|b|^2`` lands just above 1.0, where the sweep renormalisation can round
-  differently from the scalar one.
+  tied within one ulp may pick different rows, and at double doubles the
+  reciprocal's ``|b|^2`` lands just above 1.0, where the sweep
+  renormalisation can round differently from the scalar one.
 
 Singular instances raise one :class:`repro.errors.SingularSystemError`
 naming every failing batch position (``exc.instances``); a non-square input
@@ -341,8 +343,9 @@ def batch_lu_solve(
     Packs every instance's matrix and right-hand side into one limb tensor
     (ring inferred as in the tensorized evaluator, reals and complexes
     promoting losslessly), runs the batched solve, and scatters the
-    solutions back — for tensor-resident rings at double-double precision the
-    per-instance results are bit-identical to scalar :func:`lu_solve`.  Rings
+    solutions back — for tensor-resident rings at double-double precision,
+    and for real quad doubles, the per-instance results are bit-identical to
+    scalar :func:`lu_solve`.  Rings
     the tensor cannot carry (exact fractions) fall back to the scalar oracle
     per instance.  Either way every singular instance is named by its batch
     position in one :class:`repro.errors.SingularSystemError`.

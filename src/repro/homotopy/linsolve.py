@@ -97,7 +97,8 @@ def lu_solve(matrix: Sequence[Sequence[PowerSeries]], rhs: Sequence[PowerSeries]
     a fixed pairwise tree and subtracts the sum from ``b_k[row]`` once,
     which gives ``r_k[row]``; ``x_k[row]`` is the same tree's sum of
     ``A_0^{-1}[row][j] * r_k[j]`` over ``j``.  :func:`repro.homotopy.batch_lu_solve_tensor` follows the
-    same order, so the two agree bit for bit at double-double precision.
+    same order, so the two agree bit for bit at double-double precision, and
+    at quad-double precision in the real ring.
 
     Raises :class:`repro.errors.SingularSystemError` when a pivot of ``A_0``
     vanishes (the linearised system is singular at ``t = 0``); a non-square

@@ -284,7 +284,7 @@ def newton_power_series_batch(
     refine through :func:`refine_lanes`: the slot tensor packs once, and on
     a resident context all pending instances solve in one batched
     lead-matrix solve — bit-identical to per-instance :func:`lu_solve` at
-    double-double precision.
+    double-double precision, and at quad-double precision in the real ring.
 
     All knobs travel in one :class:`repro.homotopy.options.NewtonOptions`
     (``options=``, default ``NewtonOptions()``).  ``options.mode``

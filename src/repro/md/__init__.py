@@ -6,6 +6,9 @@ The subpackage provides:
   vectorised counterparts (:mod:`repro.md.veft`);
 * expansion renormalisation, scalar (:mod:`repro.md.renorm`) and vectorised
   (:mod:`repro.md.vrenorm`);
+* the fixed quad-double add and multiply sequences (:mod:`repro.md.qd`),
+  which the scalar types, the row kernels and the resident Newton state
+  share;
 * the scalar :class:`MultiDouble` and complex :class:`ComplexMD` types;
 * the row kernels (:mod:`repro.md.vecops`, :mod:`repro.md.cvecops`) over
   separate limb arrays, the paper's GPU memory layout, which the tensor

@@ -7,11 +7,16 @@ doubles generated by CAMPARY that the paper runs on the GPU.  The value of
 the number is the exact real sum of its limbs; the working precision is
 roughly ``52*k`` bits.
 
-The class is deliberately *simple and robust* rather than fast: every
-operation produces the exact (or nearly exact) result as a list of doubles
-and then renormalises it back to ``k`` limbs with
-:func:`repro.md.renorm.renormalize`.  The vectorised hot path lives in the
-row kernels of :mod:`repro.md.vecops`; this scalar class is the reference
+Quad doubles (4 limbs) add, subtract and multiply through the fixed,
+branch-free sequences of :mod:`repro.md.qd`, the same code the row kernels of
+:mod:`repro.md.vecops` and the resident Newton state of
+:mod:`repro.md.replica` run, so the three stacks agree limb for limb.  A
+4-limb operand of a 4-limb operation is taken as it is, not renormalised
+first, and a 4-limb product no longer skips zero factors: ``inf * 0`` is NaN
+at 4 limbs in every stack.  Every other precision is *simple and robust*
+rather than fast: each operation produces the exact (or nearly exact) result
+as a list of doubles and then renormalises it back to ``k`` limbs with
+:func:`repro.md.renorm.renormalize`.  This scalar class is the reference
 implementation the vectorised code and all oracles are tested against.
 
 Examples
@@ -30,6 +35,7 @@ from typing import Iterable
 
 from .eft import two_prod
 from .precision import Precision, get_precision
+from .qd import qd_add, qd_mul
 from .renorm import renormalize
 
 __all__ = ["MultiDouble"]
@@ -191,18 +197,28 @@ class MultiDouble:
         return all(math.isfinite(limb) for limb in self._limbs)
 
     def to_precision(self, precision) -> "MultiDouble":
-        """Return this value rounded (or padded) to another precision."""
+        """Return this value rounded (or padded) to another precision.
+
+        A quad double stays as it is at 4 limbs (see :meth:`_limbs_at`)."""
         prec = get_precision(precision)
-        return MultiDouble(renormalize(self._limbs, prec.limbs), prec)
+        return MultiDouble(self._limbs_at(prec.limbs), prec)
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
+    def _limbs_at(self, limbs: int) -> tuple[float, ...]:
+        """The limbs renormalised to ``limbs``, except a quad double's at 4:
+        the fixed sequences take those as they are, and renormalising can
+        move the lower limbs of a sequence's result."""
+        if limbs == 4 and self._precision.limbs == 4:
+            return self._limbs
+        return renormalize(self._limbs, limbs)
+
     def _binary_operands(self, other):
         """Coerce ``other`` and pick the result precision for a binary op."""
         if isinstance(other, MultiDouble):
             limbs = max(self._precision.limbs, other._precision.limbs)
-            return renormalize(self._limbs, limbs), renormalize(other._limbs, limbs), get_precision(limbs)
+            return self._limbs_at(limbs), other._limbs_at(limbs), get_precision(limbs)
         if isinstance(other, (int, float, Fraction)):
             limbs = self._precision.limbs
             return self._limbs, _coerce_limbs(other, limbs), self._precision
@@ -216,7 +232,7 @@ class MultiDouble:
         if operands is None:
             return NotImplemented
         a, b, prec = operands
-        return MultiDouble(renormalize(a + b, prec.limbs), prec)
+        return MultiDouble(_sum(a, b, prec.limbs), prec)
 
     __radd__ = __add__
 
@@ -228,14 +244,14 @@ class MultiDouble:
         if operands is None:
             return NotImplemented
         a, b, prec = operands
-        return MultiDouble(renormalize(a + tuple(-x for x in b), prec.limbs), prec)
+        return MultiDouble(_sum(a, tuple(-x for x in b), prec.limbs), prec)
 
     def __rsub__(self, other):
         operands = self._binary_operands(other)
         if operands is None:
             return NotImplemented
         a, b, prec = operands
-        return MultiDouble(renormalize(b + tuple(-x for x in a), prec.limbs), prec)
+        return MultiDouble(_sum(b, tuple(-x for x in a), prec.limbs), prec)
 
     def __mul__(self, other):
         operands = self._binary_operands(other)
@@ -243,6 +259,8 @@ class MultiDouble:
             return NotImplemented
         a, b, prec = operands
         k = prec.limbs
+        if k == 4:
+            return MultiDouble(qd_mul(a, b, two_prod), prec)
         terms: list[float] = []
         # Exact partial products for the significant diagonals (i + j <= k);
         # deeper diagonals fall below the ulp of the last limb.
@@ -408,8 +426,19 @@ class MultiDouble:
         return self.to_decimal_string(min(self._precision.decimal_digits, 36))
 
 
+def _sum(a: tuple[float, ...], b: tuple[float, ...], limbs: int) -> tuple[float, ...]:
+    """The ``limbs``-limb sum of two limb tuples of that precision."""
+    if limbs == 4:
+        return qd_add(a, b)
+    return renormalize(a + b, limbs)
+
+
 def _divide(numerator: MultiDouble, denominator: MultiDouble) -> MultiDouble:
-    """Long-division style quotient of two multiple doubles."""
+    """Long-division style quotient of two multiple doubles.
+
+    The division stops after a quotient limb that is zero or not finite; a
+    non-finite one is kept, so an overflowing or NaN quotient is not finite.
+    """
     prec = numerator.precision
     if denominator.is_zero():
         raise ZeroDivisionError("division by a zero multiple double")
@@ -418,9 +447,8 @@ def _divide(numerator: MultiDouble, denominator: MultiDouble) -> MultiDouble:
     remainder = numerator
     for _ in range(k + 1):
         q = remainder.hi / denominator.hi
-        if q == 0.0 or not math.isfinite(q):
-            quotient_limbs.append(0.0 if not math.isfinite(q) else q)
-            break
         quotient_limbs.append(q)
+        if q == 0.0 or not math.isfinite(q):
+            break
         remainder = remainder - denominator * MultiDouble.from_float(q, prec)
     return MultiDouble(renormalize(quotient_limbs, k), prec)

@@ -24,7 +24,9 @@ Two sources are combined:
 In addition, :func:`measure_opcounts` instruments this package's *own* scalar
 implementation and reports how many double operations it actually performs,
 so the cost model can be cross-checked against running code (see
-``tests/test_opcounts.py``).
+``tests/test_opcounts.py``).  At 4 limbs it counts the fixed quad-double
+sequences of :mod:`repro.md.qd`: 154 operations per add and 220 per
+multiply, where the quadratic model gives 77 and 328.
 """
 
 from __future__ import annotations
@@ -98,24 +100,64 @@ def opcounts_for(precision) -> OpCounts:
     return modelled_opcounts(limbs)
 
 
+def _counting_doubles(counter: OperationCounter) -> type:
+    """A ``float`` type whose ``+``, ``-`` and ``*`` record themselves in
+    ``counter``; negation is a sign flip and is not counted."""
+
+    class Counted(float):
+        def __add__(self, other):
+            counter.add()
+            return Counted(float(self) + float(other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            counter.sub()
+            return Counted(float(self) - float(other))
+
+        def __rsub__(self, other):
+            counter.sub()
+            return Counted(float(other) - float(self))
+
+        def __mul__(self, other):
+            counter.mul()
+            return Counted(float(self) * float(other))
+
+        __rmul__ = __mul__
+
+    return Counted
+
+
 def measure_opcounts(precision, samples: int = 4, seed: int = 2021) -> OpCounts:
     """Measure the double-operation cost of *this package's* implementation.
 
-    Runs a few random multiple-double additions and multiplications through
-    an instrumented re-implementation of the scalar algorithms and returns
-    the average number of double operations per operation.  The absolute
-    numbers differ from CAMPARY's generated code (the scalar path here
-    favours robustness over minimal flops) but the Θ(k²) growth matches,
-    which is what the performance model relies on.
+    Runs a few random multiple-double additions and multiplications with
+    counting primitives and returns the average number of double operations
+    per operation.  Quad doubles run the fixed sequences of
+    :mod:`repro.md.qd` themselves, on doubles that count their own ``+``,
+    ``-`` and ``*`` and with :func:`repro.md.eft.counted_two_prod`: 154
+    operations per add and 220 per multiply, on any data.  Every other
+    precision runs an instrumented re-implementation of the scalar Shewchuk
+    renormalisation, whose cost depends on the data.  Its absolute numbers
+    differ from CAMPARY's generated code (it favours robustness over minimal
+    flops) but its Θ(k²) growth matches, which is what the performance model
+    relies on.
     """
     import random
 
+    from .eft import counted_two_prod
     from .multidouble import MultiDouble
+    from .qd import qd_add, qd_mul
     from .renorm import grow_expansion
 
     prec = get_precision(precision)
     rng = random.Random(seed)
     counter = OperationCounter()
+    counted = _counting_doubles(counter)
+
+    def sequence_two_prod(a, b):
+        p, e = counted_two_prod(float(a), float(b), counter)
+        return counted(p), counted(e)
 
     def counted_two_sum(a, b):
         counter.add(3)
@@ -123,17 +165,6 @@ def measure_opcounts(precision, samples: int = 4, seed: int = 2021) -> OpCounts:
         s = a + b
         bb = s - a
         return s, (a - (s - bb)) + (b - bb)
-
-    def counted_two_prod(a, b):
-        counter.add(3)
-        counter.sub(8)
-        counter.mul(6)
-        p = a * b
-        from .eft import split
-
-        a_hi, a_lo = split(a)
-        b_hi, b_lo = split(b)
-        return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
     def counted_renorm(terms, limbs):
         expansion: list[float] = []
@@ -162,25 +193,33 @@ def measure_opcounts(precision, samples: int = 4, seed: int = 2021) -> OpCounts:
             counter.sub(3 * (len(expansion) + 1))
         return out
 
-    add_total = 0
-    mul_total = 0
-    for _ in range(samples):
-        x = MultiDouble.random(prec, rng)
-        y = MultiDouble.random(prec, rng)
-        counter.reset()
-        counted_renorm(list(x.limbs) + list(y.limbs), prec.limbs)
-        add_total += counter.total
-        counter.reset()
+    def shewchuk_mul(a, b):
         terms: list[float] = []
-        for i, ai in enumerate(x.limbs):
-            for j, bj in enumerate(y.limbs):
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
                 if i + j < prec.limbs:
-                    p, e = counted_two_prod(ai, bj)
-                    terms.extend((p, e))
+                    terms.extend(counted_two_prod(ai, bj, counter))
                 elif i + j == prec.limbs:
                     counter.mul(1)
                     terms.append(ai * bj)
         counted_renorm(terms, prec.limbs)
+
+    add_total = 0
+    mul_total = 0
+    for _ in range(samples):
+        x = MultiDouble.random(prec, rng).limbs
+        y = MultiDouble.random(prec, rng).limbs
+        counter.reset()
+        if prec.limbs == 4:
+            qd_add([counted(v) for v in x], [counted(v) for v in y])
+        else:
+            counted_renorm(list(x) + list(y), prec.limbs)
+        add_total += counter.total
+        counter.reset()
+        if prec.limbs == 4:
+            qd_mul([counted(v) for v in x], [counted(v) for v in y], sequence_two_prod)
+        else:
+            shewchuk_mul(x, y)
         mul_total += counter.total
     return OpCounts(
         prec.limbs,

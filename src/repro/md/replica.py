@@ -1,26 +1,30 @@
 """Elementwise replicas of the scalar ring operators, exact by construction.
 
-The row kernels of :mod:`repro.md.vecops` renormalise with VecSum sweeps:
-fast, and validated against :class:`repro.md.MultiDouble` on the term lists
-the evaluation kernels produce, but a different algorithm from the scalar
-Shewchuk :func:`repro.md.renorm.renormalize`.  The resident Newton state of
-:class:`repro.core.EvalContext` has to reproduce the scalar object path bit
-for bit instead — a last-bit difference can decide whether a stiff path
-converges — so the few operations it runs on limb rows are replayed here
-operator by operator:
+The row kernels of :mod:`repro.md.vecops` renormalise double doubles with
+VecSum sweeps: fast, and validated against :class:`repro.md.MultiDouble` on
+the term lists the evaluation kernels produce, but a different algorithm
+from the scalar Shewchuk :func:`repro.md.renorm.renormalize`.  The resident
+Newton state of :class:`repro.core.EvalContext` has to reproduce the scalar
+object path bit for bit instead — a last-bit difference can decide whether a
+stiff path converges — so the few operations it runs on limb rows are
+replayed here operator by operator:
 
-* every renormalisation is :func:`repro.md.vrenorm.vec_renormalize_exact`,
-  the elementwise replica of ``renormalize``;
+* quad doubles add, subtract and multiply through the fixed sequences of
+  :mod:`repro.md.qd`, the scalar operators' own code;
+* every other renormalisation is
+  :func:`repro.md.vrenorm.vec_renormalize_exact`, the elementwise replica of
+  ``renormalize``;
 * every operand is renormalised where the scalar operator renormalises it:
   ``MultiDouble`` renormalises both multiple-double operands of a binary
-  operation, ``ComplexMD``'s constructor both parts of every result.
-  ``renormalize`` is not idempotent, so each of these steps can move a last
-  bit;
+  operation, ``ComplexMD``'s constructor both parts of every result, except
+  at 4 limbs, where both take a quad double as it is.  ``renormalize`` is not
+  idempotent, so each of these steps can move a last bit;
 * an operand that is not a scalar of the ring (a plain ``float`` meeting a
   ``MultiDouble``) is coerced the way the scalar operator coerces it, and
   takes the operand order of that operator's branch;
-* zero partial products are dropped where ``MultiDouble.__mul__`` skips
-  them, and the huge-operand branch of :func:`repro.md.eft.split` is kept.
+* below and above 4 limbs, zero partial products are dropped where
+  ``MultiDouble.__mul__`` skips them; the huge-operand branch of
+  :func:`repro.md.eft.split` is kept at every limb count.
 
 A value is a tuple of planes — one for the real rings (``"float"``,
 ``"md"``), ``(real, imag)`` for the complex ones (``"complex"``, ``"cmd"``) —
@@ -39,6 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .eft import SPLITTER, _SPLIT_SCALE_DOWN, _SPLIT_SCALE_UP, _SPLIT_THRESHOLD
+from .qd import qd_add, qd_mul
 from .vrenorm import vec_renormalize_exact
 
 __all__ = ["as_scalars", "series_add", "series_constant", "series_evaluate"]
@@ -52,6 +57,13 @@ Ring = tuple[str, int]
 # --------------------------------------------------------------------- #
 def _renormalize(terms: list, limbs: int) -> list:
     return vec_renormalize_exact(terms, limbs)
+
+
+def _operand(a: list, limbs: int) -> list:
+    """A multiple double of the ring's precision as ``MultiDouble`` and
+    ``ComplexMD`` renormalise it before use (``to_precision``): not at all
+    at 4 limbs."""
+    return a if limbs == 4 else _renormalize(a, limbs)
 
 
 def _split(a):
@@ -72,33 +84,41 @@ def _two_prod(a, b):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
+def _sum(a: list, b: list, limbs: int) -> list:
+    """``multidouble._sum``: the sum of two limb lists of the precision."""
+    if limbs == 4:
+        return qd_add(a, b)
+    return _renormalize(a + b, limbs)
+
+
 def _md_add(a: list, b: list, limbs: int) -> list:
     """``MultiDouble.__add__`` of two multiple doubles."""
-    return _renormalize(_renormalize(a, limbs) + _renormalize(b, limbs), limbs)
+    return _sum(_operand(a, limbs), _operand(b, limbs), limbs)
 
 
 def _md_sub(a: list, b: list, limbs: int) -> list:
     """``MultiDouble.__sub__`` of two multiple doubles."""
-    return _renormalize(
-        _renormalize(a, limbs) + [-x for x in _renormalize(b, limbs)], limbs
-    )
+    return _sum(_operand(a, limbs), [-x for x in _operand(b, limbs)], limbs)
 
 
 def _md_add_plain(a: list, x: list, limbs: int) -> list:
     """``MultiDouble.__add__`` with a plain operand ``x``: ``a`` as it is,
     ``x`` coerced (``_coerce_limbs``), in that order."""
-    return _renormalize(a + _renormalize(x, limbs), limbs)
+    return _sum(a, _renormalize(x, limbs), limbs)
 
 
 def _md_mul(a: list, b: list, limbs: int) -> list:
     """``MultiDouble.__mul__`` of two multiple doubles.
 
-    The partial products come in the scalar order; one whose factor is zero
+    Quad doubles run the fixed sequence.  At every other precision the
+    partial products come in the scalar order; one whose factor is zero
     becomes a zero term, which the exact renormalisation skips just as the
     scalar loop skips the product.
     """
-    a = _renormalize(a, limbs)
-    b = _renormalize(b, limbs)
+    a = _operand(a, limbs)
+    b = _operand(b, limbs)
+    if limbs == 4:
+        return qd_mul(a, b, _two_prod)
     terms = []
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
@@ -124,9 +144,7 @@ def _add(a: tuple, b: tuple, ring: Ring) -> tuple:
         return tuple([pa[0] + pb[0]] for pa, pb in zip(a, b))
     if kind == "md":
         return (_md_add(a[0], b[0], limbs),)
-    return tuple(
-        _renormalize(_md_add(pa, pb, limbs), limbs) for pa, pb in zip(a, b)
-    )
+    return tuple(_operand(_md_add(pa, pb, limbs), limbs) for pa, pb in zip(a, b))
 
 
 def _add_plain(a: tuple, x: tuple, ring: Ring) -> tuple:
@@ -141,7 +159,7 @@ def _add_plain(a: tuple, x: tuple, ring: Ring) -> tuple:
     # ComplexMD._coerce rounds each part into the precision, and the sum's
     # constructor renormalises each part once more.
     return tuple(
-        _renormalize(_md_add(pa, _renormalize(px, limbs), limbs), limbs)
+        _operand(_md_add(pa, _renormalize(px, limbs), limbs), limbs)
         for pa, px in zip(a, x)
     )
 
@@ -161,14 +179,15 @@ def _mul(a: tuple, b: tuple, ring: Ring) -> tuple:
     br, bi = b
     real = _md_sub(_md_mul(ar, br, limbs), _md_mul(ai, bi, limbs), limbs)
     imag = _md_add(_md_mul(ar, bi, limbs), _md_mul(ai, br, limbs), limbs)
-    return _renormalize(real, limbs), _renormalize(imag, limbs)
+    return _operand(real, limbs), _operand(imag, limbs)
 
 
 def _times_zero(a: tuple, ring: Ring) -> tuple:
     """``a * 0``: the ring zero ``PowerSeries`` derives from a coefficient.
 
-    Floats and complexes keep the IEEE signs (and NaNs) of the product;
-    ``MultiDouble`` and ``ComplexMD`` skip zero factors and give exact zeros.
+    Floats and complexes keep the IEEE signs (and NaNs) of the product, and
+    so do quad doubles, whose product is the fixed sequence (``inf * 0`` is
+    NaN); other multiple doubles skip zero factors and give exact zeros.
     """
     kind, limbs = ring
     if kind == "float":
@@ -177,7 +196,8 @@ def _times_zero(a: tuple, ring: Ring) -> tuple:
         (re,), (im,) = a
         return [re * 0.0 - im * 0.0], [re * 0.0 + im * 0.0]
     zero = np.zeros(np.shape(a[0][0]))
-    return tuple([zero] * limbs for _ in a)
+    zeros = tuple([zero] * limbs for _ in a)
+    return _mul(a, zeros, ring) if limbs == 4 else zeros
 
 
 # --------------------------------------------------------------------- #
@@ -195,11 +215,11 @@ def _stack(value: tuple) -> tuple:
 def as_scalars(planes: Sequence[np.ndarray], ring: Ring) -> tuple:
     """The limbs of the ring scalars that limb rows unpack into.
 
-    ``ComplexMD``'s constructor renormalises both parts, so a row unpacked
-    into a ``ComplexMD`` can change in its last bits; every other ring takes
-    the limbs as they are.
+    ``ComplexMD``'s constructor renormalises both parts below and above 4
+    limbs, so a row unpacked into such a ``ComplexMD`` can change in its last
+    bits; every other ring takes the limbs as they are.
     """
-    if ring[0] != "cmd":
+    if ring[0] != "cmd" or ring[1] == 4:
         return tuple(planes)
     with np.errstate(all="ignore"):
         return _stack(tuple(_renormalize(plane, ring[1]) for plane in _value(planes)))

@@ -3,7 +3,9 @@
 The scalar renormalisation in :mod:`repro.md.renorm` uses data-dependent
 control flow (dropping zero error terms, variable-length expansions), which
 is exactly what one cannot afford in SIMD/GPU code.  This module provides the
-data-parallel alternative used by the row kernels of :mod:`repro.md.vecops`:
+data-parallel alternative used by the row kernels of :mod:`repro.md.vecops`
+at every limb count but 4 (quad doubles run the fixed sequences of
+:mod:`repro.md.qd`, which end in VecSum sweeps of their own):
 
 ``vec_renormalize`` takes a list of ``m`` limb arrays whose elementwise sums
 are the exact values to be represented, applies a fixed number of *VecSum
@@ -163,8 +165,9 @@ def vec_renormalize_exact(terms: list[np.ndarray], limbs: int) -> list[np.ndarra
     and every ordered accumulation unchanged.  A term that is zero in every
     lane is skipped outright, which is the same thing.  The cost is quadratic
     in the term count (against the sweeps' linear passes), which is why only
-    the division/reciprocal kernels and the resident Newton state
-    (:mod:`repro.md.replica`) pay for it.
+    the division/reciprocal kernels (the final quotient at every limb count,
+    the steps at all but 4) and the resident Newton state
+    (:mod:`repro.md.replica`, at all but 4 limbs) pay for it.
     """
     if limbs < 1:
         raise ValueError(f"limbs must be >= 1, got {limbs}")

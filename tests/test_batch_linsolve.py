@@ -3,9 +3,9 @@
 The contract under test: solving all batch instances at once on packed
 limb tensors must reproduce the scalar
 :func:`repro.homotopy.lu_solve` **bit for bit** at double-double precision
-(real and complex, pivot swaps included), detect singular instances
-per batch position, and let a resident Newton run never touch the scalar
-solver at all.
+(real and complex, pivot swaps included) and at quad-double precision
+(real), detect singular instances per batch position, and let a resident
+Newton run never touch the scalar solver at all.
 """
 
 from __future__ import annotations
@@ -147,16 +147,20 @@ NEAR_BINADE_RECIPROCAL = pytest.mark.xfail(
     reason="complex reciprocal of a unit-circle pivot: sweep vs scalar renormalisation of |b|^2",
 )
 
+#: Double doubles in both rings, and quad doubles in the real ring.  Complex
+#: quad doubles are left out: D.5's second cause (pivot selection by the
+#: collapsed-double magnitude) makes some of their swap instances differ.
 PARITY_CASES = [
     pytest.param(
         kind,
+        limbs,
         swap,
         shape,
-        id="-".join(filter(None, (name, "swap" if swap else "noswap", kind))),
+        id="-".join(filter(None, (name, "swap" if swap else "noswap", kind, "qd" if limbs == 4 else ""))),
         marks=NEAR_BINADE_RECIPROCAL if (name, swap, kind) == ("degree0", True, "complex_md") else (),
     )
     for name, shape in PARITY_SHAPES.items()
-    for kind in ("md", "complex_md")
+    for kind, limbs in (("md", 2), ("complex_md", 2), ("md", 4))
     for swap in (False, True)
 ]
 
@@ -164,11 +168,13 @@ PARITY_CASES = [
 class TestBatchedParity:
     """The batched solve must match the scalar solver bit for bit."""
 
-    @pytest.mark.parametrize("kind, swap, shape", PARITY_CASES)
-    def test_bit_identical_at_double_double(self, rng, kind, swap, shape):
+    @pytest.mark.parametrize("kind, limbs, swap, shape", PARITY_CASES)
+    def test_bit_identical_at_double_double(self, rng, kind, limbs, swap, shape):
+        """Double doubles, and quad doubles (ids ending in ``qd``), whose
+        fixed add and multiply sequences both solvers share."""
         n, degree, batch = shape
         make = _swap_system if swap else _random_system
-        systems = [make(kind, n, degree, rng) for _ in range(batch)]
+        systems = [make(kind, n, degree, rng, limbs) for _ in range(batch)]
         batched = batch_lu_solve([m for m, _ in systems], [r for _, r in systems])
         for (matrix, rhs), got in zip(systems, batched):
             expected = lu_solve(matrix, rhs)

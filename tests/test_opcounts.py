@@ -62,10 +62,20 @@ class TestModel:
 
 class TestMeasured:
     def test_measured_counts_scale_quadratically(self):
+        """The Shewchuk path of every precision but quad doubles: 2.5 times
+        the limbs cost more than 4 times the multiply operations (6.25 times
+        is quadratic, 2.5 linear)."""
         small = measure_opcounts(2, samples=2)
-        large = measure_opcounts(4, samples=2)
-        assert large.mul_ops > 2 * small.mul_ops
+        large = measure_opcounts(5, samples=2)
+        assert large.mul_ops > 4 * small.mul_ops
         assert large.add_ops > small.add_ops
+
+    @pytest.mark.parametrize("seed", (2021, 7))
+    def test_quad_doubles_count_the_fixed_sequence(self, seed):
+        """25 two-sums and 4 additions per add; 6 two-products, 17 two-sums,
+        4 multiplications and 12 additions per multiply, on any data."""
+        measured = measure_opcounts(4, samples=3, seed=seed)
+        assert (measured.add_ops, measured.mul_ops) == (154, 220)
 
     def test_measured_counts_positive(self):
         measured = measure_opcounts(3, samples=1)

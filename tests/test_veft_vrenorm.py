@@ -7,11 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.md import MultiDouble, vrenorm
+from repro.md import MultiDouble, qd, replica, vrenorm
 from repro.md.renorm import renormalize
-from repro.md.vecops import md_add_rows, md_mul_rows, md_scale_rows, md_sub_rows
+from repro.md.vecops import (
+    md_add_rows,
+    md_div_rows,
+    md_mul_rows,
+    md_reciprocal_rows,
+    md_scale_rows,
+    md_sub_rows,
+)
 from repro.md.veft import vec_quick_two_sum, vec_split, vec_two_prod, vec_two_sqr, vec_two_sum
-from repro.md.vrenorm import vec_renormalize, vecsum_sweep
+from repro.md.vrenorm import vec_renormalize, vec_renormalize_exact, vecsum_sweep
 
 
 class TestVectorEFT:
@@ -218,19 +225,34 @@ class TestDoubleDoubleSweeps:
 
     @pytest.mark.parametrize(
         "kernel, limbs, two_sums",
-        [("add", 2, 7), ("sub", 2, 7), ("scale", 2, 7), ("mul", 2, 13), ("add", 4, 45), ("mul", 4, 135)],
+        [
+            ("add", 2, 7),
+            ("sub", 2, 7),
+            ("scale", 2, 7),
+            ("mul", 2, 13),
+            ("add", 4, 25),
+            ("sub", 4, 25),
+            ("scale", 4, 17),
+            ("mul", 4, 17),
+        ],
     )
     def test_two_sums_per_kernel(self, monkeypatch, nprng, kernel, limbs, two_sums):
-        """Two sweeps and the closing two-sum at dd; quad doubles keep
-        ``limbs + 2`` = 6 sweeps, then a closing sweep of 3 two-sums."""
-        original = vrenorm._two_sum
+        """Two sweeps and the closing two-sum at dd; quad doubles run the
+        fixed sequences of :mod:`repro.md.qd`: 10 two-sums of pairwise sums
+        and carries, three sweeps over five terms and a closing sweep for an
+        add, 8 two-sums over the levels and three sweeps over four limbs for
+        a multiply (a scale multiplies by the coerced factor)."""
         calls = []
 
-        def counting(a, b):
-            calls.append(None)
-            return original(a, b)
+        def counting(original):
+            def two_sum(a, b):
+                calls.append(None)
+                return original(a, b)
 
-        monkeypatch.setattr(vrenorm, "_two_sum", counting)
+            return two_sum
+
+        monkeypatch.setattr(vrenorm, "_two_sum", counting(vrenorm._two_sum))
+        monkeypatch.setattr(qd, "_two_sum", counting(qd._two_sum))
         a = [nprng.uniform(-1, 1, 4) * 2.0 ** (-60 * i) for i in range(limbs)]
         b = a[0] if kernel == "scale" else a[::-1]
         _KERNELS[kernel](a, b, limbs)
@@ -268,3 +290,214 @@ class TestDoubleDoubleSweeps:
                 exact = {"add": x + y, "sub": x - y, "mul": x * y}[kernel]
             value = Fraction(float(got[0][j])) + Fraction(float(got[1][j]))
             assert abs(value - exact) <= bound * abs(exact), (kernel, offset, j)
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    """The bit patterns of a float64 array, every NaN as one pattern (NaN
+    payloads depend on the array layout, see ``tests/test_tensor_backend.py``)."""
+    array = np.asarray(array, dtype=np.float64)
+    return np.where(np.isnan(array), np.nan, array).view(np.int64)
+
+
+def _qd(rng, n, spread=30):
+    """Quad doubles renormalised exactly, exponents within 2**±spread."""
+    exponent = rng.integers(-spread, spread + 1, n)
+    terms = [rng.uniform(-1, 1, n) * np.exp2(exponent - 53 * i) for i in range(4)]
+    return vec_renormalize_exact(terms, 4)
+
+
+def _near_negation(rng, a, level):
+    """``-a`` plus a quad double 2**(-53 (level + 1)) times smaller: the sum
+    with ``a`` cancels the limbs above ``level``."""
+    small = _qd(rng, len(a[0]), 0)
+    scale = np.abs(a[0]) * 2.0 ** (-53 * (level + 1))
+    return vec_renormalize_exact([-x for x in a] + [x * scale for x in small], 4)
+
+
+def _special(rng, n):
+    """Quad doubles with exact and interior zero limbs, leading limbs ±2**k
+    (1.0 included) over lower limbs of either sign, zeros of both signs, and
+    infinities and NaNs, leading or in a lower limb."""
+    value = _qd(rng, n)
+    patterns = np.array([(1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 1), (1, 0, 0, 1), (1, 1, 1, 0)], dtype=float)
+    zero_limbs = [v * m for v, m in zip(value, patterns[rng.integers(0, len(patterns), n)].T)]
+    k = np.where(rng.random(n) < 0.5, 0, rng.integers(-8, 9, n))
+    powers = [rng.choice([-1.0, 1.0], n) * np.exp2(k)]
+    powers += [rng.uniform(-1, 1, n) * np.exp2(k - 53 * i - 1) for i in (1, 2, 3)]
+    zeros = [rng.choice([-0.0, 0.0], n) for _ in range(4)]
+    nonfinite = [rng.choice([np.inf, -np.inf, np.nan], n), *(np.zeros(n) for _ in range(3))]
+    from_inf = rng.random(n) < 0.5  # MultiDouble.from_float(inf, 4) is (inf, nan, nan, nan)
+    for limb in nonfinite[1:]:
+        limb[from_inf] = np.nan
+    lower = [x.copy() for x in value]
+    lower[rng.integers(1, 4)][:] = rng.choice([np.inf, -np.inf, np.nan], n)
+    families = [zero_limbs, powers, zeros, nonfinite, lower]
+    pick = rng.choice(len(families), n, p=[0.3, 0.3, 0.15, 0.15, 0.1])
+    return [np.choose(pick, [family[i] for family in families]) for i in range(4)]
+
+
+def _factors(rng, n):
+    """Plain-double scale factors: doubles, integers (zero and negatives
+    included), powers of two, zeros of both signs, infinities and NaNs."""
+    families = [
+        rng.uniform(-1, 1, n) * np.exp2(rng.integers(-20, 21, n)),
+        rng.integers(-(2**20), 2**20, n).astype(np.float64),
+        rng.choice([-1.0, 1.0], n) * np.exp2(rng.integers(-8, 9, n)),
+        rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], n),
+    ]
+    return np.choose(rng.choice(len(families), n, p=[0.4, 0.25, 0.2, 0.15]), families)
+
+
+#: every pair of these operands, with every one of ``_EDGE_FACTORS``
+_EDGE_VALUES = [
+    (0.0, 0.0, 0.0, 0.0),
+    (-0.0, -0.0, -0.0, -0.0),
+    (-0.0, 0.0, -0.0, 0.0),
+    (1.0, 0.0, 0.0, 0.0),
+    (-1.0, 0.0, 0.0, 0.0),
+    (1.0, -(2.0**-60), 2.0**-115, 0.0),
+    (0.125, 0.0, -(2.0**-120), 0.0),
+    (np.inf, 0.0, 0.0, 0.0),
+    (-np.inf, 0.0, 0.0, 0.0),
+    (np.nan, 0.0, 0.0, 0.0),
+    (np.inf, np.nan, np.nan, np.nan),
+    (1.0, np.nan, 0.0, 0.0),
+]
+_EDGE_FACTORS = [0.0, -0.0, 1.0, -1.0, 3.0, 0.5, np.inf, -np.inf, np.nan]
+
+
+def _edges():
+    """Limb arrays of every (value, value, factor) combination of the edges."""
+    rows = [(x, y, f) for x in _EDGE_VALUES for y in _EDGE_VALUES for f in _EDGE_FACTORS]
+    a = [np.array([x[i] for x, _, _ in rows]) for i in range(4)]
+    b = [np.array([y[i] for _, y, _ in rows]) for i in range(4)]
+    return a, b, np.array([f for _, _, f in rows])
+
+
+#: the scalar operations of the corpus, on ``MultiDouble`` operands and a
+#: plain-double factor; the reciprocal is the scalar series code's ``(b/b) / b``
+_SCALAR_OPS = {
+    "add": lambda x, y, f: x + y,
+    "sub": lambda x, y, f: x - y,
+    "mul": lambda x, y, f: x * y,
+    "scale": lambda x, y, f: x * f,
+    "div": lambda x, y, f: x / y,
+    "reciprocal": lambda x, y, f: (y / y) / y,
+}
+
+#: the row kernels of the same operations
+_ROW_OPS = {
+    "add": lambda a, b, f: md_add_rows(a, b, 4),
+    "sub": lambda a, b, f: md_sub_rows(a, b, 4),
+    "mul": lambda a, b, f: md_mul_rows(a, b, 4),
+    "scale": lambda a, b, f: md_scale_rows(a, f, 4),
+    "div": lambda a, b, f: md_div_rows(a, b, 4),
+    "reciprocal": lambda a, b, f: md_reciprocal_rows(b, 4),
+}
+
+
+def _fraction(limbs, j) -> Fraction:
+    return sum((Fraction(float(x[j])) for x in limbs), Fraction(0))
+
+
+class TestQuadDoubleSequence:
+    """Quad doubles run one fixed add and multiply sequence
+    (:mod:`repro.md.qd`) in all three stacks: the scalar ``MultiDouble``, the
+    row kernels of :mod:`repro.md.vecops` and the resident Newton state's
+    :mod:`repro.md.replica`.  On a seeded corpus of random operands,
+    near-cancellation at each limb level, exact and interior zero limbs,
+    leading limbs of exactly ±2**k, signed zeros, infinities and NaNs, plus
+    every combination of a few edge values and scale factors, the stacks
+    give the same limbs (NaNs compared by position), and every finite sum,
+    product and quotient lies within 2**-200 of the exact value relative to
+    ``|a| + |b|``, ``|a| |b|`` or ``|a / b|``.
+    """
+
+    N = 1000
+    BOUND = Fraction(2) ** -200
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(20250425)
+        n = self.N
+        pairs = [(_qd(rng, n), _qd(rng, n))]
+        for level in range(4):
+            a = _qd(rng, n)
+            pairs.append((a, _near_negation(rng, a, level)))
+        pairs += [
+            (_special(rng, n), _qd(rng, n)),
+            (_qd(rng, n), _special(rng, n)),
+            (_special(rng, n), _special(rng, n)),
+        ]
+        edge_a, edge_b, edge_factors = _edges()
+        a = [np.concatenate([p[0][i] for p in pairs] + [edge_a[i]]) for i in range(4)]
+        b = [np.concatenate([p[1][i] for p in pairs] + [edge_b[i]]) for i in range(4)]
+        return a, b, np.concatenate([_factors(rng, len(pairs) * n), edge_factors])
+
+    @staticmethod
+    def _scalar(op, a, b, f):
+        """The scalar results as limb arrays, and where the scalar raised."""
+        out = np.full((4, len(f)), np.nan)
+        raised = np.zeros(len(f), dtype=bool)
+        for j in range(len(f)):
+            x = MultiDouble([float(limb[j]) for limb in a], 4)
+            y = MultiDouble([float(limb[j]) for limb in b], 4)
+            try:
+                out[:, j] = _SCALAR_OPS[op](x, y, float(f[j])).limbs
+            except ZeroDivisionError:
+                raised[j] = True
+        return out, raised
+
+    @staticmethod
+    def _rows(op, a, b, f):
+        with np.errstate(all="ignore"):
+            return _ROW_OPS[op](a, b, f)
+
+    @pytest.mark.parametrize("op", ("add", "sub", "mul", "scale", "div", "reciprocal"))
+    def test_scalar_and_rows_agree(self, corpus, op):
+        a, b, f = corpus
+        scalar, raised = self._scalar(op, a, b, f)
+        rows = np.array(self._rows(op, a, b, f))
+        assert np.array_equal(_bits(rows[:, ~raised]), _bits(scalar[:, ~raised]))
+        # the scalar division raises on a zero leading limb; the rows compute
+        # a non-finite quotient there
+        assert op in ("div", "reciprocal") or not raised.any()
+        assert not np.isfinite(rows[0, raised]).any()
+
+    @pytest.mark.parametrize("op", ("add", "sub", "mul"))
+    def test_replica_agrees_with_the_rows(self, corpus, op):
+        a, b, _ = corpus
+        operator = {"add": replica._md_add, "sub": replica._md_sub, "mul": replica._md_mul}[op]
+        with np.errstate(all="ignore"):
+            got = np.array(operator(a, b, 4))
+        assert np.array_equal(_bits(got), _bits(np.array(self._rows(op, a, b, None))))
+
+    @pytest.mark.parametrize("op", ("add", "mul"))
+    def test_operands_commute(self, corpus, op):
+        a, b, f = corpus
+        assert np.array_equal(_bits(self._rows(op, a, b, f)), _bits(self._rows(op, b, a, f)))
+
+    @pytest.mark.parametrize("op", ("add", "sub", "mul", "scale", "div"))
+    def test_finite_results_are_within_2_to_the_minus_200(self, corpus, op):
+        """Relative to ``|a| + |b|`` for sums, ``|a| |b|`` for products and
+        ``|a / b|`` for quotients."""
+        a, b, f = corpus
+        got = self._rows(op, a, b, f)
+        operands = [*a, f] if op == "scale" else [*a, *b]
+        finite = np.all(np.isfinite(np.array([*operands, *got])), axis=0)
+        checked = 0
+        for j in np.flatnonzero(finite):
+            x = _fraction(a, j)
+            y = Fraction(float(f[j])) if op == "scale" else _fraction(b, j)
+            if op == "div":
+                exact = x / y
+                scale = abs(exact)
+            elif op in ("add", "sub"):
+                exact = x + y if op == "add" else x - y
+                scale = abs(x) + abs(y)
+            else:
+                exact = x * y
+                scale = abs(x) * abs(y)
+            assert abs(_fraction(got, j) - exact) <= self.BOUND * scale, (op, j)
+            checked += 1
+        assert checked > 0.7 * len(f)
