@@ -91,7 +91,7 @@ from .core import (
     build_schedule,
     schedule_for_polynomial,
 )
-from .gpusim import DeviceSpec, TABLE1_DEVICES, get_device, GPUSimulator, TimingModel, TimingReport
+from .gpusim import DeviceSpec, TABLE1_DEVICES, get_device, TimingModel, TimingReport
 from .homotopy import (
     NewtonOptions,
     PathScheduler,
@@ -154,7 +154,6 @@ __all__ = [
     "DeviceSpec",
     "TABLE1_DEVICES",
     "get_device",
-    "GPUSimulator",
     "TimingModel",
     "TimingReport",
     "NewtonOptions",

@@ -24,14 +24,16 @@ device it would be a full host-to-device transfer per step.
   nothing is repacked.
 
 Every execution mode exposes the same interface, so Newton and the path
-tracker are mode-agnostic: ``staged``/``gpu``/``reference``
-contexts (and vectorized contexts over rings the tensor backend cannot
-carry, i.e. exact fractions) delegate each run to the evaluator's per-call
-path.  The per-call path of ``gpu`` is itself a one-shot tensor context
-(:meth:`EvalContext._one_shot`), priced by the timing model.  A ``gpu``
-context additionally annotates each run with the resident transfer cost
-predicted by :meth:`repro.gpusim.TimingModel.transfer_ms` — the first run
-ships the whole input region, subsequent runs only the variable slots.
+tracker are mode-agnostic.  Both tensor modes
+(:data:`repro.core.system.TENSOR_MODES`) run resident: a ``gpu`` context is
+a ``vectorized`` one that takes real rings only, checks before packing that
+one block fits the device's shared memory, and prices each run with
+:class:`repro.gpusim.TimingModel` — the sweep's launches at the active
+instances, and the host-to-device copy of the last update (the whole input
+region after a pack, the active lanes' variable slots after later updates).
+``staged``/``reference`` contexts, and ``vectorized`` contexts over rings
+the tensor cannot carry (exact fractions), delegate each run to the
+evaluator's per-call path.
 
 A context run is bit-identical to the corresponding per-call
 ``evaluate_batch``: the product region is re-zeroed before every sweep, so
@@ -59,11 +61,14 @@ import numpy as np
 from ..circuits.powers import PowerTable
 from ..circuits.reference import EvaluationResult
 from ..errors import StagingError
+from ..gpusim.memory import check_block_fits
+from ..gpusim.timing import TimingModel
 from ..md import replica
 from ..md.complexmd import ComplexMD
 from ..md.multidouble import MultiDouble
 from ..obs import get_telemetry
 from ..series.series import PowerSeries
+from .system import TENSOR_MODES
 from .tensor import (
     RowSeries,
     SlotTensor,
@@ -129,7 +134,7 @@ class EvalContext:
         self._adopted = False
         #: None while the tensorized fast path is (still) possible; the name
         #: of the per-call mode every run delegates to otherwise.
-        self._delegate_to = None if evaluator.mode == "vectorized" else evaluator.mode
+        self._delegate_to = None if evaluator.mode in TENSOR_MODES else evaluator.mode
         self._zs: list[list[PowerSeries]] | None = None
         self._tensor = None
         self._program = None
@@ -162,20 +167,14 @@ class EvalContext:
         self._state: tuple[np.ndarray, ...] | None = None
         self._state_rings: list = []
         self._plain: np.ndarray | None = None
-        # Telemetry-only memo caches: TimingModel predictions per active
-        # count / series count, built lazily and only while telemetry is on.
-        self._predicted_sweeps: dict[int, float | None] = {}
+        # The timing model at this context's ring and its sweep reports per
+        # active count, built lazily for gpu runs and the telemetry ledger.
+        self._sweep_reports: dict = {}
         self._timing_model = None
-
-    @classmethod
-    def _one_shot(cls, evaluator, zs) -> "EvalContext":
-        """A context packed with ``zs`` whose runs sweep the tensor whatever
-        the evaluator's mode: the per-call path of both the ``vectorized``
-        and the ``gpu`` mode, which therefore compute the same numbers."""
-        context = cls(evaluator, len(zs))
-        context._delegate_to = None
-        context.update_inputs(zs)
-        return context
+        # Input series the last update copied to the device, as gpu runs
+        # price them: the whole input region after a pack, the active lanes'
+        # variable slots after later updates.
+        self._shipped = 0
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -329,17 +328,25 @@ class EvalContext:
             # every group, and never triggers on the hot path.
             if rest.size and not self._ring_carries(zs, rest):
                 self._tensor = None
+        fused = self._evaluator.fused
         if self._tensor is None:
             zs = self._zs = self._materialize(zs)
-            self._pack(zs)
-            if self._tensor is None:
+            ring = self._tensor_ring(zs)
+            if ring is None:
+                # A ring the tensor cannot carry (exact fractions): every
+                # run of this context delegates to the staged oracle path.
+                self._delegate_to = "staged"
                 return
+            self._pack(ring)
+            self._shipped = fused.input_slot_count * self._batch
             t0 = tel.enabled and _perf_counter_ns()
             lanes = np.arange(self._batch, dtype=np.int64)
             groups, rest = self._input_groups(zs, lanes)
-        elif self._system_dirty:
-            self._rewrite_system_rows()
-            self._system_dirty = False
+        else:
+            self._shipped = fused.variable_slot_count * int(lanes.size)
+            if self._system_dirty:
+                self._rewrite_system_rows()
+                self._system_dirty = False
         w0 = t0 and _perf_counter_ns()
         self._write_variables(zs, groups, rest)
         w1 = t0 and _perf_counter_ns()
@@ -349,12 +356,36 @@ class EvalContext:
                 "context.update_inputs", t0, _perf_counter_ns(), instances=int(lanes.size)
             )
             tel.count("context.input_updates")
-            fused = self._evaluator.fused
             predicted = self._predicted_transfer_ms(
                 fused.variable_slot_count * int(lanes.size)
             )
             if predicted is not None:
                 tel.ledger("transfer", (w1 - w0) / 1e6, predicted)
+
+    def _tensor_ring(self, zs: list) -> tuple[str, int] | None:
+        """The ring to pack ``zs`` in: the join of the system's and the
+        inputs' rings, ``None`` when the tensor cannot carry them."""
+        evaluator = self._evaluator
+        system_ring = evaluator._ring_of_system()
+        input_ring = infer_ring(series for z in zs for series in z) if system_ring else None
+        ring = join_rings(system_ring, input_ring) if input_ring else None
+        self._check_device(ring)
+        return ring
+
+    def _check_device(self, ring: tuple[str, int] | None) -> None:
+        """Refuse, in a gpu context, a ring the device cannot take: anything
+        but float and :class:`MultiDouble` raises :class:`StagingError`, and a
+        block beyond the device's shared memory
+        :class:`repro.errors.DeviceCapacityError`."""
+        evaluator = self._evaluator
+        if evaluator.mode != "gpu":
+            return
+        if ring is None or ring[0] not in ("float", "md"):
+            raise StagingError(
+                "the gpu mode handles real coefficients only (float or MultiDouble); "
+                "use mode='staged' for complex or exact coefficients"
+            )
+        check_block_fits(evaluator.degree, ring[1], evaluator.device)
 
     def _materialize(self, zs: list) -> list:
         """``zs`` with every ``None`` entry replaced by that lane's state."""
@@ -516,8 +547,8 @@ class EvalContext:
             return self._instance_evaluators[instance].polynomials
         return self._evaluator.polynomials
 
-    def _pack(self, zs: list[list[PowerSeries]]) -> None:
-        """First-time packing: choose the ring, allocate, compile, index rows.
+    def _pack(self, ring: tuple[str, int]) -> None:
+        """First-time packing in ``ring``: allocate, compile, index rows.
 
         The tensor starts as zeros and gets every lane's system rows here;
         :meth:`update_inputs` then writes every lane's inputs and adjusted
@@ -529,14 +560,7 @@ class EvalContext:
         tel = _TELEMETRY
         t0 = tel.enabled and _perf_counter_ns()
         evaluator = self._evaluator
-        system_ring = evaluator._ring_of_system()
-        input_ring = infer_ring(series for z in zs for series in z) if system_ring else None
-        if system_ring is None or input_ring is None:
-            # A ring the tensor cannot carry (exact fractions): every run of
-            # this context delegates to the staged oracle path.
-            self._delegate_to = "staged"
-            return
-        kind, limbs = join_rings(system_ring, input_ring)
+        kind, limbs = ring
         fused = evaluator.fused
         width = fused.degree + 1
         tensor = SlotTensor.zeros(kind, limbs, self._batch * fused.total_slots, width)
@@ -549,7 +573,7 @@ class EvalContext:
         )
         self._state_rings = [None] * self._batch
         self._plain = np.zeros((self._batch, fused.dimension, width), dtype=bool)
-        self._predicted_sweeps = {}
+        self._sweep_reports = {}
         self._timing_model = None
         self._packs += 1
         self._program = evaluator.cache.get(
@@ -720,7 +744,10 @@ class EvalContext:
         copy: the compiled program runs, and values and derivatives stay in
         the packed limb tensor for the in-tensor consumers
         (:meth:`residual_norms`, :meth:`newton_system`) — nothing is unpacked
-        into :class:`PowerSeries`.  Returns the sweep metadata dict.  Raises
+        into :class:`PowerSeries`.  Returns the sweep metadata dict; a
+        ``gpu`` context's adds the ``device``, ``precision_limbs``, the
+        predicted launches of this sweep (``timings``) and of the last
+        update's copy (``resident_transfer``).  Raises
         :class:`repro.errors.StagingError` for delegating contexts, which
         have no resident tensor to leave results in; callers check
         :attr:`resident` and fall back to :meth:`run`.
@@ -749,9 +776,9 @@ class EvalContext:
         self._runs += 1
         evaluator = self._evaluator
         kind, limbs = self._ring
+        active = self._batch if self._active is None else int(self._active.size)
         if t0:
             end = _perf_counter_ns()
-            active = self._batch if self._active is None else int(self._active.size)
             kernel = "sweep" if active == self._batch else "masked-sweep"
             tel.record_span(
                 "context.sweep",
@@ -763,31 +790,42 @@ class EvalContext:
                 limbs=limbs,
             )
             tel.gauge("sweep.active_density", active / self._batch)
-            predicted = self._predicted_sweep_ms(active)
-            if predicted is not None:
-                tel.ledger(kernel, (end - t0) / 1e6, predicted)
-        return {
-            "mode": "vectorized",
+            report = self._sweep_report(active)
+            if report is not None:
+                tel.ledger(kernel, (end - t0) / 1e6, report.wall_clock_ms)
+        metadata = {
+            "mode": evaluator.mode,
             "ring": kind,
             "limbs": limbs,
             "batch": self._batch,
-            "active": self._batch if self._active is None else int(self._active.size),
+            "active": active,
             "convolution_jobs": evaluator.fused.convolution_job_count,
             "addition_jobs": evaluator.fused.addition_job_count,
             "launches": self._program.launches,
             "resident_runs": self._runs,
             "packs": self._packs,
         }
+        if evaluator.mode == "gpu":
+            model = self._timing_model_for_ring()
+            metadata.update(
+                device=model.device.name,
+                precision_limbs=limbs,
+                timings=self._sweep_report(active),
+                resident_transfer={
+                    "run": self._runs,
+                    "series": self._shipped,
+                    "h2d_ms": model.transfer_ms(self._shipped, evaluator.fused.degree),
+                },
+            )
+        return metadata
 
     # ------------------------------------------------------------------ #
-    # telemetry predictions (measured-vs-predicted ledger)
+    # timing predictions (gpu runs, measured-vs-predicted ledger)
     # ------------------------------------------------------------------ #
     def _timing_model_for_ring(self):
         """A ``TimingModel`` at this context's ring, or ``None`` (memoised)."""
         if self._timing_model is None:
             try:
-                from ..gpusim.timing import TimingModel
-
                 self._timing_model = TimingModel(
                     device=self._evaluator.device, precision=self._ring[1]
                 )
@@ -795,21 +833,18 @@ class EvalContext:
                 self._timing_model = False
         return self._timing_model or None
 
-    def _predicted_sweep_ms(self, active: int) -> float | None:
-        """Predicted wall clock of one sweep at ``active`` instances."""
-        if active not in self._predicted_sweeps:
+    def _sweep_report(self, active: int):
+        """The predicted launches of one sweep at ``active`` instances, or
+        ``None`` (memoised)."""
+        if active not in self._sweep_reports:
             model = self._timing_model_for_ring()
             try:
-                self._predicted_sweeps[active] = (
-                    None
-                    if model is None
-                    else model.predict(
-                        self._evaluator.fused, batch=active
-                    ).wall_clock_ms
+                self._sweep_reports[active] = (
+                    None if model is None else model.predict(self._evaluator.fused, batch=active)
                 )
             except Exception:
-                self._predicted_sweeps[active] = None
-        return self._predicted_sweeps[active]
+                self._sweep_reports[active] = None
+        return self._sweep_reports[active]
 
     def _predicted_transfer_ms(self, n_series: int) -> float | None:
         """Predicted H2D copy time of ``n_series`` series in this ring."""
@@ -980,8 +1015,6 @@ class EvalContext:
                 for b, row in zip(members, rows):
                     results[b] = row
         self._runs += 1
-        if self._delegate_to == "gpu":
-            self._annotate_gpu_residency(results)
         if values_only:
             results = [
                 None
@@ -993,35 +1026,6 @@ class EvalContext:
                 for row in results
             ]
         return results
-
-    def _annotate_gpu_residency(self, results) -> None:
-        """Attach the resident H2D transfer cost of this run to the metadata.
-
-        Run 1 ships every input slot of every instance; later runs re-send
-        only the variable slots (the series that changed), which is the
-        device-residency saving :meth:`repro.gpusim.TimingModel.predict_resident`
-        models for whole schedules.
-        """
-        from ..gpusim.timing import TimingModel
-
-        rows = [row for row in results if row is not None]
-        if not rows:
-            return
-        fused = self._evaluator.fused
-        limbs = rows[0][0].metadata.get("precision_limbs", 2)
-        model = TimingModel(device=self._evaluator.device, precision=limbs)
-        evaluated = len(rows)
-        input_series = fused.input_slot_count * evaluated
-        update_series = fused.variable_slot_count * evaluated
-        n_series = input_series if self._runs == 1 else update_series
-        transfer_ms = model.transfer_ms(n_series, fused.degree)
-        for row in rows:
-            for result in row:
-                result.metadata["resident_transfer"] = {
-                    "run": self._runs,
-                    "series": n_series,
-                    "h2d_ms": transfer_ms,
-                }
 
     # ------------------------------------------------------------------ #
     # rebinding (path tracking: next local system, same structure)
@@ -1079,8 +1083,11 @@ class EvalContext:
 
     def _retarget(self, evaluator, ring_sources) -> None:
         """Shared rebind plumbing: mode, ring compatibility, dirty flags."""
+        if evaluator.device != self._evaluator.device:
+            self._timing_model = None
+            self._sweep_reports = {}
         self._evaluator = evaluator
-        self._delegate_to = None if evaluator.mode == "vectorized" else evaluator.mode
+        self._delegate_to = None if evaluator.mode in TENSOR_MODES else evaluator.mode
         if self._delegate_to is None and self._tensor is not None:
             joined = self._ring
             for source in {id(s): s for s in ring_sources}.values():
@@ -1094,5 +1101,6 @@ class EvalContext:
                 self._program = None
                 self._ring = None
             else:
+                self._check_device(joined)
                 self._system_dirty = True
         self._zs = None

@@ -14,8 +14,9 @@ mutually independent.  This module restores the width on three axes:
   ``B`` input vectors through the same fused schedule in one pass; the fused
   data array is replicated per instance (batch stride = ``total_slots``) and
   each fused layer dispatches the jobs of *all* instances together (the
-  vectorized and gpu modes run them as a few whole-layer NumPy calls, and
-  the gpu mode prices them as one launch of ``B``-times-as-many blocks);
+  two tensor modes, :data:`TENSOR_MODES`, run them as a few whole-layer
+  NumPy calls on one resident :class:`repro.core.EvalContext`, and the gpu
+  mode prices them as one launch of ``B``-times-as-many blocks);
 * **amortised staging** — fused schedules are memoised in an LRU
   :class:`ScheduleCache` keyed on :meth:`repro.circuits.Polynomial.structure_key`,
   so the repeated system constructions of Newton/path-tracking clients pay
@@ -55,6 +56,7 @@ from .schedule import JobSchedule, schedule_for_polynomial
 
 __all__ = [
     "MODES",
+    "TENSOR_MODES",
     "check_mode",
     "ScheduleCache",
     "FusedSystemSchedule",
@@ -70,6 +72,10 @@ __all__ = [
 #: mode-taking object (evaluators, Newton and tracking options, the service
 #: configuration) validates against.
 MODES = ("reference", "staged", "gpu", "vectorized")
+
+#: The modes that run the tensorized sweep, on a resident
+#: :class:`repro.core.EvalContext`; ``gpu`` also prices it.
+TENSOR_MODES = ("vectorized", "gpu")
 
 #: Process-wide telemetry registry; ``enabled`` is a plain attribute so the
 #: disabled hot path costs exactly one attribute check per call site.
@@ -536,11 +542,11 @@ class SystemEvaluator:
         One of :data:`MODES`: ``"reference"`` (the sequential oracle of
         :mod:`repro.circuits.reference`, no staging), ``"staged"`` (the
         fused jobs on host slot arrays, layer by layer, in any coefficient
-        ring), ``"gpu"`` (the ``vectorized`` sweep, priced by the
-        per-device timing model of :mod:`repro.gpusim`; real doubles and
-        multidoubles only) or ``"vectorized"``, the tensorized backend of
-        :mod:`repro.core.tensor` that executes every fused layer as a
-        handful of whole-layer NumPy multidouble sweeps.  The vectorized
+        ring), ``"gpu"`` (the ``vectorized`` resident context, each run
+        priced by the per-device timing model of :mod:`repro.gpusim`; real
+        doubles and multidoubles only) or ``"vectorized"``, the tensorized
+        backend of :mod:`repro.core.tensor` that executes every fused layer
+        as a handful of whole-layer NumPy multidouble sweeps.  The vectorized
         mode covers doubles, :class:`repro.md.MultiDouble` of any
         precision, plain complexes and :class:`repro.md.ComplexMD`
         (complex data runs on paired real/imaginary limb planes); batches
@@ -639,10 +645,8 @@ class SystemEvaluator:
                 [evaluate_reference(polynomial, z) for polynomial in self.polynomials]
                 for z in zs
             ]
-        elif mode == "gpu":
-            results = self._evaluate_gpu(zs)
-        elif mode == "vectorized":
-            results = self._evaluate_vectorized(zs)
+        elif mode in TENSOR_MODES:
+            results = self._evaluate_tensor(zs)
         else:
             results = self._evaluate_staged(zs)
         if t0:
@@ -658,10 +662,11 @@ class SystemEvaluator:
         slots on later sweeps and unpacks only requested outputs — the
         host-side analogue of keeping the data array resident on the device
         across Newton iterations and path steps.  Every mode supports the
-        interface (non-tensor modes delegate each run to their per-call
-        path), so callers are mode-agnostic.  ``buffer`` optionally homes the
-        packed tensor in an externally-owned buffer (a shared-memory
-        segment), the zero-copy residence of the sharded fleet runner.
+        interface (the tensor modes run resident, ``staged`` and
+        ``reference`` delegate each run to their per-call path), so callers
+        are mode-agnostic.  ``buffer`` optionally homes the packed tensor in
+        an externally-owned buffer (a shared-memory segment), the zero-copy
+        residence of the sharded fleet runner.
         """
         from .context import EvalContext
 
@@ -771,29 +776,29 @@ class SystemEvaluator:
             self._system_ring = ring if ring is not None else "unsupported"
         return None if self._system_ring == "unsupported" else self._system_ring
 
-    def _evaluate_vectorized(
+    def _evaluate_tensor(
         self, zs: Sequence[Sequence[PowerSeries]]
     ) -> list[list[EvaluationResult]]:
         """One whole-layer NumPy sweep over the packed slot tensor.
 
-        Implemented as a one-shot :class:`repro.core.EvalContext`: the fused
-        slot array of the entire batch is packed into one
-        :class:`repro.core.tensor.SlotTensor` (one limb plane, or real and
-        imaginary planes, by the joined coefficient ring), the fused schedule
-        is compiled once per structure into a
+        The per-call path of both tensor modes, a one-shot
+        :class:`repro.core.EvalContext`: the fused slot array of the entire
+        batch is packed into one :class:`repro.core.tensor.SlotTensor` (one
+        limb plane, or real and imaginary planes, by the joined coefficient
+        ring), the fused schedule is compiled once per structure into a
         :class:`repro.core.tensor.TensorProgram` (memoised in the schedule
-        cache next to the fused schedule), and every fused layer
-        executes as a few vectorised multidouble calls — one "launch" per
-        layer instead of one Python call per job.  Clients that sweep
-        repeatedly should hold the context themselves
-        (:meth:`make_context`) so the packing happens once, not per call.
-        Coefficient rings the tensor cannot carry (exact fractions) fall
-        back to the staged object path; the returned metadata then reports
-        ``mode="staged"``.
+        cache next to the fused schedule), and every fused layer executes as
+        a few vectorised multidouble calls — one "launch" per layer instead
+        of one Python call per job.  Clients that sweep repeatedly should
+        hold the context themselves (:meth:`make_context`) so the packing
+        happens once, not per call.  In ``vectorized`` mode, coefficient
+        rings the tensor cannot carry (exact fractions) fall back to the
+        staged object path, whose metadata reports ``mode="staged"``; the
+        ``gpu`` mode raises for them, and prices the sweep.
         """
-        from .context import EvalContext
-
-        return EvalContext._one_shot(self, zs).run()
+        context = self.make_context(len(zs))
+        context.update_inputs(zs)
+        return context.run()
 
     def _collect_vectorized(
         self, tensor, batch: int, metadata: dict, values_only: bool = False
@@ -832,51 +837,4 @@ class SystemEvaluator:
                     )
                 )
             results.append(instance)
-        return results
-
-    # ------------------------------------------------------------------ #
-    # simulated GPU execution
-    # ------------------------------------------------------------------ #
-    def _evaluate_gpu(self, zs: Sequence[Sequence[PowerSeries]]) -> list[list[EvaluationResult]]:
-        """The vectorized sweep, priced by the device's timing model.
-
-        The numbers are those of :meth:`_evaluate_vectorized` — the same
-        one-shot tensor context, in the join of the system's and the inputs'
-        rings — so the mode computes exactly what the launches it prices
-        compute.  Only the real rings run here: complex, exact and oversized
-        integer coefficients raise :class:`StagingError`, and a block that
-        would not fit the device's shared memory raises
-        :class:`repro.errors.DeviceCapacityError`, both before anything is
-        packed.  Each fused layer is priced as one launch of ``batch`` times
-        its jobs' blocks.
-        """
-        from ..gpusim.executor import GPUSimulator
-        from ..gpusim.memory import check_block_fits
-        from .context import EvalContext
-        from .tensor import infer_ring, join_rings
-
-        system_ring = self._ring_of_system()
-        input_ring = infer_ring(series for z in zs for series in z)
-        ring = system_ring and input_ring and join_rings(system_ring, input_ring)
-        if not ring or ring[0] not in ("float", "md"):
-            raise StagingError(
-                "the gpu mode handles real coefficients only (float or MultiDouble); "
-                "use mode='staged' for complex or exact coefficients"
-            )
-        limbs = ring[1]
-        simulator = GPUSimulator(self.device)
-        check_block_fits(self.degree, limbs, simulator.device)
-        results = EvalContext._one_shot(self, zs).run()
-        batch = len(zs)
-        metadata = {
-            "mode": "gpu",
-            "device": simulator.device.name,
-            "batch": batch,
-            "timings": simulator.predict(self.fused, precision=limbs, batch=batch),
-            "precision_limbs": limbs,
-            "launches": self.fused.total_launches,
-        }
-        for b, row in enumerate(results):
-            for equation, result in enumerate(row):
-                result.metadata = dict(metadata, instance=b, equation=equation)
         return results

@@ -31,9 +31,9 @@ launch per layer" with the paper's structure-of-arrays data layout:
   temporaries stay in cache.  Either way the layer costs a few row
   operations, not a few per job.
 
-The backend runs the ``"vectorized"`` execution mode of
-:class:`repro.core.SystemEvaluator`, and the ``"gpu"`` mode, which prices
-the same sweep with the timing model of :mod:`repro.gpusim`.  It is the one
+The backend runs both tensor modes of :class:`repro.core.SystemEvaluator`,
+``"vectorized"`` and ``"gpu"``, whose resident contexts also price each
+sweep with the timing model of :mod:`repro.gpusim`.  It is the one
 vector multiple-double stack: it covers plain doubles, :class:`MultiDouble`
 of any limb count, Python complexes and :class:`repro.md.ComplexMD`.  A
 packed tensor is a tuple of limb planes: one for the real rings, the real

@@ -1,8 +1,12 @@
 """Simulated GPU substrate: devices, memory model, timing model.
 
-The ``gpu`` evaluation mode computes with the tensorized sweep of
-:mod:`repro.core.tensor` and prices its launches with
-:class:`GPUSimulator`; this package holds no second arithmetic.
+The ``gpu`` evaluation mode runs the resident tensor context of the
+``vectorized`` mode (:class:`repro.core.EvalContext`) and prices each of
+its runs with :class:`TimingModel`, the one entry point of the timing
+model: the sweep's launches at the active instances and the host-to-device
+copy of the last update.  The timings are model predictions, not
+measurements on a CUDA device; README's "Paper fidelity" section says how
+they compare with the paper.  This package holds no second arithmetic.
 """
 
 from .device import DeviceSpec, TABLE1_DEVICES, get_device, DEFAULT_DEVICE
@@ -21,8 +25,7 @@ from .calibration import (
     efficiency_table,
     calibration_degree,
 )
-from .timing import TimingModel, predict_schedule
-from .executor import GPUSimulator
+from .timing import TimingModel
 
 __all__ = [
     "DeviceSpec",
@@ -44,6 +47,4 @@ __all__ = [
     "efficiency_table",
     "calibration_degree",
     "TimingModel",
-    "predict_schedule",
-    "GPUSimulator",
 ]

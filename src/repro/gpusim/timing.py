@@ -46,7 +46,7 @@ from .device import DeviceSpec, get_device
 from .events import KernelLaunchTiming, TimingReport
 from .memory import check_block_fits
 
-__all__ = ["TimingModel", "predict_schedule"]
+__all__ = ["TimingModel"]
 
 
 @dataclass
@@ -478,9 +478,3 @@ class TimingModel:
             if blocks:
                 report.add(self.addition_launch(blocks, degree, layer))
         return report
-
-
-def predict_schedule(schedule, device=None, precision=2) -> TimingReport:
-    """One-call convenience wrapper around :class:`TimingModel`."""
-    model = TimingModel(device=device, precision=precision)
-    return model.predict(schedule)

@@ -138,8 +138,8 @@ def refine_lanes(
       whose scalars are built when first read.  An entry of ``solutions``
       may be ``None`` for a lane whose input is already its state there
       (:meth:`EvalContext.set_state`);
-    * a **delegating** context (staged, fraction), or any context under
-      ``options.solver == "scalar"``, unpacks the sweep, calls
+    * a **delegating** context (staged, reference, fraction), or any
+      context under ``options.solver == "scalar"``, unpacks the sweep, calls
       :func:`repro.homotopy.lu_solve` per lane and adds ``z + dz`` as
       :class:`PowerSeries`; ``options.solver == "batched"`` raises
       :class:`repro.errors.StagingError` here instead.
@@ -207,7 +207,7 @@ def _load(context, solutions, lanes: list[int], options: NewtonOptions) -> bool:
     if options.solver == "batched" and not context.resident:
         raise StagingError(
             "solver='batched' needs a tensor-resident context; this one "
-            "delegates (staged/fraction/non-vectorized mode) — use "
+            "delegates (a staged, reference or fraction context) — use "
             "solver='auto' or 'scalar'"
         )
     return keeps_state(context, options)

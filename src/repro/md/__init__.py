@@ -27,7 +27,7 @@ from .opcounts import OpCounts, PAPER_OPCOUNTS, modelled_opcounts, opcounts_for,
 from .veft import vec_two_sum, vec_quick_two_sum, vec_two_prod, vec_split, vec_two_sqr
 from .vrenorm import vec_renormalize, vecsum_sweep
 from .vecops import md_add_rows, md_mul_rows, md_scale_rows, md_sub_rows
-from .cvecops import cmd_add_rows, cmd_mul_rows, cmd_scale_rows, cmd_sub_rows
+from .cvecops import cmd_add_rows, cmd_mul_rows
 
 __all__ = [
     "two_sum",
@@ -64,7 +64,5 @@ __all__ = [
     "md_mul_rows",
     "md_scale_rows",
     "cmd_add_rows",
-    "cmd_sub_rows",
     "cmd_mul_rows",
-    "cmd_scale_rows",
 ]

@@ -13,8 +13,8 @@ Each complex ring operation decomposes into real whole-array sweeps of
 
 * multiply: four real multiplies and one subtraction/one addition
   (``ar*br - ai*bi``, ``ar*bi + ai*br``),
-* add/subtract: two real additions/subtractions,
-* scale by a real factor: two real scales —
+* add: two real additions,
+* divide: a multiply by the conjugate and two real divisions by ``|b|^2`` —
 
 so the vectorised complex stack is bit-compatible with the scalar one (the
 test suite asserts this limb by limb).  With ``limbs == 1`` everything
@@ -28,13 +28,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .vecops import md_add_rows, md_div_rows, md_mul_rows, md_scale_rows, md_sub_rows
+from .vecops import md_add_rows, md_div_rows, md_mul_rows, md_sub_rows
 
 __all__ = [
     "cmd_add_rows",
-    "cmd_sub_rows",
     "cmd_mul_rows",
-    "cmd_scale_rows",
     "cmd_div_rows",
     "cmd_reciprocal_rows",
 ]
@@ -48,13 +46,6 @@ def cmd_add_rows(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Elementwise complex multiple-double sum, plane by plane."""
     return md_add_rows(ar, br, limbs), md_add_rows(ai, bi, limbs)
-
-
-def cmd_sub_rows(
-    ar: Planes, ai: Planes, br: Planes, bi: Planes, limbs: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Elementwise complex multiple-double difference, plane by plane."""
-    return md_sub_rows(ar, br, limbs), md_sub_rows(ai, bi, limbs)
 
 
 def cmd_mul_rows(
@@ -111,14 +102,3 @@ def cmd_reciprocal_rows(
     """
     one_r, one_i = cmd_div_rows(br, bi, br, bi, limbs)
     return cmd_div_rows(one_r, one_i, br, bi, limbs)
-
-
-def cmd_scale_rows(
-    ar: Planes, ai: Planes, factor: np.ndarray, limbs: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Multiply complex values by a plain-double *real* factor array, exactly.
-
-    The integer exponent factors of the schedules' scale jobs are real, so
-    the complex scale is two independent real error-free scales.
-    """
-    return md_scale_rows(ar, factor, limbs), md_scale_rows(ai, factor, limbs)

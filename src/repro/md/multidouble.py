@@ -42,9 +42,8 @@ __all__ = ["MultiDouble"]
 
 
 def _coerce_limbs(value, limbs: int) -> tuple[float, ...]:
-    """Convert ``value`` into a canonical limb tuple of length ``limbs``."""
-    if isinstance(value, MultiDouble):
-        return renormalize(value.limbs, limbs)
+    """Convert an int, float or Fraction into a canonical limb tuple of
+    length ``limbs``."""
     if isinstance(value, float):
         return renormalize((value,), limbs)
     if isinstance(value, int):
@@ -54,8 +53,6 @@ def _coerce_limbs(value, limbs: int) -> tuple[float, ...]:
         return _limbs_from_fraction(Fraction(value), limbs)
     if isinstance(value, Fraction):
         return _limbs_from_fraction(value, limbs)
-    if isinstance(value, str):
-        return _limbs_from_fraction(_fraction_from_string(value), limbs)
     raise TypeError(f"cannot convert {type(value).__name__} to MultiDouble")
 
 
@@ -438,11 +435,16 @@ def _divide(numerator: MultiDouble, denominator: MultiDouble) -> MultiDouble:
 
     The division stops after a quotient limb that is zero or not finite; a
     non-finite one is kept, so an overflowing or NaN quotient is not finite.
+    At one limb the quotient is the IEEE one, ``a / b``, as in the row
+    kernels: a one-limb remainder is not exact, so a second step would move
+    it.
     """
     prec = numerator.precision
     if denominator.is_zero():
         raise ZeroDivisionError("division by a zero multiple double")
     k = prec.limbs
+    if k == 1:
+        return MultiDouble((numerator.hi / denominator.hi,), prec)
     quotient_limbs: list[float] = []
     remainder = numerator
     for _ in range(k + 1):

@@ -65,10 +65,11 @@ class ServiceConfig:
         context pool keeps warm.
     mode:
         Execution mode requests are re-targeted to, one of
-        :data:`repro.core.system.MODES` (``"vectorized"`` is the
-        resident fast path; other modes still coalesce, but every sweep
+        :data:`repro.core.system.MODES`.  ``"vectorized"`` and ``"gpu"``
+        (which also prices each sweep) are the resident fast path;
+        ``"staged"`` and ``"reference"`` still coalesce, but every sweep
         delegates to the per-call path and every lane solves with the
-        scalar :func:`repro.homotopy.lu_solve`).
+        scalar :func:`repro.homotopy.lu_solve`.
     workers:
         Threads of the flush executor — how many structure buckets may
         solve concurrently.

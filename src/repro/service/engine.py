@@ -27,10 +27,10 @@ await their :class:`repro.service.SolveResponse`.  Internally the engine
    with ``set_active`` so short buckets waste no sweep work;
 4. **solves** the whole bucket in one masked fleet
    (:func:`repro.service.fleet.coalesced_newton`, bit-identical per lane to
-   solving each request alone) — one packed tensor batch when the ring and
-   mode are resident, the delegating per-lane path (exact fractions,
-   non-vectorized modes) otherwise — or merges track requests into one
-   :func:`repro.track_paths` fleet;
+   solving each request alone) — one packed tensor batch in the two tensor
+   modes, ``vectorized`` and ``gpu``, the delegating per-lane path (exact
+   fractions, the ``staged`` and ``reference`` modes) otherwise — or merges
+   track requests into one :func:`repro.track_paths` fleet;
 5. **responds**, resolving every caller's future with its own lane's result.
 
 Blocking NumPy sweeps run on a small thread-pool executor so the event loop

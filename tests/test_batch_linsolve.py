@@ -147,20 +147,23 @@ NEAR_BINADE_RECIPROCAL = pytest.mark.xfail(
     reason="complex reciprocal of a unit-circle pivot: sweep vs scalar renormalisation of |b|^2",
 )
 
-#: Double doubles in both rings, and quad doubles in the real ring.  Complex
-#: quad doubles are left out: D.5's second cause (pivot selection by the
-#: collapsed-double magnitude) makes some of their swap instances differ.
+#: Double doubles in both rings, and one-limb and quad doubles in the real
+#: ring (ids ending in ``1d`` and ``qd``).  Complex quad doubles are left
+#: out: D.5's second cause (pivot selection by the collapsed-double
+#: magnitude) makes some of their swap instances differ.
 PARITY_CASES = [
     pytest.param(
         kind,
         limbs,
         swap,
         shape,
-        id="-".join(filter(None, (name, "swap" if swap else "noswap", kind, "qd" if limbs == 4 else ""))),
+        id="-".join(
+            filter(None, (name, "swap" if swap else "noswap", kind, {1: "1d", 4: "qd"}.get(limbs)))
+        ),
         marks=NEAR_BINADE_RECIPROCAL if (name, swap, kind) == ("degree0", True, "complex_md") else (),
     )
     for name, shape in PARITY_SHAPES.items()
-    for kind, limbs in (("md", 2), ("complex_md", 2), ("md", 4))
+    for kind, limbs in (("md", 2), ("complex_md", 2), ("md", 4), ("md", 1))
     for swap in (False, True)
 ]
 
@@ -170,8 +173,9 @@ class TestBatchedParity:
 
     @pytest.mark.parametrize("kind, limbs, swap, shape", PARITY_CASES)
     def test_bit_identical_at_double_double(self, rng, kind, limbs, swap, shape):
-        """Double doubles, and quad doubles (ids ending in ``qd``), whose
-        fixed add and multiply sequences both solvers share."""
+        """Double doubles, quad doubles (ids ending in ``qd``), whose fixed
+        add and multiply sequences both solvers share, and one-limb doubles
+        (``1d``), whose quotients are ``a / b`` in both."""
         n, degree, batch = shape
         make = _swap_system if swap else _random_system
         systems = [make(kind, n, degree, rng, limbs) for _ in range(batch)]

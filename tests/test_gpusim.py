@@ -14,11 +14,11 @@ from repro.core import (
 )
 from repro.errors import DeviceCapacityError
 from repro.gpusim import (
-    GPUSimulator,
     TABLE1_DEVICES,
     check_block_fits,
     get_device,
     max_degree_for_precision,
+    TimingModel,
     shared_memory_needed,
 )
 from repro.md import MultiDouble
@@ -103,7 +103,7 @@ class TestGPUSimulator:
 
     def test_predict_without_execution(self):
         schedule = build_schedule(4, [(0, 1, 2, 3)] * 5, degree=8)
-        report = GPUSimulator("V100").predict(schedule, precision=4)
+        report = TimingModel("V100", 4).predict(schedule)
         assert report.convolution_ms > 0
         assert report.wall_clock_ms > report.sum_ms
 

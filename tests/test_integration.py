@@ -14,7 +14,7 @@ from repro import (
 from repro.analysis.experiments import launch_structure
 from repro.circuits.testpolys import make_polynomial_from_structure, p1_structure
 from repro.core import schedule_for_polynomial
-from repro.gpusim import GPUSimulator, tflops
+from repro.gpusim import TimingModel, tflops
 from repro.homotopy import NewtonOptions, PolynomialSystem, newton_power_series
 from repro.series import PowerSeries, random_md_series, random_fraction_series
 
@@ -76,7 +76,7 @@ class TestMiniP1EndToEnd:
         evaluator = PolynomialEvaluator(polynomial, mode="gpu", device="P100")
         result = evaluator.evaluate(z)
         timings = result.metadata["timings"]
-        predicted = GPUSimulator("P100").predict(evaluator.schedule, precision=3)
+        predicted = TimingModel("P100", 3).predict(evaluator.schedule)
         assert timings.wall_clock_ms == pytest.approx(predicted.wall_clock_ms, rel=1e-9)
 
 

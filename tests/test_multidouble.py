@@ -91,6 +91,17 @@ class TestArithmetic:
                 continue
             assert relative_error(a / b, a.to_fraction() / b.to_fraction()) < ulp(limbs)
 
+    def test_one_limb_division_is_the_ieee_quotient(self, rng):
+        """A one-limb quotient and reciprocal are the correctly rounded
+        ``a / b``, as in the row kernels; the 2^-48 bound above cannot tell
+        one ulp."""
+        for _ in range(500):
+            a, b = MultiDouble.random(1, rng), MultiDouble.random(1, rng)
+            if b.is_zero():
+                continue
+            assert (a / b).limbs == (a.hi / b.hi,)
+            assert (1 / b).limbs == (1.0 / b.hi,)
+
     def test_subtraction_cancellation(self):
         a = MultiDouble.from_fraction(Fraction(1, 3), 4)
         b = MultiDouble.from_fraction(Fraction(1, 3) - Fraction(1, 10**40), 4)

@@ -551,6 +551,23 @@ class TestRetryLadder:
         for a, b in zip(rows.results, staged.results):
             assert [typed(p) for p in a.points] == [typed(p) for p in b.points]
 
+    def test_gpu_fleet_runs_resident_with_the_vectorized_points(self):
+        """A gpu fleet is the vectorized one, priced: every rung runs on a
+        resident context, with the same statuses, escalations and points."""
+        starts = [[2.0] if i in (1, 4, 6) else [1.0] for i in range(8)]
+        gpu = track_paths(retry_family(2), starts, options=_RETRY_OPTIONS.override(mode="gpu"))
+        rows = track_paths(retry_family(2), starts, options=_RETRY_OPTIONS)
+        assert [fleet["resident"] for fleet in gpu.fleets] == [True, True]
+        assert gpu.escalated_indices == rows.escalated_indices == [1, 4, 6]
+        assert gpu.statuses == rows.statuses
+
+        def hexed(point):
+            values = tuple(tuple(x.hex() for x in np.ravel(_bits(v))) for v in point.values)
+            return point.t, values, point.residual, point.newton_iterations
+
+        for a, b in zip(gpu.results, rows.results):
+            assert [hexed(p) for p in a.points] == [hexed(p) for p in b.points]
+
     def test_base_fleet_failure_reason_is_recorded_without_a_ladder(self):
         options = _RETRY_OPTIONS.override(retry={"precision_ladder": ()})
         report = track_paths(retry_family(2), [[2.0], [1.0]], options=options)

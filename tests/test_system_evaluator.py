@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import math
 import random
 import re
@@ -9,6 +10,7 @@ import warnings
 
 import pytest
 
+from repro.circuits import Polynomial, parse_polynomial
 from repro.circuits.testpolys import random_polynomial
 from repro.core import (
     MODES,
@@ -19,11 +21,17 @@ from repro.core import (
     schedule_for_polynomial,
 )
 from repro.errors import StagingError
-from repro.gpusim import GPUSimulator
-from repro.homotopy import NewtonOptions, PolynomialSystem, TrackOptions
+from repro.gpusim import TimingModel
+from repro.homotopy import (
+    NewtonOptions,
+    PolynomialSystem,
+    TrackOptions,
+    newton_power_series_batch,
+)
 from repro.md import MultiDouble
-from repro.service import ServiceConfig, resolve_service_config
+from repro.service import ServiceConfig, SolveEngine, SolveRequest, resolve_service_config
 from repro.series import (
+    PowerSeries,
     random_complex_series,
     random_fraction_series,
     random_float_series,
@@ -150,7 +158,7 @@ class TestGpuMode:
             for mode in ("reference", "staged", "gpu")
         }
         fused = SystemEvaluator(polynomials, cache=ScheduleCache()).fused
-        predicted = GPUSimulator("P100").predict(fused, precision=2, batch=len(zs))
+        predicted = TimingModel("P100", 2).predict(fused, batch=len(zs))
         for mode in ("staged", "gpu"):
             for got_row, expected_row in zip(results[mode], results["reference"]):
                 for got, expected in zip(got_row, expected_row):
@@ -159,6 +167,113 @@ class TestGpuMode:
             for result in row:
                 assert result.metadata["precision_limbs"] == 2
                 assert result.metadata["timings"] == predicted
+
+
+def _series_bits(series) -> list:
+    """Every coefficient of one series as the hex strings of its limbs."""
+    return [
+        tuple(float(limb).hex() for limb in getattr(c, "limbs", (c,))) for c in series.coefficients
+    ]
+
+
+def _newton_case(kind, precision, rng, n=3, degree=6, starts=4):
+    """Equation i: ``8 x_i + a x_i x_(i+1) + b x_1 x_2 x_3 + c_i`` with random
+    series ``a``, ``b`` and the constant ``c_i`` chosen so that ``x(0) = 1``
+    is a root, and starts ever nearer to it, so lanes converge apart."""
+
+    def scalar(value):
+        return value if kind == "float" else MultiDouble.from_float(value, precision)
+
+    polynomials = []
+    for i in range(n):
+        supports = [(i,), tuple(sorted((i, (i + 1) % n))), tuple(range(n))]
+        coefficients = random_series_vector(len(supports), degree, kind, precision, rng)
+        coefficients[0].coefficients[0] = coefficients[0].coefficients[0] + scalar(8.0)
+        constant = -(coefficients[0] + coefficients[1] + coefficients[2])
+        constant.coefficients[1] = constant.coefficients[1] + scalar(rng.uniform(-0.5, 0.5))
+        polynomials.append(Polynomial.from_supports(n, constant, supports, coefficients))
+    points = [
+        [PowerSeries.constant(scalar(1.0 + rng.uniform(-1, 1) / 4**k), degree) for _ in range(n)]
+        for k in range(starts)
+    ]
+    return polynomials, points
+
+
+class TestGpuResidency:
+    """A gpu context is the resident vectorized context, priced: Newton,
+    the retry fleet (``tests/test_scheduler.py``) and the service run it
+    with no code of their own, and give the vectorized limbs."""
+
+    @pytest.mark.parametrize(
+        "kind,precision", (("float", 1), ("md", 1), ("md", 2), ("md", 4)), ids=("float", "md1", "dd", "qd")
+    )
+    def test_newton_packs_once_and_returns_the_vectorized_limbs(self, kind, precision, rng):
+        """On a caller-held context gpu Newton packs once, sweeps and solves
+        batched, and gives the limbs of vectorized and of staged Newton (at
+        one limb because a one-limb quotient is ``a / b`` in every stack);
+        each run prices the sweep at its active lanes and the last update's
+        copy."""
+        polynomials, starts = _newton_case(kind, precision, rng)
+        options = NewtonOptions(max_iterations=8, tolerance=2.0 ** (-52 * precision + 8))
+        system = PolynomialSystem(polynomials, mode="staged", cache=ScheduleCache())
+        staged = newton_power_series_batch(system, starts, options=options)
+        solutions = {"staged": [[_series_bits(s) for s in r.solution] for r in staged]}
+        for mode in ("vectorized", "gpu"):
+            system = PolynomialSystem(polynomials, mode=mode, device="P100", cache=ScheduleCache())
+            context = system.make_context(len(starts))
+            runs = []
+            sweep = context.run_packed
+
+            def recording(sweep=sweep, runs=runs):
+                runs.append(sweep())
+                return runs[-1]
+
+            context.run_packed = recording
+            results = newton_power_series_batch(system, starts, context=context, options=options)
+            assert context.packs == 1 and context.resident
+            solutions[mode] = [[_series_bits(s) for s in r.solution] for r in results]
+        assert solutions["gpu"] == solutions["vectorized"] == solutions["staged"]
+        fused = system.evaluator.fused
+        assert [m["mode"] for m in runs] == ["gpu"] * len(runs)
+        last = runs[-1]
+        assert last["timings"] == TimingModel("P100", precision).predict(fused, batch=last["active"])
+        assert runs[0]["resident_transfer"]["series"] == fused.input_slot_count * len(starts)
+        assert last["resident_transfer"]["series"] == fused.variable_slot_count * last["active"]
+
+    def test_service_flush_solves_on_a_packed_pooled_context(self):
+        def request(i):
+            circle = parse_polynomial("x1^2 + x2^2 - 4", dimension=2, degree=4, kind="md", precision=2)
+            hyperbola = parse_polynomial("x1*x2 - 1", dimension=2, degree=4, kind="md", precision=2)
+            circle.constant.coefficients[0] = MultiDouble.from_float(-4.0 - 0.01 * i, 2)
+            start = [PowerSeries.constant(MultiDouble.from_float(x, 2), 4) for x in (1.9, 0.55)]
+            return SolveRequest(
+                system=PolynomialSystem([circle, hyperbola]),
+                initial=start,
+                options=NewtonOptions(max_iterations=8, tolerance=1.0e-28),
+            )
+
+        async def main(mode):
+            engine = SolveEngine(mode=mode, window_ms=25.0, max_batch=4, workers=1)
+            async with engine:
+                responses = await asyncio.gather(*[engine.submit(request(i)) for i in range(3)])
+                return responses, engine.stats()
+
+        answers = {}
+        for mode in ("vectorized", "gpu"):
+            responses, stats = asyncio.run(main(mode))
+            assert stats["pool"]["idle_packs"] == 1
+            assert all(r.ok and r.converged and r.batch_fill == 3 for r in responses)
+            answers[mode] = [[_series_bits(s) for s in r.solution] for r in responses]
+        assert answers["gpu"] == answers["vectorized"]
+
+    @pytest.mark.parametrize("kind", ("complex", "fraction"))
+    def test_context_refuses_complex_and_exact_data_before_packing(self, kind, rng):
+        polynomials = _make_system(kind, rng)
+        zs = _make_inputs(kind, rng)
+        context = SystemEvaluator(polynomials, mode="gpu", cache=ScheduleCache()).make_context(len(zs))
+        with pytest.raises(StagingError, match="real coefficients only"):
+            context.update_inputs(zs)
+        assert context.packs == 0 and not context.resident
 
 
 class TestFusedSchedule:

@@ -16,7 +16,6 @@ from repro.gpusim import (
     efficiency_for,
     efficiency_table,
     evaluation_double_ops,
-    predict_schedule,
     tflops,
 )
 from repro.gpusim.calibration import PAPER_V100_P1_CONVOLUTION_MS
@@ -143,7 +142,7 @@ class TestTimingModel:
 
     def test_predict_schedule_wrapper(self):
         schedule = build_schedule(3, [(0, 1, 2)] * 4, degree=8)
-        report = predict_schedule(schedule, device="P100", precision=2)
+        report = TimingModel("P100", 2).predict(schedule)
         assert report.n_launches == schedule.total_launches
         assert report.as_row()["wall clock"] == pytest.approx(report.wall_clock_ms)
 
@@ -154,7 +153,7 @@ class TestTimingModel:
         p = random_polynomial(3, 3, 2, degree=4, kind="float", rng=rng, max_exponent=3)
         schedule = schedule_for_polynomial(p)
         if schedule.scale_jobs:
-            report = predict_schedule(schedule, device="V100", precision=2)
+            report = TimingModel("V100", 2).predict(schedule)
             stages = {launch.stage for launch in report.launches}
             assert "scale" in stages
 
