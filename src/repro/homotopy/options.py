@@ -104,7 +104,12 @@ class StepControl:
     ``grow`` up to ``max``; a refinement that misses the tolerance rejects
     the step, shrinks it by ``shrink`` and re-predicts from the last accepted
     point; a step that would fall below ``min`` declares the path failed
-    (and hands it to the :class:`RetryPolicy`).  ``grow = 1.0`` disables
+    (and hands it to the :class:`RetryPolicy`).  Every refinement after a
+    path's first point starts from the accepted series shifted by the step,
+    so Newton only corrects what the shift left wrong: at the default degree
+    8 a smooth path converges in 3 iterations, within the default
+    ``fast_iterations``, where a constant start takes about
+    ``log2(degree + 1) + 1`` = 5.  ``grow = 1.0`` disables
     growth; with ``RetryPolicy(precision_ladder=(), max_rejections=0)`` on
     top, every path steps on the one fixed grid of ``initial`` and fails at
     its first rejected point — the fixed-grid tracker, which the test suite

@@ -4,16 +4,17 @@ Numerical continuation follows a solution path ``x(t)`` of a family of
 polynomial systems ``H(x, t) = 0`` from ``t = 0`` towards ``t = 1``.  The
 power-series approach of the paper's motivating reference expands ``x`` as a
 truncated series around the current parameter value, refines the expansion
-with Newton's method on power series, advances the parameter by a step ``h``
-by evaluating the series, and repeats.  The one tracker that does this is
+with Newton's method on power series, advances the parameter by a step ``h``,
+and starts the next refinement from the refined series shifted by the step,
+``x(t + h + s)``.  The one tracker that does this is
 :func:`repro.homotopy.track_paths` (:mod:`repro.homotopy.scheduler`); a
 fixed step grid is its configuration ``step={"grow": 1.0}`` with
 ``retry=RetryPolicy(precision_ladder=(), max_rejections=0)``.
 
 This module holds what that tracker reports and shares: the accepted
 :class:`PathPoint` records, the per-path :class:`PathTrackResult`, the
-:func:`align_path_points` table, and the parameter stepping helpers
-``_advance`` and ``_promote_step``.
+:func:`align_path_points` table, and the stepping helpers ``_advance``,
+``_promote_step`` and ``_shift``.
 """
 
 from __future__ import annotations
@@ -143,3 +144,24 @@ def _promote_step(series: PowerSeries, h: float):
     if isinstance(zero, Fraction):
         return zero + Fraction(h)
     return zero + h
+
+
+def _shift(series: PowerSeries, h: float) -> PowerSeries:
+    """The Taylor shift of ``series`` by the step: ``x(h + s)`` from ``x(s)``.
+
+    The accepted series of a path expands ``x`` around the accepted
+    parameter value; shifted by the step it expands ``x`` around the next
+    trial value up to truncation, the warm start of the next refinement.
+    Synthetic division with the step promoted into the ring
+    (:func:`_promote_step`) as ``t``: for ``i = 0..d-1`` and ``k = d-1`` down
+    to ``i``, ``c[k] = c[k] + t * c[k+1]``; the first pass leaves ``x(h)``
+    in ``c[0]``.  :func:`repro.md.replica.series_shift` replays these
+    operations on limb rows, operand order included.
+    """
+    t = _promote_step(series, h)
+    c = list(series.coefficients)
+    d = len(c) - 1
+    for i in range(d):
+        for k in range(d - 1, i - 1, -1):
+            c[k] = c[k] + t * c[k + 1]
+    return PowerSeries(c)

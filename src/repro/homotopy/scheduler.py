@@ -10,20 +10,26 @@ fleet of one.  It is the package's only tracker:
   policy.  ``grow = 1.0`` with an empty precision ladder and
   ``max_rejections = 0`` is the fixed-grid tracker: every path steps on one
   grid of the initial step and fails at its first rejected point;
+* **warm starts** — a path's first refinement starts from the constant
+  series of its start values; every later one from its accepted series
+  shifted by the path's step (:func:`repro.homotopy.pathtrack._shift`),
+  ``x(t + h + s)`` up to truncation, so Newton keeps the coefficients the
+  accepted series already holds instead of rebuilding them from a constant.
+  A rejected trial re-shifts the same accepted series by the shrunk step;
 * **resident Newton state** — on a resident context every path's iterate,
   accepted series and next trial input stay limb rows: Newton corrects the
-  context's state rows in place, and the predictor evaluates each accepted
-  series at that path's own step with a row Horner
-  (:func:`repro.md.replica.series_evaluate`) that replicates
-  ``series.evaluate(_promote_step(series, h))`` limb for limb, writing the
-  next round's inputs straight into the rows.  :class:`PathPoint` values
-  are unpacked into scalars only when read.  A path whose state is still
-  the caller's plain floats (an exact start) keeps them: its corrections
-  coerce them as ``PowerSeries.__add__`` does and its predictions run in
-  floats.  Start values of other types (ints, NumPy scalars) are carried in
-  the ring they promote into, so their points read back as that ring's
-  scalars.  Delegating contexts (staged, fractions) and ``solver="scalar"``
-  keep the object path, the oracle the rows are tested against;
+  context's state rows in place, and the predictor shifts each accepted
+  series by that path's own step with a row replica of ``_shift``
+  (:func:`repro.md.replica.series_shift`) that equals it limb for limb,
+  writing the next round's inputs straight into the rows.
+  :class:`PathPoint` values are unpacked into scalars only when read.  A
+  path whose state is still the caller's plain floats (an exact start)
+  keeps them: its corrections coerce them as ``PowerSeries.__add__`` does
+  and its predictions run in floats.  Start values of other types (ints,
+  NumPy scalars) are carried in the ring they promote into, so their points
+  read back as that ring's scalars.  Delegating contexts (staged,
+  fractions) and ``solver="scalar"`` keep the object path, the oracle the
+  rows are tested against;
 * **masked residency** — the whole fleet stays packed in one resident
   :class:`repro.core.EvalContext` for the entire track, and every round
   refines the running paths through the one Newton iteration,
@@ -78,7 +84,7 @@ from ..obs import get_telemetry
 from ..series.series import PowerSeries
 from .newton import NewtonResult, keeps_state, refine_lanes
 from .options import TrackOptions
-from .pathtrack import PathPoint, PathTrackResult, _advance, _promote_step
+from .pathtrack import PathPoint, PathTrackResult, _advance, _shift
 from .systems import PolynomialSystem, lift_value
 
 __all__ = ["PathStatus", "TrackManyReport", "PathScheduler", "track_paths"]
@@ -306,23 +312,20 @@ def _hold_accepted(context, lanes: list[int], accepted):
 def _predict_rows(context, accepted, steps: list[tuple[int, float]]) -> None:
     """Seed each stepping lane's next trial from its accepted series rows.
 
-    One Horner evaluation per ring of accepted scalars, replicating
-    ``series.evaluate(_promote_step(series, h))`` limb for limb at each
-    lane's own ``h`` (:func:`repro.md.replica.series_evaluate`); the values
-    become the lanes' next inputs, constant series written straight into
-    the context's state rows.
+    One Taylor shift per ring of accepted scalars, replicating
+    ``_shift(series, h)`` limb for limb at each lane's own ``h``
+    (:func:`repro.md.replica.series_shift`); the shifted series become the
+    lanes' next inputs, written straight into the context's state rows.
     """
     planes, rings = accepted
     by_ring: dict = {}
     for p, h in steps:
         by_ring.setdefault(rings[p], []).append((p, h))
-    width = planes[0].shape[-1]
     for ring, members in by_ring.items():
         lanes = np.asarray([p for p, _ in members], dtype=np.int64)
         h = np.asarray([h for _, h in members])[:, None]
         series = tuple(plane[:, lanes] for plane in ring_planes(planes, ring))
-        values = replica.series_evaluate(series, h, ring)
-        context.set_state(lanes, replica.series_constant(values, ring, width), ring)
+        context.set_state(lanes, replica.series_shift(series, h, ring), ring)
 
 
 class PathScheduler:
@@ -553,10 +556,7 @@ class PathScheduler:
                     solutions[p] = None
             else:
                 for p, h in steps:
-                    solutions[p] = [
-                        PowerSeries.constant(series.evaluate(_promote_step(series, h)), degree)
-                        for series in states[p].series
-                    ]
+                    solutions[p] = [_shift(series, h) for series in states[p].series]
             if r0:
                 tel.record_span(
                     "scheduler.round",

@@ -106,9 +106,17 @@ class MultiDouble:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_float(cls, value: float, precision=2) -> "MultiDouble":
-        """Exact conversion from a double (remaining limbs are zero)."""
+        """Exact conversion from a double (remaining limbs are zero).
+
+        An infinity or a NaN keeps its IEEE value in the leading limb with
+        zero tails, so ``float()`` of it gives it back and it compares in
+        IEEE order.
+        """
         prec = get_precision(precision)
-        return cls(renormalize((float(value),), prec.limbs), prec)
+        value = float(value)
+        if not math.isfinite(value):
+            return cls((value,) + (0.0,) * (prec.limbs - 1), prec)
+        return cls(renormalize((value,), prec.limbs), prec)
 
     @classmethod
     def from_fraction(cls, value: Fraction, precision=2) -> "MultiDouble":

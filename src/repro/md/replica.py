@@ -6,8 +6,9 @@ the term lists the evaluation kernels produce, but a different algorithm
 from the scalar Shewchuk :func:`repro.md.renorm.renormalize`.  The resident
 Newton state of :class:`repro.core.EvalContext` has to reproduce the scalar
 object path bit for bit instead — a last-bit difference can decide whether a
-stiff path converges — so the few operations it runs on limb rows are
-replayed here operator by operator:
+stiff path converges — so the few operations it runs on limb rows, the
+correction ``z + dz`` (:func:`series_add`) and the predictor's Taylor shift
+(:func:`series_shift`), are replayed here operator by operator:
 
 * quad doubles add, subtract and multiply through the fixed sequences of
   :mod:`repro.md.qd`, the scalar operators' own code;
@@ -46,7 +47,7 @@ from .eft import SPLITTER, _SPLIT_SCALE_DOWN, _SPLIT_SCALE_UP, _SPLIT_THRESHOLD
 from .qd import qd_add, qd_mul
 from .vrenorm import vec_renormalize_exact
 
-__all__ = ["as_scalars", "series_add", "series_constant", "series_evaluate"]
+__all__ = ["as_scalars", "series_add", "series_shift"]
 
 #: A ring: ``(kind, limbs)``, as :func:`repro.core.tensor.infer_ring` reports it.
 Ring = tuple[str, int]
@@ -183,7 +184,7 @@ def _mul(a: tuple, b: tuple, ring: Ring) -> tuple:
 
 
 def _times_zero(a: tuple, ring: Ring) -> tuple:
-    """``a * 0``: the ring zero ``PowerSeries`` derives from a coefficient.
+    """``a * 0``: the ring zero ``_promote_step`` derives from a coefficient.
 
     Floats and complexes keep the IEEE signs (and NaNs) of the product, and
     so do quad doubles, whose product is the fixed sequence (``inf * 0`` is
@@ -251,37 +252,34 @@ def series_add(
         return tuple(np.where(plain, c, b) for c, b in zip(coerced, both))
 
 
-def series_evaluate(rows: Sequence[np.ndarray], h: np.ndarray, ring: Ring) -> tuple:
-    """``series.evaluate(_promote_step(series, h))`` for every series row.
+def series_shift(rows: Sequence[np.ndarray], h: np.ndarray, ring: Ring) -> tuple:
+    """``_shift(series, h)`` for every series row: the Taylor shift by ``h``.
 
     ``rows`` holds series of scalars of ``ring`` (trailing axis: the
     coefficients); ``h`` broadcasts against the other non-limb axes.  The step
     is promoted like :func:`repro.homotopy.pathtrack._promote_step` does —
-    ``c_0 * 0 + h`` — and the Horner recurrence ``acc * t + c_k`` runs from
-    the top coefficient down, as :meth:`PowerSeries.evaluate` does.  Returns
-    the values as stacked planes.
+    ``c_0 * 0 + h`` — and the cells ``c[k] = c[k] + t * c[k+1]`` of
+    :func:`repro.homotopy.pathtrack._shift` (pass ``i = 0..d-1``, ``k = d-1``
+    down to ``i``) run one anti-diagonal at a time.  Cell ``(i, k)`` reads
+    only cells of diagonal ``i + d - 1 - k`` minus one, and the cells of one
+    diagonal are the contiguous coefficients ``k >= d - 1 - diagonal``, so
+    computing a whole diagonal before writing any of it replays the
+    sequential order bit for bit in ``d`` steps instead of ``d (d + 1) / 2``.
+    Returns the shifted rows as stacked planes.
     """
-    width = rows[0].shape[-1]
-    h = np.asarray(h, dtype=np.float64)
+    d = rows[0].shape[-1] - 1
+    h = np.asarray(h, dtype=np.float64)[..., None]
     zeros = [np.zeros(h.shape)] * (ring[1] - 1)
     step = ([h] + zeros, [np.zeros(h.shape)] + zeros)[: len(rows)]
+    out = tuple(np.array(plane) for plane in rows)
     with np.errstate(all="ignore"):
-        t = _add_plain(_times_zero(_value(rows, (..., 0)), ring), step, ring)
-        acc = _value(rows, (..., width - 1))
-        for k in range(width - 2, -1, -1):
-            acc = _add(_mul(acc, t, ring), _value(rows, (..., k)), ring)
-        return _stack(acc)
-
-
-def series_constant(values: Sequence[np.ndarray], ring: Ring, width: int) -> tuple:
-    """Rows of ``PowerSeries.constant(v, width - 1)`` for ring scalars ``v``:
-    ``v`` followed by ``width - 1`` copies of ``v * 0``."""
-    with np.errstate(all="ignore"):
-        zero = _stack(_times_zero(_value(values), ring))
-    out = []
-    for plane, zero_plane in zip(values, zero):
-        block = np.empty(np.shape(plane) + (width,))
-        block[..., 0] = plane
-        block[..., 1:] = zero_plane[..., None]
-        out.append(block)
-    return tuple(out)
+        t = _add_plain(_times_zero(_value(rows, (..., slice(0, 1))), ring), step, ring)
+        for low in range(d - 1, -1, -1):
+            cells = _add(
+                _value(out, (..., slice(low, d))),
+                _mul(t, _value(out, (..., slice(low + 1, d + 1))), ring),
+                ring,
+            )
+            for plane, block in zip(out, _stack(cells)):
+                plane[..., low:d] = block
+    return out

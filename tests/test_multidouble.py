@@ -188,15 +188,18 @@ class TestComparisons:
 
     def test_nan_difference_is_unordered(self):
         """A NaN difference compares like an IEEE NaN, so a NaN pivot is not
-        mistaken for a zero one; ``from_float(inf)`` has limbs (inf, nan)
-        and used to compare equal to 0 as well."""
+        mistaken for a zero one.  ``from_float(inf)`` has limbs (inf, 0.0),
+        so it reads back as inf and compares above 0 in IEEE order."""
         nan = MultiDouble.from_float(float("nan"), 2)
         inf = MultiDouble.from_float(float("inf"), 2)
         one = MultiDouble.one(2)
-        for x, other in [(nan, 0), (nan, one), (nan, nan), (one, nan), (inf, 0)]:
+        for x, other in [(nan, 0), (nan, one), (nan, nan), (one, nan)]:
             assert not x == other
             assert x != other
             assert not (x < other or x <= other or x > other or x >= other)
+        assert inf.limbs == (math.inf, 0.0) and float(inf) == math.inf
+        assert inf > 0 and inf >= 0 and inf != 0
+        assert not (inf == 0 or inf < 0 or inf <= 0)
 
     def test_bool_and_float(self):
         assert bool(MultiDouble.one(3))

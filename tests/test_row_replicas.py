@@ -1,7 +1,7 @@
 """Limb-for-limb parity of the resident Newton state with the object path.
 
 The resident Newton state keeps every lane's iterate as limb rows: the
-correction ``z + dz`` and the predictor's Horner evaluation run on the rows
+correction ``z + dz`` and the predictor's Taylor shift run on the rows
 through :mod:`repro.md.replica`.  These tests hold each replica against the
 scalar operator it replays — value *and* Python type, limb for limb — on
 every ring the row path runs (float, double double, quad double, complex,
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import pytest
 from repro.core.tensor import RowSeries, unpack_scalars
 from repro.homotopy import NewtonOptions, PolynomialSystem, newton_power_series_batch
 from repro.homotopy.newton import refine_lanes
-from repro.homotopy.pathtrack import PathPoint, _promote_step
+from repro.homotopy.pathtrack import PathPoint, _shift
 from repro.circuits import parse_polynomial
 from repro.md import ComplexMD, MultiDouble, replica
 from repro.md.renorm import renormalize
@@ -216,26 +217,63 @@ class TestSeriesAdd:
         self._check(ring, zs, dzs, np.ones((100, WIDTH), dtype=bool))
 
 
-@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"{r[0]}{r[1]}")
-class TestSeriesEvaluate:
-    """``replica.series_evaluate`` is ``series.evaluate(_promote_step(series, h))``."""
+class TestSeriesShift:
+    """``replica.series_shift`` is ``_shift(series, h)``: the predictor."""
 
-    def test_matches_horner(self, ring):
-        values = _Scalars(ring, 5)
-        series = [PowerSeries([values.ring_value() for _ in range(9)]) for _ in range(120)]
+    @staticmethod
+    def _series_and_steps(ring, seed: int, count: int, width: int):
+        values = _Scalars(ring, seed)
+        series = [PowerSeries([values.ring_value() for _ in range(width)]) for _ in range(count)]
         steps = [values.rng.choice([values.rng.uniform(1e-4, 1.0), 0.1, 0.025, 2.0**-10]) for _ in series]
-        got = replica.series_evaluate(_rows(series, ring), np.asarray(steps), ring)
-        got = unpack_scalars(got, ring)
-        want = [s.evaluate(_promote_step(s, h)) for s, h in zip(series, steps)]
-        _assert_same(got, want, ring)
+        return series, steps
 
-    def test_constant_rows_are_powerseries_constant(self, ring):
-        values = _Scalars(ring, 6)
-        scalars = [values.ring_value() for _ in range(60)]
-        rows = _rows([PowerSeries([v]) for v in scalars], ring)
-        got = replica.series_constant(tuple(p[..., 0] for p in rows), ring, WIDTH)
-        for row, v in zip(_unpack_rows(got, ring), scalars):
-            _assert_same(row, PowerSeries.constant(v, WIDTH - 1).coefficients, v)
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"{r[0]}{r[1]}")
+    def test_matches_the_object_shift(self, ring):
+        series, steps = self._series_and_steps(ring, 5, 120, 9)
+        got = replica.series_shift(_rows(series, ring), np.asarray(steps), ring)
+        for i, (row, s, h) in enumerate(zip(_unpack_rows(got, ring), series, steps)):
+            _assert_same(row, _shift(s, h).coefficients, f"lane {i}")
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"{r[0]}{r[1]}")
+    def test_every_degree(self, ring):
+        """The anti-diagonals cover the cells at every width, down to a
+        constant series (no cell) and a linear one (one diagonal of one)."""
+        for degree in range(9):
+            series, steps = self._series_and_steps(ring, 10 + degree, 40, degree + 1)
+            got = replica.series_shift(_rows(series, ring), np.asarray(steps), ring)
+            for i, (row, s, h) in enumerate(zip(_unpack_rows(got, ring), series, steps)):
+                _assert_same(row, _shift(s, h).coefficients, f"degree {degree}, lane {i}")
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"{r[0]}{r[1]}")
+    def test_one_step_per_lane_of_a_system(self, ring):
+        """The scheduler's layout: rows ``(limbs, lanes, variables, width)``
+        and steps ``(lanes, 1)``, so every variable of a lane shifts by that
+        lane's own step."""
+        lanes, variables, width = 30, 3, 9
+        series, _ = self._series_and_steps(ring, 9, lanes * variables, width)
+        _, steps = self._series_and_steps(ring, 19, lanes, 1)
+        rows = tuple(p.reshape(p.shape[0], lanes, variables, width) for p in _rows(series, ring))
+        got = replica.series_shift(rows, np.asarray(steps)[:, None], ring)
+        got = tuple(p.reshape(p.shape[0], lanes * variables, width) for p in got)
+        for i, (row, s) in enumerate(zip(_unpack_rows(got, ring), series)):
+            h = steps[i // variables]
+            _assert_same(row, _shift(s, h).coefficients, f"lane {i // variables}, variable {i % variables}")
+
+    def test_fraction_shift_is_the_binomial_sum(self):
+        """Over exact coefficients the shift is x(h + s) itself:
+        ``c'_j = sum_k C(k, j) h^(k-j) c_k``."""
+        rng = random.Random(8)
+        for degree in range(9):
+            c = [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(degree + 1)]
+            h = rng.choice([0.1, 0.25, 0.7, 2.0**-10, rng.uniform(1e-4, 1.0)])
+            got = _shift(PowerSeries(c), h).coefficients
+            step = Fraction(h)
+            want = [
+                sum(math.comb(k, j) * step ** (k - j) * c[k] for k in range(j, degree + 1))
+                for j in range(degree + 1)
+            ]
+            assert got == want
+            assert all(type(x) is Fraction for x in got)
 
 
 def test_as_scalars_replays_the_complexmd_constructor():

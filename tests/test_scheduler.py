@@ -3,7 +3,7 @@
 The contracts under test are the tracker redesign's headline guarantees:
 
 * healthy paths run by the adaptive scheduler (growth disabled) reproduce
-  a plain fixed-grid Newton-and-advance loop **bit for bit**, while the
+  a plain fixed-grid Newton-and-shift loop **bit for bit**, while the
   surviving fleet packs its slot tensor exactly **once** — masking replaces
   repacking;
 * paths that fail at the working precision escalate up the configured
@@ -39,7 +39,7 @@ from repro.homotopy import (
     newton_power_series_batch,
     track_paths,
 )
-from repro.homotopy.pathtrack import PathPoint, _advance, _promote_step
+from repro.homotopy.pathtrack import PathPoint, _advance, _shift
 from repro.md import ComplexMD, MultiDouble
 from repro.series import PowerSeries
 
@@ -74,14 +74,15 @@ def dd_sqrt_family(t0: float, degree: int) -> PolynomialSystem:
 def _lockstep(builder, start, options: TrackOptions, t_end: float = 1.0):
     """One path on the fixed grid, as a plain loop: the oracle of the fleet.
 
-    Refine the constant series at ``t`` with Newton, record the point,
-    advance along the refined series by the step; a refinement that misses
-    the tolerance ends the path.  Returns ``(points, success)``.
+    Refine at ``t`` with Newton, from the constant series of the start
+    values at the first point, record the point, shift the refined series by
+    the step and refine from that at the next point; a refinement that
+    misses the tolerance ends the path.  Returns ``(points, success)``.
     """
-    points, values, t = [], list(start), 0.0
+    points, t = [], 0.0
+    initial = [PowerSeries.constant(v, options.degree) for v in start]
     while True:
         system = builder(t, options.degree).with_mode(options.mode)
-        initial = [PowerSeries.constant(v, options.degree) for v in values]
         newton = newton_power_series(system, initial, options=options.newton)
         if not newton.converged:
             return points, False
@@ -90,7 +91,7 @@ def _lockstep(builder, start, options: TrackOptions, t_end: float = 1.0):
         if t >= t_end:
             return points, True
         h = min(options.step.initial, t_end - t)
-        values = [series.evaluate(_promote_step(series, h)) for series in newton.solution]
+        initial = [_shift(series, h) for series in newton.solution]
         t = _advance(t, h, t_end)
 
 
@@ -269,9 +270,10 @@ class TestAdaptiveScheduler:
         """On the fixed grid the fleet replays the lockstep loop exactly.
 
         The reference is that loop written out per path: refine at t,
-        advance along the refined series by the step, repeat.  The run must
-        also stay masked-resident: one fleet, one slot-tensor pack for the
-        whole track — converged paths are masked out, never repacked away.
+        shift the refined series by the step, refine from it at the next
+        point, repeat.  The run must also stay masked-resident: one fleet,
+        one slot-tensor pack for the whole track — converged paths are
+        masked out, never repacked away.
         """
         starts = [[1.0], [-1.0], [1.0]]
         options = fixed_grid(degree=6, mode="vectorized", step=0.25)
@@ -303,6 +305,24 @@ class TestAdaptiveScheduler:
         endpoint = report.results[0].points[-1]
         assert endpoint.t == 1.0
         assert endpoint.values[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+    @pytest.mark.parametrize("family", [sqrt_family, dd_sqrt_family], ids=["float", "dd"])
+    def test_warm_starts_grow_the_default_step(self, family):
+        """Every refinement after the first starts from the accepted series
+        shifted by the step, so at the default degree 8 Newton confirms it
+        within ``StepControl.fast_iterations`` (3) and the step doubles.
+        From constant starts all 11 points, 0.1 apart, took 5 iterations."""
+        tracks = {}
+        for mode in ("staged", "vectorized"):
+            options = DEFAULT_TRACK_OPTIONS.override(mode=mode)
+            (result,) = track_paths(family, [[1.0]], options=options).results
+            assert result.success
+            tracks[mode] = [_point_bits(p) + (p.newton_iterations,) for p in result.points]
+        assert tracks["staged"] == tracks["vectorized"]
+        points = tracks["vectorized"]
+        assert [p[0] for p in points] == pytest.approx([0.0, 0.1, 0.3, 0.7, 1.0], abs=1e-15)
+        assert points[-1][0] == 1.0
+        assert [p[-1] for p in points] == [5, 3, 3, 3, 3]
 
     def test_results_stay_in_input_order(self):
         starts = [[-1.0], [1.0], [-1.0]]
